@@ -20,7 +20,6 @@ from .intfeas import (
     integer_feasibility,
 )
 from .ktheory import (
-    CertificateError,
     ConeSpec,
     Family,
     IsomorphicCandidate,
@@ -39,6 +38,7 @@ from .ktheory import (
     verify_desingularization_consistency,
 )
 from .linalg import (
+    CertificateError,
     CokerPresentation,
     Element,
     SmithForm,

@@ -66,11 +66,8 @@ class Graph:
         self._index = index
         self._mult = mult
         out: dict[str, list[tuple[str, object]]] = {v: [] for v in vs}
-        for dst in vs:
-            for src in vs:
-                m = mult.get((src, dst))
-                if m is not None:
-                    out[src].append((dst, m))
+        for (src, dst), m in mult.items():
+            out[src].append((dst, m))
         # targets in declaration order
         for v in vs:
             out[v].sort(key=lambda pair: index[pair[0]])
@@ -145,9 +142,14 @@ class BlockDecomposition:
 
 
 def block_decomposition(g: Graph) -> BlockDecomposition:
-    regular = tuple(v for v in g.vertices if classify_vertex(g, v) is VertexClass.REGULAR)
-    singular = tuple(v for v in g.vertices if is_singular(g, v))
-    return BlockDecomposition(regular=regular, singular=singular)
+    regular = []
+    singular = []
+    for v in g.vertices:
+        if classify_vertex(g, v) is VertexClass.REGULAR:
+            regular.append(v)
+        else:
+            singular.append(v)
+    return BlockDecomposition(regular=tuple(regular), singular=tuple(singular))
 
 
 @dataclass(frozen=True)

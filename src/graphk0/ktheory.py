@@ -38,6 +38,7 @@ from .graphs import (
 )
 from .intfeas import IntInfeasible, IntUnknown, IntWitness, integer_feasibility
 from .linalg import (
+    CertificateError,
     CokerPresentation,
     Element,
     Matrix,
@@ -117,11 +118,13 @@ def relation_matrix(g: Graph) -> tuple[Matrix, tuple[str, ...]]:
     by all vertices, regular ones first."""
     bd = block_decomposition(g)
     order = bd.regular + bd.singular
+    pos = {v: i for i, v in enumerate(order)}
     mat = [[0] * len(bd.regular) for _ in order]
     for col, v in enumerate(bd.regular):
-        for row, u in enumerate(order):
-            a = g.multiplicity(v, u)
-            mat[row][col] = a - (1 if u == v else 0)
+        # a regular vertex has only finite multiplicities
+        for w, a in g.out_edges(v):
+            mat[pos[w]][col] = a
+        mat[pos[v]][col] -= 1
     return mat, order
 
 
@@ -129,11 +132,7 @@ def _build_presentation(g: Graph) -> K0Presentation:
     mat, order = relation_matrix(g)
     coker = cokernel(mat)
     pos = {v: i for i, v in enumerate(order)}
-    delta = {}
-    for v in g.vertices:
-        vec = [0] * len(order)
-        vec[pos[v]] = 1
-        delta[v] = coker.project(vec)
+    delta = {v: coker.basis_class(pos[v]) for v in g.vertices}
     unit = coker.zero()
     for v in g.vertices:
         unit = coker.add(unit, delta[v])
@@ -203,10 +202,6 @@ class UnknownMembership:
 
 
 MembershipVerdict = Member | NotMember | UnknownMembership
-
-
-class CertificateError(Exception):
-    """A decided verdict failed the exact re-check of its certificate."""
 
 
 def evaluate_witness(k: K0Presentation, witness: MembershipWitness) -> Element:

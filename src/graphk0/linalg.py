@@ -14,6 +14,11 @@ from math import gcd
 Matrix = list[list[int]]
 
 
+class CertificateError(Exception):
+    """A computed result failed the exact re-check of its certificate: a
+    membership witness, or a solution of a Diophantine system."""
+
+
 def matrix_dims(a: Matrix) -> tuple[int, int]:
     rows = len(a)
     cols = len(a[0]) if rows else 0
@@ -105,11 +110,19 @@ def smith_normal_form(a: Matrix) -> SmithForm:
     Pivot choice is always the smallest nonzero absolute entry of the
     remaining block (ties broken row-major), followed by full row/column
     reduction, so the computation is deterministic for a fixed input.
+
+    Two shortcuts leave that pivot sequence unchanged.  The pivot search
+    stops at the first entry of absolute value 1: no nonzero integer is
+    smaller, and the row-major scan meets the earliest such entry first,
+    which is the one the full scan would keep.  The divisibility rescan of
+    the remaining block is skipped when the pivot is 1, since every integer
+    is divisible by 1 and the scan could find no offending row.
     """
     rows, cols = matrix_dims(a)
     s = [row[:] for row in a]
     u = identity_matrix(rows)
-    u_inv = identity_matrix(rows)
+    # u_inv is kept transposed, so its column operations act on one list
+    u_inv_t = identity_matrix(rows)
     v = identity_matrix(cols)
 
     def swap_rows(i: int, j: int) -> None:
@@ -117,14 +130,12 @@ def smith_normal_form(a: Matrix) -> SmithForm:
             return
         s[i], s[j] = s[j], s[i]
         u[i], u[j] = u[j], u[i]
-        for r in u_inv:
-            r[i], r[j] = r[j], r[i]
+        u_inv_t[i], u_inv_t[j] = u_inv_t[j], u_inv_t[i]
 
     def negate_row(i: int) -> None:
         s[i] = [-x for x in s[i]]
         u[i] = [-x for x in u[i]]
-        for r in u_inv:
-            r[i] = -r[i]
+        u_inv_t[i] = [-x for x in u_inv_t[i]]
 
     def add_row(i: int, j: int, q: int) -> None:
         # row_i += q * row_j; u_inv gets the inverse column operation
@@ -132,8 +143,7 @@ def smith_normal_form(a: Matrix) -> SmithForm:
             return
         s[i] = [x + q * y for x, y in zip(s[i], s[j])]
         u[i] = [x + q * y for x, y in zip(u[i], u[j])]
-        for r in u_inv:
-            r[j] -= q * r[i]
+        u_inv_t[j] = [x - q * y for x, y in zip(u_inv_t[j], u_inv_t[i])]
 
     def swap_cols(i: int, j: int) -> None:
         if i == j:
@@ -161,6 +171,8 @@ def smith_normal_form(a: Matrix) -> SmithForm:
                 val = si[j]
                 if val:
                     val = -val if val < 0 else val
+                    if val == 1:
+                        return i, j
                     if best is None or val < best:
                         best = val
                         where = (i, j)
@@ -193,6 +205,8 @@ def smith_normal_form(a: Matrix) -> SmithForm:
             if dirty:
                 pivot = smallest_pivot(t)
                 continue
+            if d == 1:
+                break
             offender = None
             for i in range(t + 1, rows):
                 si = s[i]
@@ -208,6 +222,7 @@ def smith_normal_form(a: Matrix) -> SmithForm:
 
     rank = t
     factors = tuple(s[i][i] for i in range(rank))
+    u_inv = [list(r) for r in zip(*u_inv_t)]
     return SmithForm(u=u, s=s, v=v, u_inv=u_inv, rank=rank, invariant_factors=factors)
 
 
@@ -228,7 +243,10 @@ class CokerPresentation:
     The group is presented as a direct sum of cyclic factors Z/d_i (moduli
     >= 2; factors equal to 1 are dropped) and a free part Z^f, together with
     an explicit projection from ambient integer vectors and a deterministic
-    section (``lift``) going the other way.
+    section (``lift``) going the other way.  The projection is given by rows
+    of the left transform U of a Smith normal form, so the class of the j-th
+    ambient basis vector is column j of U, its torsion rows reduced mod their
+    moduli; ``basis_class`` reads it off without a matrix product.
     """
 
     def __init__(
@@ -272,6 +290,16 @@ class CokerPresentation:
             sum(self._u[i][j] * x[j] for j in range(self.ambient_dim))
             for i in self._free_rows
         )
+        return Element(torsion=torsion, free=free)
+
+    def basis_class(self, j: int) -> Element:
+        """The class of the j-th ambient basis vector, equal to
+        ``project`` of that vector."""
+        if not 0 <= j < self.ambient_dim:
+            raise ValueError(f"basis index {j} outside 0..{self.ambient_dim - 1}")
+        u = self._u
+        torsion = tuple(u[i][j] % d for i, d in zip(self._torsion_rows, self.torsion_moduli))
+        free = tuple(u[i][j] for i in self._free_rows)
         return Element(torsion=torsion, free=free)
 
     def lift(self, e: Element) -> list[int]:
@@ -368,5 +396,6 @@ def solve_diophantine(a: Matrix, b: list[int]) -> list[int] | None:
         elif c[i] != 0:
             return None
     x = mat_vec(snf.v, y)
-    assert mat_vec(a, x) == list(b)
+    if mat_vec(a, x) != list(b):
+        raise CertificateError(f"Diophantine solution {x} does not satisfy a @ x == {list(b)}")
     return x

@@ -96,6 +96,18 @@ class TestGraphModel:
         with pytest.raises(ValueError):
             classify_vertex(g, "nope")
 
+    def test_out_edges_dense_reading(self):
+        # out-edges follow declaration order, whatever order the table is in
+        rng = random.Random(12)
+        for _ in range(40):
+            g = random_graph(rng, inf_prob=0.2)
+            items = list({(s, d): m for s, d, m in g.edges()}.items())
+            rng.shuffle(items)
+            shuffled = Graph(g.vertices, dict(items))
+            for v in g.vertices:
+                dense = [(w, g.multiplicity(v, w)) for w in g.vertices if g.multiplicity(v, w)]
+                assert shuffled.out_edges(v) == dense
+
     def test_classes_partition(self):
         rng = random.Random(11)
         for _ in range(40):

@@ -28,10 +28,12 @@ from graphk0.ktheory import (
     evaluate_witness,
     functional_certifies,
     order_properties,
+    relation_matrix,
     verify_desingularization_consistency,
     witness_is_valid,
 )
-from graphk0.linalg import Element
+from graphk0.linalg import CokerPresentation, Element
+from graphk0.reports import k0_to_json
 
 
 def loops(n):
@@ -135,6 +137,40 @@ class TestComputeK0:
             for col in range(len(mat[0]) if mat else 0):
                 column = [mat[row][col] for row in range(len(mat))]
                 assert k.coker.project(column).is_zero()
+
+    def test_relation_matrix_dense_reading(self):
+        rng = random.Random(45)
+        for inf_prob in (0.0, 0.2):
+            for _ in range(30):
+                g = random_graph(rng, 7, inf_prob=inf_prob)
+                mat, order = relation_matrix(g)
+                regular = order[: len(mat[0]) if mat else 0]
+                dense = [
+                    [g.multiplicity(v, u) - (1 if u == v else 0) for v in regular] for u in order
+                ]
+                assert mat == dense, g.edges()
+
+    def test_classes_are_projected_basis_vectors(self):
+        rng = random.Random(46)
+        for inf_prob in (0.0, 0.2):
+            for _ in range(30):
+                g = random_graph(rng, 7, inf_prob=inf_prob)
+                k = compute_k0(g)
+                for v in g.vertices:
+                    assert k.delta[v] == k.coker.project(k.ambient_basis_vector(v))
+
+    def test_no_projection_per_vertex(self, monkeypatch):
+        # the classes are read off U; one projection per vertex is O(n^3)
+        graphs = [toeplitz(), infinite_loop(), loops(4)]
+        rng = random.Random(47)
+        graphs += [random_graph(rng, 8, inf_prob=0.1) for _ in range(10)]
+        expected = [k0_to_json(compute_k0(g)) for g in graphs]
+
+        def refuse(self, x):
+            raise RuntimeError("compute_k0 called CokerPresentation.project")
+
+        monkeypatch.setattr(CokerPresentation, "project", refuse)
+        assert [k0_to_json(compute_k0(g)) for g in graphs] == expected
 
     def test_regular_vertex_relation(self):
         # [v] = sum_w A(v, w)[w] for every regular vertex

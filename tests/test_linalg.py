@@ -1,10 +1,17 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from dataclasses import replace
 from itertools import combinations
 from math import gcd
 
 import pytest
 
+import graphk0.linalg
 from graphk0.linalg import (
+    CertificateError,
     Element,
     cokernel,
     determinant,
@@ -30,6 +37,69 @@ def minor_gcd(a, k):
 
 def random_matrix(rng, rows, cols, lo=-9, hi=9):
     return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
+
+
+def reference_snf(a):
+    """The Smith normal form as first written: full pivot scan, divisibility
+    rescan after every pivot, u_inv updated column by column.  Returns
+    (u, s, v, u_inv, rank, invariant_factors)."""
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    s = [row[:] for row in a]
+    u, u_inv, v = identity_matrix(rows), identity_matrix(rows), identity_matrix(cols)
+
+    def add_row(i, j, q):
+        s[i] = [x + q * y for x, y in zip(s[i], s[j])]
+        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+        for r in u_inv:
+            r[j] -= q * r[i]
+
+    def smallest_pivot(t):
+        nonzero = [(abs(s[i][j]), i, j) for i in range(t, rows) for j in range(t, cols) if s[i][j]]
+        return min(nonzero)[1:] if nonzero else None
+
+    t = 0
+    while t < min(rows, cols):
+        pivot = smallest_pivot(t)
+        if pivot is None:
+            break
+        while True:
+            pi, pj = pivot
+            s[t], s[pi] = s[pi], s[t]
+            u[t], u[pi] = u[pi], u[t]
+            for r in u_inv:
+                r[t], r[pi] = r[pi], r[t]
+            for r in s + v:
+                r[t], r[pj] = r[pj], r[t]
+            if s[t][t] < 0:
+                s[t] = [-x for x in s[t]]
+                u[t] = [-x for x in u[t]]
+                for r in u_inv:
+                    r[t] = -r[t]
+            d = s[t][t]
+            dirty = False
+            for i in range(t + 1, rows):
+                if s[i][t]:
+                    add_row(i, t, -(s[i][t] // d))
+                    dirty = dirty or bool(s[i][t])
+            for j in range(t + 1, cols):
+                if s[t][j]:
+                    q = -(s[t][j] // d)
+                    for r in s + v:
+                        r[j] += q * r[t]
+                    dirty = dirty or bool(s[t][j])
+            if dirty:
+                pivot = smallest_pivot(t)
+                continue
+            offender = next(
+                (i for i in range(t + 1, rows) if any(x % d for x in s[i][t + 1 :])), None
+            )
+            if offender is None:
+                break
+            add_row(t, offender, 1)
+            pivot = (t, t)
+        t += 1
+    return u, s, v, u_inv, t, tuple(s[i][i] for i in range(t))
 
 
 class TestSmithNormalForm:
@@ -92,6 +162,21 @@ class TestSmithNormalForm:
                 else:
                     assert g == 0
 
+    def test_matches_reference(self):
+        # entries scaled by 2 or 6 give pivots above 1 and rows that fail the
+        # divisibility check (27 pulls here), so every branch of the
+        # elimination runs
+        rng = random.Random(3301)
+        for _ in range(200):
+            rows = rng.randint(0, 7)
+            cols = rng.randint(0, 7)
+            a = random_matrix(rng, rows, cols, -4, 4)
+            a = [[rng.choice((1, 2, 6)) * x for x in row] for row in a]
+            snf = smith_normal_form(a)
+            assert (snf.u, snf.s, snf.v, snf.u_inv, snf.rank, snf.invariant_factors) == (
+                reference_snf(a)
+            ), a
+
     def test_deterministic(self):
         a = [[3, -1, 4], [1, 5, -9], [2, 6, 5]]
         first = smith_normal_form(a)
@@ -133,6 +218,9 @@ class TestCokernel:
             for j in range(cols):
                 col = [a[i][j] for i in range(rows)]
                 assert p.project(col).is_zero()
+            for j in range(rows):
+                basis = [1 if i == j else 0 for i in range(rows)]
+                assert p.basis_class(j) == p.project(basis)
             # projection is surjective onto the presentation and additive
             x = [rng.randint(-9, 9) for _ in range(rows)]
             y = [rng.randint(-9, 9) for _ in range(rows)]
@@ -163,6 +251,9 @@ class TestCokernel:
         p = cokernel([[2]])
         with pytest.raises(ValueError):
             p.project([1, 2])
+        for j in (-1, 1):
+            with pytest.raises(ValueError):
+                p.basis_class(j)
 
 
 class TestSolveDiophantine:
@@ -201,3 +292,45 @@ class TestSolveDiophantine:
     def test_mismatch(self):
         with pytest.raises(ValueError):
             solve_diophantine([[1, 2]], [1, 2])
+
+    def test_corrupted_solution_raises(self, monkeypatch):
+        # a transform v that is not the one of the Smith form yields a wrong x
+        true_snf = smith_normal_form
+
+        def corrupted(a):
+            snf = true_snf(a)
+            return replace(snf, v=[[2 * x for x in row] for row in snf.v])
+
+        monkeypatch.setattr(graphk0.linalg, "smith_normal_form", corrupted)
+        with pytest.raises(CertificateError):
+            solve_diophantine([[1]], [1])
+
+    def test_corrupted_solution_raises_without_asserts(self):
+        # the same corruption in a `python -O` interpreter, where no assert runs
+        script = textwrap.dedent(
+            """
+            from dataclasses import replace
+
+            import graphk0.linalg as la
+            from graphk0 import CertificateError
+
+            true_snf = la.smith_normal_form
+            la.smith_normal_form = lambda a: replace(
+                true_snf(a), v=[[2 * x for x in row] for row in true_snf(a).v]
+            )
+            try:
+                la.solve_diophantine([[1]], [1])
+            except CertificateError:
+                print("debug", __debug__, "raised")
+            """
+        )
+        src = os.path.dirname(os.path.dirname(graphk0.linalg.__file__))
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "debug False raised\n"
