@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import solve_diophantine
+from .linalg import CertificateError, solve_diophantine
 from .lp import EQ, GE, LE, Feasible, constraint, solve_lp
 
 
@@ -113,7 +113,8 @@ def integer_feasibility(
                 frac_var = j
         if frac_var < 0:
             ints = tuple(int(v) for v in point)
-            assert verify(ints)
+            if not verify(ints):
+                raise CertificateError("integral relaxation point violates the program")
             return IntWitness(point=ints)
         floor = point[frac_var].numerator // point[frac_var].denominator
         lo, hi = node[frac_var]

@@ -8,12 +8,19 @@ finite batch of target classes" (kept intensional via per-target capacities).
 
 Membership in the cone is decided three-valued: Member carries a witness,
 NotMember a rational separating functional on ambient coordinates, and
-Unknown the spent search budget.  ``cone_membership`` is the one gate for
-certificates: it re-checks every new witness before caching it and raises
-``CertificateError`` if the check fails, and every functional passes
-``functional_certifies`` before it is returned.  Both checks are plain
-code, so they also run under ``python -O``.  The cone's dual is described once, as
-an LP (``_dual_cone_constraints``) and as an exact check
+Unknown the spent search budget.  A query that no cached verdict, finite
+group or separating functional settles goes to one search
+(``_cone_search``): ``_cone_program`` lays out the cone's integer program
+(generator counts bounded by their orders, each family's emitter and target
+counts with the capacity rows, then lattice columns), branch and bound
+solves it, and ``_decode_witness`` reads the point back as a witness.
+
+``cone_membership`` is the one gate for certificates: it re-checks every new
+witness before caching it and raises ``CertificateError`` if the check
+fails, and every functional passes ``functional_certifies`` before it is
+returned.  Both checks are plain code, so they also run under
+``python -O``.  The cone's dual is described once, as an LP
+(``_dual_cone_constraints``) and as an exact check
 (``nonnegative_on_cone``).  Comparison of two presentations enumerates group
 isomorphisms under a budget and checks cone preservation through the
 membership machinery.
@@ -65,7 +72,6 @@ class Family:
 
 @dataclass(frozen=True)
 class ConeSpec:
-    base: tuple[Element, ...]
     families: tuple[Family, ...]
 
 
@@ -143,7 +149,7 @@ def _build_presentation(g: Graph) -> K0Presentation:
                 (w, None if m is INF else m) for w, m in g.out_edges(v)
             )
             families.append(Family(emitter=v, targets=targets))
-    cone = ConeSpec(base=tuple(delta[v] for v in g.vertices), families=tuple(families))
+    cone = ConeSpec(families=tuple(families))
     return K0Presentation(
         graph=g,
         coker=coker,
@@ -324,13 +330,12 @@ def _separating_functional(k: K0Presentation, x: Element) -> tuple[Fraction, ...
     return _ambient_functional(k, res.point[:f])
 
 
-def _pure_torsion_witness(k: K0Presentation, x: Element) -> MembershipWitness | None:
-    """With no free part the vertex classes generate a finite group, so every
-    element has a witness; build one by a lattice solve reduced mod orders."""
+def _pure_torsion_witness(k: K0Presentation, x: Element) -> MembershipWitness:
+    """With no free part the vertex classes generate the whole (finite)
+    group, so every element has a witness; build one by a lattice solve
+    reduced mod orders."""
     moduli = k.coker.torsion_moduli
     gens = [(v, k.delta[v]) for v in k.graph.vertices if not k.delta[v].is_zero()]
-    if not gens:
-        return None
     rows = len(moduli)
     mat = [
         [e.torsion[i] for _, e in gens] + [moduli[i] if j == i else 0 for j in range(rows)]
@@ -338,7 +343,7 @@ def _pure_torsion_witness(k: K0Presentation, x: Element) -> MembershipWitness | 
     ]
     sol = solve_diophantine(mat, list(x.torsion))
     if sol is None:
-        return None
+        raise CertificateError(f"the vertex classes do not generate {x}")
     counts = []
     for (v, e), c in zip(gens, sol):
         order = k.coker.element_order(e)
@@ -361,21 +366,61 @@ def _torsion_lattice_columns(coker: CokerPresentation) -> list[list[int]]:
     ]
 
 
-def _run_generator_bnb(coker, active, lattice_cols, target, node_budget):
-    """Integer search for target = sum a_g * g + (lattice combination)."""
-    dim = len(coker.torsion_moduli) + coker.free_rank
-    nvars = len(active) + len(lattice_cols)
-    equalities = []
-    for row in range(dim):
-        coeffs = [_quotient_coords(e)[row] for _, e in active]
-        coeffs += [col[row] for col in lattice_cols]
-        equalities.append((coeffs, target[row]))
+def _cone_program(coker: CokerPresentation, x: Element, gens, fams, lattice):
+    """The integer program "x is a sum of cone generators plus a lattice
+    combination", laid out as the arguments of ``integer_feasibility``.
+
+    Rows are the quotient coordinates (torsion, then free).  Columns are one
+    count per ``(vertex, class)`` in ``gens``, below the class's order; then
+    for each ``((emitter, class, targets), lower)`` in ``fams`` the emitter
+    count t, at least ``lower``, followed by one count m per
+    ``(vertex, capacity, class)`` target, with the row m - cap * t <= 0 when
+    the capacity is finite; last one free coefficient per lattice column.
+    """
+    cols: list[list[int]] = []
     bounds: list[tuple[int | None, int | None]] = []
-    for _, e in active:
+    caps = []
+    for _, e in gens:
         order = coker.element_order(e)
+        cols.append(_quotient_coords(e))
         bounds.append((0, order - 1 if order is not None else None))
-    bounds += [(None, None)] * len(lattice_cols)
-    return integer_feasibility(nvars, equalities, bounds=bounds, budget=node_budget)
+    for (_, de, targets), lower in fams:
+        t = len(cols)
+        cols.append(_quotient_coords(de))
+        bounds.append((lower, None))
+        for _, cap, dw in targets:
+            if cap is not None:
+                caps.append((len(cols), t, cap))
+            cols.append([-c for c in _quotient_coords(dw)])
+            bounds.append((0, None))
+    cols += lattice
+    bounds += [(None, None)] * len(lattice)
+    equalities = [([col[r] for col in cols], rhs) for r, rhs in enumerate(_quotient_coords(x))]
+    inequalities = []
+    for m, t, cap in caps:
+        row = [0] * len(cols)
+        row[m], row[t] = 1, -cap
+        inequalities.append((row, 0))
+    return len(cols), equalities, inequalities, bounds
+
+
+def _decode_witness(gens, fams, point) -> MembershipWitness:
+    """Read a point of ``_cone_program`` as a witness; the lattice
+    coefficients at its end are not part of it."""
+    uses = []
+    pos = len(gens)
+    for (emitter, _, targets), _ in fams:
+        count = point[pos]
+        target_counts = tuple(
+            (w, c) for (w, _, _), c in zip(targets, point[pos + 1 :]) if c
+        )
+        pos += 1 + len(targets)
+        if count or target_counts:
+            uses.append(FamilyUse(emitter=emitter, count=count, target_counts=target_counts))
+    return MembershipWitness(
+        base_counts=tuple((v, c) for (v, _), c in zip(gens, point) if c),
+        family_uses=tuple(uses),
+    )
 
 
 def _face_reduction(k: K0Presentation, gens, x: Element):
@@ -432,7 +477,7 @@ def _lineality_units(k: K0Presentation, active):
     return units
 
 
-def _expand_unit_uses(k, active, units, coefficients):
+def _expand_unit_uses(active, units, coefficients):
     """Turn integer coefficients on lineality generators into plain counts."""
     counts = [0] * len(active)
     for (idx, scale, expansion), c in zip(units, coefficients):
@@ -445,33 +490,12 @@ def _expand_unit_uses(k, active, units, coefficients):
     return counts
 
 
-def _no_family_decide(k: K0Presentation, x: Element, budget: int):
-    """Complete membership decision when the cone has no generator families.
+def _reduced_face(k: K0Presentation, gens, x: Element):
+    """The face of the cone that can hold x, with its lineality.
 
-    Returns (witness | None, decided, nodes_spent).  A quick raw search
-    handles the common cases; stalls fall through to the face-and-lineality
-    reduction, whose final search region is provably bounded, so the whole
-    procedure terminates with a definite answer given enough budget.
-    """
-    coker = k.coker
-    gens = [(v, k.delta[v]) for v in k.graph.vertices if not k.delta[v].is_zero()]
-    target = _quotient_coords(x)
-    torsion_cols = _torsion_lattice_columns(coker)
-    spent = 0
-
-    quick = min(budget, 40)
-    res = _run_generator_bnb(coker, gens, torsion_cols, target, quick)
-    if isinstance(res, IntWitness):
-        counts = res.point[: len(gens)]
-        witness = MembershipWitness(
-            base_counts=tuple((v, c) for (v, _), c in zip(gens, counts) if c),
-            family_uses=(),
-        )
-        return witness, True, spent
-    if isinstance(res, IntInfeasible):
-        return None, True, spent
-    spent += res.nodes_explored
-
+    Returns the generators left by ``_face_reduction``, their lineality
+    units, the pointed rest, and a lattice basis spanning the units and the
+    torsion ambiguity, each basis column with its expression in those."""
     face_key = (tuple(sorted(v for v, _ in gens)), tuple(x.free))
     cached = k._face_cache.get(face_key)
     if cached is None:
@@ -480,168 +504,107 @@ def _no_family_decide(k: K0Presentation, x: Element, budget: int):
         k._face_cache[face_key] = (active, units)
     else:
         active, units = cached
-
     unit_indices = {idx for idx, _, _ in units}
     pointed = [pair for i, pair in enumerate(active) if i not in unit_indices]
-    unit_cols = [_quotient_coords(active[idx][1]) for idx, _, _ in units]
-
-    lattice = [list(col) for col in unit_cols] + torsion_cols
-    dim = len(coker.torsion_moduli) + coker.free_rank
+    lattice = [_quotient_coords(active[idx][1]) for idx, _, _ in units]
+    lattice += _torsion_lattice_columns(k.coker)
     basis_cols: list[list[int]] = []
     basis_expr: list[list[int]] = []
     if lattice:
-        mat = [[lattice[j][r] for j in range(len(lattice))] for r in range(dim)]
+        mat = [list(row) for row in zip(*lattice)]
         snf = smith_normal_form(mat)
         for i in range(snf.rank):
             expr = [snf.v[j][i] for j in range(len(lattice))]
-            col = [
-                sum(mat[r][j] * expr[j] for j in range(len(lattice)))
-                for r in range(dim)
-            ]
-            basis_cols.append(col)
+            basis_cols.append([sum(a * b for a, b in zip(row, expr)) for row in mat])
             basis_expr.append(expr)
-
-    remaining = budget - spent
-    if remaining < 1:
-        return None, False, spent
-    res = _run_generator_bnb(coker, pointed, basis_cols, target, remaining)
-    if isinstance(res, IntUnknown):
-        return None, False, spent + res.nodes_explored
-    if isinstance(res, IntInfeasible):
-        return None, True, spent
-    point = res.point
-    counts = {v: c for (v, _), c in zip(pointed, point) if c}
-    basis_coeffs = point[len(pointed) :]
-    unit_coeffs = [
-        sum(basis_expr[i][j] * basis_coeffs[i] for i in range(len(basis_coeffs)))
-        for j in range(len(units))
-    ]
-    expanded = _expand_unit_uses(k, active, units, unit_coeffs)
-    for (v, _), c in zip(active, expanded):
-        if c:
-            counts[v] = counts.get(v, 0) + c
-    witness = MembershipWitness(base_counts=tuple(sorted(counts.items())), family_uses=())
-    return witness, True, spent
+    return active, units, pointed, basis_cols, basis_expr
 
 
-def _witness_search(k: K0Presentation, x: Element, budget: int) -> tuple[
-    MembershipWitness | None, bool, int
-]:
-    """Branch-and-bound search for a cone decomposition of x.
+@dataclass(frozen=True)
+class _ProvenEmpty:
+    """Every search tree closed empty, so x has no decomposition into cone
+    generators; ``budget_spent`` counts the nodes of stages that stalled
+    before the one that closed."""
 
-    Returns (witness, proven_empty, nodes_spent); the middle flag is True
-    only when every case split closed with a certified-empty search tree.
+    budget_spent: int
+
+
+def _cone_search(
+    k: K0Presentation, x: Element, budget: int
+) -> Member | _ProvenEmpty | UnknownMembership:
+    """Branch-and-bound search for a decomposition of x into cone generators.
+
+    Families whose emitter and targets all have class zero are dropped:
+    their columns would be zero, and a zero column never enters a basis
+    under Bland's rule and is never branched on.  A family with an uncapped
+    target is either unused or used at least once; each combination of
+    those cases is one ``_cone_program``.  With no family left, a quick
+    search of at most 40 nodes settles the common cases, and a stall falls
+    through to the face-and-lineality reduction, whose final search region
+    is bounded, so the search ends with a definite answer given enough
+    budget.
     """
     coker = k.coker
-    moduli = coker.torsion_moduli
-    ntor = len(moduli)
-    nfree = coker.free_rank
-
-    base = [(v, k.delta[v]) for v in k.graph.vertices if not k.delta[v].is_zero()]
+    gens = [(v, k.delta[v]) for v in k.graph.vertices if not k.delta[v].is_zero()]
     fams = []
     for fam in k.cone.families:
-        targets = [
-            (w, cap, k.delta[w])
-            for (w, cap) in fam.targets
-            if not k.delta[w].is_zero()
-        ]
-        fams.append((fam.emitter, k.delta[fam.emitter], targets))
+        de = k.delta[fam.emitter]
+        targets = [(w, cap, k.delta[w]) for w, cap in fam.targets if not k.delta[w].is_zero()]
+        if targets or not de.is_zero():
+            fams.append((fam.emitter, de, targets))
+    lattice = _torsion_lattice_columns(coker)
+    if fams:
+        # either sign spans the same lattice, but the sign steers the simplex
+        # pivots and so which witness is reported: family programs use -d,
+        # programs without families +d, which keeps reported witnesses stable
+        lattice = [[-c for c in col] for col in lattice]
+        limit = budget
+    else:
+        limit = min(budget, 40)
     split = [
-        i
-        for i, (_, _, targets) in enumerate(fams)
-        if any(cap is None for _, cap, _ in targets)
+        i for i, (_, _, targets) in enumerate(fams) if any(cap is None for _, cap, _ in targets)
     ]
-
     spent = 0
-    proven_empty = True
+    stalled = False
     for mask in range(1 << len(split)):
-        active = {split[b] for b in range(len(split)) if mask >> b & 1}
-        var_defs: list[tuple] = []
-        bounds: list[tuple[int | None, int | None]] = []
-        for v, e in base:
-            order = coker.element_order(e)
-            var_defs.append(("base", v, e))
-            bounds.append((0, order - 1 if order is not None else None))
-        for idx, (emitter, de, targets) in enumerate(fams):
-            if idx in split and idx not in active:
-                continue
-            var_defs.append(("t", idx, de))
-            bounds.append((1 if idx in active else 0, None))
-            for w, cap, dw in targets:
-                var_defs.append(("m", idx, w, cap, dw))
-                bounds.append((0, None))
-        for i in range(ntor):
-            var_defs.append(("k", i))
-            bounds.append((None, None))
-
-        nvars = len(var_defs)
-        equalities = []
-        for i in range(ntor):
-            row = [0] * nvars
-            for col, vd in enumerate(var_defs):
-                if vd[0] in ("base", "t"):
-                    row[col] = vd[2].torsion[i]
-                elif vd[0] == "m":
-                    row[col] = -vd[4].torsion[i]
-                elif vd[0] == "k" and vd[1] == i:
-                    row[col] = -moduli[i]
-            equalities.append((row, x.torsion[i]))
-        for j in range(nfree):
-            row = [0] * nvars
-            for col, vd in enumerate(var_defs):
-                if vd[0] in ("base", "t"):
-                    row[col] = vd[2].free[j]
-                elif vd[0] == "m":
-                    row[col] = -vd[4].free[j]
-            equalities.append((row, x.free[j]))
-        inequalities = []
-        for col, vd in enumerate(var_defs):
-            if vd[0] == "m" and vd[3] is not None:
-                row = [0] * nvars
-                row[col] = 1
-                t_col = next(
-                    c for c, other in enumerate(var_defs) if other[:2] == ("t", vd[1])
-                )
-                row[t_col] = -vd[3]
-                inequalities.append((row, 0))  # m - cap * t <= 0
-
-        remaining = budget - spent
-        if remaining < 1:
-            return None, False, spent
+        used = {split[b] for b in range(len(split)) if mask >> b & 1}
+        case = [(fam, int(i in used)) for i, fam in enumerate(fams) if i in used or i not in split]
+        if limit - spent < 1:
+            return UnknownMembership(budget_spent=spent)
         res = integer_feasibility(
-            nvars, equalities, inequalities, bounds=bounds, budget=remaining
+            *_cone_program(coker, x, gens, case, lattice), budget=limit - spent
         )
         if isinstance(res, IntWitness):
-            witness = _assemble_witness(var_defs, res.point, fams)
-            return witness, False, spent
+            return Member(witness=_decode_witness(gens, case, res.point))
         if isinstance(res, IntUnknown):
             spent += res.nodes_explored
-            proven_empty = False
-        # IntInfeasible: this case is certified empty; spend nothing extra
-    return None, proven_empty, spent
+            stalled = True
+    if not stalled:
+        return _ProvenEmpty(budget_spent=spent)
+    if fams:
+        return UnknownMembership(budget_spent=spent)
 
-
-def _assemble_witness(var_defs, point, fams) -> MembershipWitness:
-    base_counts = []
-    t_count: dict[int, int] = {}
-    m_count: dict[int, list[tuple[str, int]]] = {}
-    for vd, val in zip(var_defs, point):
-        if vd[0] == "base" and val:
-            base_counts.append((vd[1], val))
-        elif vd[0] == "t" and val:
-            t_count[vd[1]] = val
-        elif vd[0] == "m" and val:
-            m_count.setdefault(vd[1], []).append((vd[2], val))
-    uses = []
-    for idx in sorted(set(t_count) | set(m_count)):
-        uses.append(
-            FamilyUse(
-                emitter=fams[idx][0],
-                count=t_count.get(idx, 0),
-                target_counts=tuple(m_count.get(idx, [])),
-            )
-        )
-    return MembershipWitness(base_counts=tuple(base_counts), family_uses=tuple(uses))
+    active, units, pointed, basis_cols, basis_expr = _reduced_face(k, gens, x)
+    if budget - spent < 1:
+        return UnknownMembership(budget_spent=spent)
+    res = integer_feasibility(
+        *_cone_program(coker, x, pointed, (), basis_cols), budget=budget - spent
+    )
+    if isinstance(res, IntUnknown):
+        return UnknownMembership(budget_spent=spent + res.nodes_explored)
+    if isinstance(res, IntInfeasible):
+        return _ProvenEmpty(budget_spent=spent)
+    counts = dict(_decode_witness(pointed, (), res.point).base_counts)
+    basis_coeffs = res.point[len(pointed) :]
+    unit_coeffs = [
+        sum(expr[j] * c for expr, c in zip(basis_expr, basis_coeffs)) for j in range(len(units))
+    ]
+    for (v, _), c in zip(active, _expand_unit_uses(active, units, unit_coeffs)):
+        if c:
+            counts[v] = counts.get(v, 0) + c
+    return Member(
+        witness=MembershipWitness(base_counts=tuple(sorted(counts.items())), family_uses=())
+    )
 
 
 def cone_membership(k: K0Presentation, x: Element, budget: int = DEFAULT_BUDGET):
@@ -694,10 +657,7 @@ def _decide_membership(k: K0Presentation, x: Element, budget: int):
     if x.is_zero():
         return Member(witness=MembershipWitness(base_counts=(), family_uses=()))
     if k.coker.free_rank == 0:
-        witness = _pure_torsion_witness(k, x)
-        if witness is not None:
-            return Member(witness=witness)
-        return UnknownMembership(budget_spent=0)
+        return Member(witness=_pure_torsion_witness(k, x))
     extended = _member_by_extension(k, x)
     if extended is not None:
         return extended
@@ -708,20 +668,12 @@ def _decide_membership(k: K0Presentation, x: Element, budget: int):
     if phi is not None and functional_certifies(k, phi, x):
         k._functional_pool.append(phi)
         return NotMember(functional=phi)
-    meaningful_families = any(
-        not k.delta[fam.emitter].is_zero()
-        or any(not k.delta[w].is_zero() for w, _ in fam.targets)
-        for fam in k.cone.families
-    )
-    if not meaningful_families:
-        witness, _decided, spent = _no_family_decide(k, x, budget)
-    else:
-        witness, _decided, spent = _witness_search(k, x, budget)
-    if witness is not None:
-        return Member(witness=witness)
-    # a certified-empty search without a separating functional still reports
-    # Unknown: NotMember promises a functional, and none exists
-    return UnknownMembership(budget_spent=spent)
+    verdict = _cone_search(k, x, budget)
+    if isinstance(verdict, _ProvenEmpty):
+        # a certified-empty search without a separating functional still
+        # reports Unknown: NotMember promises a functional, and none exists
+        return UnknownMembership(budget_spent=verdict.budget_spent)
+    return verdict
 
 
 # ---------------------------------------------------------------------------
@@ -817,7 +769,7 @@ def order_properties(k: K0Presentation, budget: int = DEFAULT_BUDGET) -> OrderPr
         if pointed is ThreeValued.UNKNOWN:
             if _strictly_positive_functional(k) is not None:
                 pointed = ThreeValued.YES
-            elif all(e.is_zero() for e in k.cone.base) and not k.cone.families:
+            elif all(e.is_zero() for e in k.delta.values()) and not k.cone.families:
                 pointed = ThreeValued.YES  # the cone is {0}
     return OrderProperties(
         cone_is_everything=everything,

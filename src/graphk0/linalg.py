@@ -16,7 +16,8 @@ Matrix = list[list[int]]
 
 class CertificateError(Exception):
     """A computed result failed the exact re-check of its certificate: a
-    membership witness, or a solution of a Diophantine system."""
+    membership witness, an LP point or Farkas certificate, an integer point,
+    a graph trace or state, or a solution of a Diophantine system."""
 
 
 def matrix_dims(a: Matrix) -> tuple[int, int]:

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .linalg import CertificateError
+
 LE = "<="
 GE = ">="
 EQ = "=="
@@ -230,8 +232,8 @@ class _Tableau:
         for row in self.rows:
             for k in range(self.width):
                 obj[k] -= row[k]
-        ok = self._simplex(obj, allow_art=True)
-        assert ok, "phase-1 objective is bounded by construction"
+        if not self._simplex(obj, allow_art=True):
+            raise RuntimeError("phase-1 objective is bounded by construction")
         infeas_value = -obj[-1]
         return infeas_value == 0, obj
 
@@ -277,6 +279,13 @@ class _Tableau:
         return tuple(point)
 
 
+def _checked_point(tab: _Tableau, constraints) -> tuple[Fraction, ...]:
+    point = tab.extract_point()
+    if not check_point(tab.num_vars, constraints, tab.nonneg, point):
+        raise CertificateError("simplex point violates the constraints")
+    return point
+
+
 def solve_lp(
     num_vars: int,
     constraints: Sequence[Constraint],
@@ -300,14 +309,13 @@ def solve_lp(
     feasible, obj_row = tab.phase_one()
     if not feasible:
         cert = tab.farkas_from_phase_one(obj_row)
-        assert verify_farkas(num_vars, constraints, nonneg, cert)
+        if not verify_farkas(num_vars, constraints, nonneg, cert):
+            raise CertificateError("Farkas certificate does not prove infeasibility")
         return Infeasible(certificate=cert)
     tab.drop_artificials()
 
     if objective is None:
-        point = tab.extract_point()
-        assert check_point(num_vars, constraints, nonneg, point)
-        return Feasible(point=point, objective_value=None)
+        return Feasible(point=_checked_point(tab, constraints), objective_value=None)
 
     cost = [Fraction(c) for c in objective]
     if len(cost) != num_vars:
@@ -316,7 +324,6 @@ def solve_lp(
     bounded = tab.phase_two(internal)
     if not bounded:
         return UnboundedObjective()
-    point = tab.extract_point()
-    assert check_point(num_vars, constraints, nonneg, point)
+    point = _checked_point(tab, constraints)
     value = sum((c * x for c, x in zip(cost, point)), _ZERO)
     return Feasible(point=point, objective_value=value)

@@ -25,7 +25,7 @@ from .ktheory import (
 from .linalg import Element
 from .traces import GraphTrace, NoTrace, TraceReport
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _SAFE_INT = 2**53 - 1
 
@@ -84,7 +84,6 @@ def k0_to_json(k: K0Presentation) -> dict:
         "delta": {v: element_to_json(k.delta[v]) for v in k.graph.vertices},
         "order_unit": element_to_json(k.order_unit),
         "cone": {
-            "base": [element_to_json(e) for e in k.cone.base],
             "families": [
                 {
                     "emitter": fam.emitter,
@@ -132,10 +131,11 @@ def membership_to_json(verdict) -> dict:
     elif isinstance(verdict, NotMember):
         out["verdict"] = "not_member"
         out["functional"] = [_rat(q) for q in verdict.functional]
-    else:
-        assert isinstance(verdict, UnknownMembership)
+    elif isinstance(verdict, UnknownMembership):
         out["verdict"] = "unknown"
         out["budget"] = _num(verdict.budget_spent)
+    else:
+        raise TypeError(f"not a membership verdict: {type(verdict).__name__}")
     return out
 
 
@@ -178,10 +178,11 @@ def comparison_to_json(verdict) -> dict:
         out["torsion_map"] = [[_num(x) for x in row] for row in verdict.iso.torsion_map]
         out["mixed_map"] = [[_num(x) for x in row] for row in verdict.iso.mixed_map]
         out["verified_bound"] = verdict.verified_bound
-    else:
-        assert isinstance(verdict, UnknownComparison)
+    elif isinstance(verdict, UnknownComparison):
         out["verdict"] = "unknown"
         out["budget"] = _num(verdict.budget_spent)
+    else:
+        raise TypeError(f"not a comparison verdict: {type(verdict).__name__}")
     return out
 
 

@@ -17,8 +17,8 @@ from fractions import Fraction
 from .dd import polytope_vertices
 from .graphs import Graph, INF, VertexClass, classify_vertex
 from .ktheory import K0Presentation, nonnegative_on_cone
-from .linalg import Element
-from .lp import EQ, FarkasCertificate, Feasible, Infeasible, constraint, solve_lp, verify_farkas
+from .linalg import CertificateError, Element
+from .lp import EQ, FarkasCertificate, Infeasible, constraint, solve_lp
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -127,6 +127,13 @@ def verify_graph_trace(g: Graph, t: GraphTrace) -> bool:
     return True
 
 
+def _checked_trace(g: Graph, t: GraphTrace) -> GraphTrace:
+    """Return t after the exact re-check that it is a norm-one graph trace."""
+    if not verify_graph_trace(g, t) or t.norm != 1:
+        raise CertificateError("computed point is not a norm-one graph trace")
+    return t
+
+
 def _polytope_lp(poly: TracePolytope):
     n = len(poly.variables)
     cons = [constraint(row, EQ, rhs) for row, rhs in poly.equalities]
@@ -138,14 +145,10 @@ def find_graph_trace(g: Graph) -> GraphTrace | NoTrace:
     """Any norm-one graph trace, or a NoTrace with a Farkas certificate."""
     poly = trace_constraints(g)
     n, cons = _polytope_lp(poly)
-    res = solve_lp(n, cons)
+    res = solve_lp(n, cons)  # re-checks its Farkas certificate itself
     if isinstance(res, Infeasible):
-        assert verify_farkas(n, cons, [True] * n, res.certificate)
         return NoTrace(certificate=res.certificate)
-    assert isinstance(res, Feasible)
-    trace = GraphTrace(values=tuple(zip(poly.variables, res.point)))
-    assert verify_graph_trace(g, trace) and trace.norm == 1
-    return trace
+    return _checked_trace(g, GraphTrace(values=tuple(zip(poly.variables, res.point))))
 
 
 def extreme_traces(g: Graph) -> list[GraphTrace]:
@@ -154,12 +157,10 @@ def extreme_traces(g: Graph) -> list[GraphTrace]:
     vertices = polytope_vertices(
         len(poly.variables), list(poly.equalities), list(poly.inequalities)
     )
-    traces = []
-    for point in vertices:
-        trace = GraphTrace(values=tuple(zip(poly.variables, point)))
-        assert verify_graph_trace(g, trace) and trace.norm == 1
-        traces.append(trace)
-    return traces
+    return [
+        _checked_trace(g, GraphTrace(values=tuple(zip(poly.variables, point))))
+        for point in vertices
+    ]
 
 
 @dataclass(frozen=True)
@@ -195,7 +196,8 @@ def trace_to_state(g: Graph, k: K0Presentation, t: GraphTrace) -> StateOnK0:
     if t.norm != 1:
         raise ValueError(f"trace has norm {t.norm}, expected 1")
     state = StateOnK0(values_on_delta=t.values, presentation=k)
-    assert verify_state(state)
+    if not verify_state(state):
+        raise CertificateError("the trace's values do not form a state on K0")
     return state
 
 
@@ -203,11 +205,8 @@ def state_to_trace(g: Graph, k: K0Presentation, s: StateOnK0) -> GraphTrace:
     """Read a state back as the trace v -> f([v])."""
     if not verify_state(s):
         raise ValueError("not a state on this presentation")
-    trace = GraphTrace(
-        values=tuple((v, dict(s.values_on_delta)[v]) for v in g.vertices)
-    )
-    assert verify_graph_trace(g, trace) and trace.norm == 1
-    return trace
+    values = dict(s.values_on_delta)
+    return _checked_trace(g, GraphTrace(values=tuple((v, values[v]) for v in g.vertices)))
 
 
 @dataclass(frozen=True)

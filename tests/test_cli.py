@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import graphk0.cli
 from graphk0.cli import run
 from graphk0.textio import parse_graph
 
@@ -35,12 +36,17 @@ class TestExitCodes:
         payload = json.loads(out)
         assert payload["free_rank"] == 0
         assert payload["torsion"] == [2]
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
+        assert set(payload["cone"]) == {"families"}
 
     def test_traces_no_trace(self, corpus, capsys):
-        code, out, _ = invoke(capsys, "traces", corpus / "o2.graph")
-        assert code == 0
-        assert "no graph trace of norm 1" in out
+        for extra in ((), ("--extremes",)):
+            code, out, _ = invoke(capsys, "traces", corpus / "o2.graph", *extra)
+            assert code == 0
+            assert "no graph trace of norm 1" in out
+            code, out, _ = invoke(capsys, "traces", corpus / "o2.graph", "--json", *extra)
+            assert code == 0
+            assert json.loads(out)["no_trace_certificate"]
 
     def test_member_not_member_exit_zero(self, corpus, capsys):
         code, out, _ = invoke(
@@ -139,14 +145,19 @@ class TestReports:
         assert code == 0
         payload = json.loads(out)
         assert payload == {
-            "schema_version": 1,
+            "schema_version": 2,
             "kind": "consistency",
             "groups_match": True,
             "generator_correspondence_ok": True,
             "cone_prefix_ok": True,
         }
 
-    def test_traces_extremes_json(self, corpus, capsys):
+    def test_traces_extremes_json(self, corpus, capsys, monkeypatch):
+        # with extreme traces at hand the single-trace LP is not needed
+        def refuse(g):
+            raise AssertionError("find_graph_trace called")
+
+        monkeypatch.setattr(graphk0.cli, "find_graph_trace", refuse)
         code, out, _ = invoke(capsys, "traces", corpus / "m2.graph", "--extremes", "--json")
         assert code == 0
         payload = json.loads(out)

@@ -14,6 +14,7 @@ from graphk0.graphs import INF, Graph, predicates
 from graphk0.ktheory import (
     CertificateError,
     ConsistencyReport,
+    FamilyUse,
     IsomorphicCandidate,
     Member,
     MembershipWitness,
@@ -341,6 +342,47 @@ class TestConeMembership:
                     assert evaluate_witness(k, verdict.witness) == x
                     checked += 1
         assert checked > 20
+
+    def test_capped_family_target(self):
+        # the family at e may take up to 3 [w] per use and any multiple of [z]
+        g = Graph(["e", "w", "z"], {("e", "w"): 3, ("e", "z"): INF})
+        k = compute_k0(g)
+        verdict = cone_membership(k, k.coker.project([1, -3, -5]))
+        assert verdict == Member(
+            witness=MembershipWitness(
+                base_counts=(),
+                family_uses=(FamilyUse(emitter="e", count=1, target_counts=(("w", 3), ("z", 5))),),
+            )
+        )
+        beyond = k.coker.project([1, -4, 0])
+        verdict = cone_membership(k, beyond)
+        assert isinstance(verdict, NotMember)
+        assert functional_certifies(k, verdict.functional, beyond)
+
+    def test_zero_class_families(self):
+        # [e] = [w] = 0, so the family at e has only zero-class generators
+        # and the cone is generated by [r] and [u] alone
+        g = Graph(
+            ["r", "e", "w", "u"],
+            {("r", "r"): 1, ("r", "e"): 1, ("e", "w"): INF, ("w", "w"): 2},
+        )
+        k = compute_k0(g)
+        assert k.cone.families
+        assert k.delta["e"].is_zero() and k.delta["w"].is_zero()
+        cone = brute_force_cone(k)
+        queries = {k.coker.project(list(p)) for p in product(range(-2, 3), repeat=4)}
+        assert len(queries) == 25
+        for x in queries:
+            fresh = compute_k0(g)  # nothing cached can answer
+            verdict = cone_membership(fresh, x)
+            if isinstance(verdict, Member):
+                assert witness_is_valid(fresh, verdict.witness)
+                assert evaluate_witness(fresh, verdict.witness) == x
+                assert x in cone
+            else:
+                assert isinstance(verdict, NotMember), (x, verdict)
+                assert functional_certifies(fresh, verdict.functional, x)
+                assert x not in cone
 
     def test_against_brute_force(self):
         rng = random.Random(777)

@@ -1,6 +1,11 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
+import graphk0.lp
 from graphk0.lp import (
     EQ,
     GE,
@@ -16,6 +21,41 @@ from graphk0.lp import (
 
 
 class TestFeasibility:
+    def test_corrupted_certificates_raise_without_asserts(self):
+        # in a `python -O` interpreter, where no assert runs, a Farkas
+        # certificate and a point that fail their re-check still raise
+        script = textwrap.dedent(
+            """
+            from graphk0 import lp
+            from graphk0.linalg import CertificateError
+
+            cases = [
+                ("farkas", "farkas_from_phase_one",
+                 lambda self, obj: lp.FarkasCertificate((lp.Fraction(0),)),
+                 [lp.constraint([1], lp.LE, -1)]),
+                ("point", "extract_point",
+                 lambda self: (lp.Fraction(2),),
+                 [lp.constraint([1], lp.LE, 1)]),
+            ]
+            for name, method, corrupt, cons in cases:
+                setattr(lp._Tableau, method, corrupt)
+                try:
+                    lp.solve_lp(1, cons)
+                except CertificateError:
+                    print("debug", __debug__, name, "raised")
+            """
+        )
+        src = os.path.dirname(os.path.dirname(graphk0.lp.__file__))
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "debug False farkas raised\ndebug False point raised\n"
+
     def test_contradiction(self):
         cons = [constraint([1], LE, -1)]
         res = solve_lp(1, cons)
