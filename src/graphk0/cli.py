@@ -158,9 +158,7 @@ def _dispatch(args) -> int:
         g = _load_graph(args.path)
         report = tracial_state_report(g)
         extremes = report.extremes if args.extremes else None
-        # printed extremes replace the LP's trace, so the LP is needed only
-        # for the NoTrace certificate when there are none
-        result = extremes[0] if extremes else find_graph_trace(g)
+        result = None if extremes else find_graph_trace(g)
         if args.json:
             print(emit_json(traces_to_json(result, extremes, report)))
         else:

@@ -58,3 +58,19 @@ def test_compare_json_validates(tmp_path, capsys):
     assert code == 0
     assert payload["verdict"] == "isomorphic_candidate"
     validator.validate(payload)
+
+
+def test_schema_rejects_missing_witness_base_and_stray_cone_base(tmp_path, capsys):
+    validator = jsonschema.Draft202012Validator(_schema())
+    path = tmp_path / "input.graph"
+    path.write_text("vertex v\nedge v v inf\n")
+    assert run(["member", str(path), "--element", '{"free":[-4]}', "--json"]) == 0
+    member = json.loads(capsys.readouterr().out)
+    validator.validate(member)
+    del member["witness"]["base"]
+    assert not validator.is_valid(member)
+    assert run(["k0", str(path), "--json"]) == 0
+    k0 = json.loads(capsys.readouterr().out)
+    validator.validate(k0)
+    k0["cone"]["base"] = []
+    assert not validator.is_valid(k0)
