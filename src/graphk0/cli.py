@@ -137,10 +137,9 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "member":
-        g = _load_graph(args.path)
-        k = compute_k0(g)
         if args.budget < 1:
             raise _UsageError("--budget must be positive")
+        k = compute_k0(_load_graph(args.path))
         try:
             data = json.loads(args.element)
             if not isinstance(data, dict):
@@ -178,10 +177,10 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "compare":
-        ka = compute_k0(_load_graph(args.path_a))
-        kb = compute_k0(_load_graph(args.path_b))
         if args.budget < 1:
             raise _UsageError("--budget must be positive")
+        ka = compute_k0(_load_graph(args.path_a))
+        kb = compute_k0(_load_graph(args.path_b))
         verdict = compare_k0(ka, kb, use_order_unit=args.unit, budget=args.budget)
         print(emit_json(comparison_to_json(verdict)) if args.json else comparison_human(verdict))
         return 1 if isinstance(verdict, UnknownComparison) else 0

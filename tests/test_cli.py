@@ -82,6 +82,20 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_budget_checked_before_k0(self, corpus, capsys, monkeypatch):
+        # a bad --budget is a usage error found before any K0 is computed
+        def refuse(g):
+            raise AssertionError("compute_k0 called")
+
+        monkeypatch.setattr(graphk0.cli, "compute_k0", refuse)
+        for argv in (
+            ("member", corpus / "o3.graph", "--element", '{"free":[]}', "--budget", 0),
+            ("compare", corpus / "o2.graph", corpus / "o3.graph", "--budget", 0),
+        ):
+            code, _, err = invoke(capsys, *argv)
+            assert code == 2
+            assert err == "graphk0: --budget must be positive\n"
+
 
 class TestReports:
     def test_membership_member_json(self, corpus, capsys):
