@@ -51,7 +51,6 @@ from .lp import (
     FarkasCertificate,
     Feasible,
     Infeasible,
-    UnboundedObjective,
     constraint,
     solve_lp,
     verify_farkas,

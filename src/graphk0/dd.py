@@ -18,7 +18,7 @@ class UnboundedPolytopeError(ValueError):
     """The feasible set has a recession direction, so it has no vertex list."""
 
 
-def _integer_row(coeffs: Sequence, rhs) -> tuple[int, ...]:
+def _homogenized_row(coeffs: Sequence, rhs) -> tuple[int, ...]:
     """Scale (a, -b) to integers; rays live in homogenized (x, t) space."""
     parts = [Fraction(c) for c in coeffs] + [-Fraction(rhs)]
     denom = 1
@@ -48,8 +48,8 @@ def polytope_vertices(
     vertex list does not describe the set.
     """
     dim = num_vars + 1
-    rows = [(_integer_row(c, b), True) for c, b in equalities]
-    rows += [(_integer_row(c, b), False) for c, b in inequalities]
+    rows = [(_homogenized_row(c, b), True) for c, b in equalities]
+    rows += [(_homogenized_row(c, b), False) for c, b in inequalities]
 
     rays: list[tuple[int, ...]] = [
         tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim)

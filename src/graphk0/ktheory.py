@@ -17,8 +17,8 @@ solves it, and ``_decode_witness`` reads the point back as a witness.
 
 ``cone_membership`` is the one gate for certificates: it re-checks every new
 witness before caching it and raises ``CertificateError`` if the check
-fails, and every functional passes ``functional_certifies`` before it is
-returned.  Both checks are plain code, so they also run under
+fails, and a newly found functional that fails ``functional_certifies``
+raises it too.  Both checks are plain code, so they also run under
 ``python -O``.  The cone's dual is described once, as an LP
 (``_dual_cone_constraints``) and as an exact check
 (``nonnegative_on_cone``).  Comparison of two presentations enumerates group
@@ -424,27 +424,29 @@ def _decode_witness(gens, fams, point) -> MembershipWitness:
 
 
 def _face_reduction(k: K0Presentation, gens, x: Element):
-    """Drop generators that no representation of x can use.
+    """The generators that some representation of x can use, in order.
 
-    A functional that is nonnegative on the remaining generators, zero on x
-    and at least one on some generator forces that generator's coefficient
-    to zero; iterate to a fixpoint.
+    A functional y that is nonnegative on every generator, zero on x and at
+    least one on a generator g forces g's coefficient to zero, so g is kept
+    exactly when the LP {y.h >= 0 for every generator h, y.x = 0, y.g >= 1}
+    is infeasible: one LP per generator, with no restart.  That leaves
+    exactly the generators of the smallest face of the cone holding x.  The
+    caller runs this only after the separating LP has failed, so x lies in
+    the rational cone of ``gens``, in the relative interior of that face F;
+    every face of a polyhedral cone is exposed, so one such y is positive on
+    every generator outside F, and every such y vanishes on F.
     """
     nfree = k.coker.free_rank
-    active = list(gens)
-    changed = True
-    while changed and active:
-        changed = False
-        for idx, (_, e) in enumerate(active):
-            cons = [constraint(list(g.free), GE, 0) for _, g in active]
-            cons.append(constraint(list(x.free), EQ, 0))
-            cons.append(constraint(list(e.free), GE, 1))
-            res = solve_lp(nfree, cons, nonneg=[False] * nfree)
-            if isinstance(res, Feasible):
-                del active[idx]
-                changed = True
-                break
-    return active
+    cons = [constraint(list(h.free), GE, 0) for _, h in gens]
+    cons.append(constraint(list(x.free), EQ, 0))
+    return [
+        (v, e)
+        for v, e in gens
+        if not isinstance(
+            solve_lp(nfree, cons + [constraint(list(e.free), GE, 1)], nonneg=[False] * nfree),
+            Feasible,
+        )
+    ]
 
 
 def _lineality_units(k: K0Presentation, active):
@@ -665,7 +667,9 @@ def _decide_membership(k: K0Presentation, x: Element, budget: int):
         if functional_certifies(k, phi, x):
             return NotMember(functional=phi)
     phi = _separating_functional(k, x)
-    if phi is not None and functional_certifies(k, phi, x):
+    if phi is not None:
+        if not functional_certifies(k, phi, x):
+            raise CertificateError(f"separating functional does not certify {x}")
         k._functional_pool.append(phi)
         return NotMember(functional=phi)
     verdict = _cone_search(k, x, budget)
@@ -726,7 +730,7 @@ def _strictly_positive_functional(k: K0Presentation) -> tuple[Fraction, ...] | N
     # re-verify strictness on every nonzero vertex class
     for v in k.graph.vertices:
         if not k.delta[v].is_zero() and phi[k.ambient_index(v)] <= 0:
-            return None
+            raise CertificateError(f"functional is not positive on the class of {v}")
     return phi
 
 
@@ -894,7 +898,14 @@ def _integer_inverse(mat: Matrix, det: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _free_map_options(nfree: int):
-    """Unimodular matrices in shells of growing max-entry; finite iff nfree <= 1."""
+    """Unimodular matrices in shells of growing max-entry, each shell in
+    lexicographic order of its entries; finite iff nfree <= 1.
+
+    A shell is built row by row.  A row that is linearly dependent on the
+    rows above it is skipped, since no choice of the rows below makes the
+    matrix invertible, so no time goes to the singular matrices behind a
+    dependent prefix.  The last row is kept when its dot product with the
+    cofactors of the rows above, the determinant, is 1 or -1."""
     if nfree == 0:
         yield ()
         return
@@ -904,12 +915,34 @@ def _free_map_options(nfree: int):
         return
     bound = 1
     while True:
-        for flat in product(range(-bound, bound + 1), repeat=nfree * nfree):
-            if max(abs(x) for x in flat) != bound:
-                continue
-            mat = tuple(tuple(flat[i * nfree : (i + 1) * nfree]) for i in range(nfree))
-            if determinant([list(r) for r in mat]) in (1, -1):
-                yield mat
+        rows = list(product(range(-bound, bound + 1), repeat=nfree))
+
+        def extend(prefix, echelon):
+            if len(prefix) == nfree - 1:
+                cofactors = [
+                    (-1) ** (nfree - 1 + j)
+                    * determinant([list(r[:j] + r[j + 1 :]) for r in prefix])
+                    for j in range(nfree)
+                ]
+                if gcd(*cofactors) != 1:  # then no last row makes it 1 or -1
+                    return
+                on_shell = any(bound in r or -bound in r for r in prefix)
+                for row in rows:
+                    if sum(c * x for c, x in zip(cofactors, row)) in (1, -1) and (
+                        on_shell or bound in row or -bound in row
+                    ):
+                        yield (*prefix, row)
+                return
+            for row in rows:
+                reduced = list(row)
+                for p, b in echelon:
+                    if reduced[p]:
+                        reduced = [b[p] * x - reduced[p] * y for x, y in zip(reduced, b)]
+                pivot = next((j for j, x in enumerate(reduced) if x), None)
+                if pivot is not None:
+                    yield from extend((*prefix, row), echelon + [(pivot, reduced)])
+
+        yield from extend((), [])
         bound += 1
 
 

@@ -1,9 +1,10 @@
-"""Exact linear programming with verifiable certificates.
+"""Exact feasibility of linear systems with verifiable certificates.
 
-A small dense two-phase simplex whose tableau stays in integers (Edmonds,
-J. Res. NBS 71B, 1967; Bareiss, Math. Comp. 22, 1968).  The rational tableau
-is ``rows / den``: integer rows and one positive common denominator.  A pivot
-on ``p = rows[r][c]`` replaces every other row (the objective row too) by
+A small dense phase-one simplex whose tableau stays in integers (Edmonds,
+J. Res. NBS 71B, 1967; Bareiss, Math. Comp. 22, 1968).  Constraints have
+``int`` coefficients and right-hand sides, so the rational tableau is
+``rows / den``: integer rows and one positive common denominator.  A pivot
+on ``p = rows[r][c]`` replaces every other row (the phase-one cost row too) by
 ``(p*row - row[c]*rows[r]) // den`` and then sets ``den = p``.  That division
 is exact: ``den`` is the absolute determinant of the current basis, so every
 entry is an integer combination of its adjugate, a minor of the starting
@@ -13,8 +14,7 @@ row first, which leaves the rational tableau unchanged and ``den`` positive.
 Bland's rule guarantees termination and makes every run deterministic; the
 ratio test cross-multiplies, so pivots, points and certificates are those of
 the same simplex over ``Fraction``.  Values become ``Fraction``s only when a
-point or a multiplier is read out.  Rows with fractional entries are scaled
-by the lcm of their denominators, and their multipliers scaled back.
+point or a multiplier is read out.
 
 Infeasible systems come back with a Farkas certificate: constraint
 multipliers that combine into an impossible inequality, checkable by plain
@@ -37,24 +37,22 @@ EQ = "=="
 
 _RELATIONS = (LE, GE, EQ)
 
-Rational = int | Fraction
-
 
 @dataclass(frozen=True)
 class Constraint:
-    coeffs: tuple[Rational, ...]
+    coeffs: tuple[int, ...]
     relation: str
-    rhs: Rational
+    rhs: int
 
 
-def _exact(x) -> Rational:
-    return x if type(x) is int else Fraction(x)
-
-
-def constraint(coeffs: Sequence, relation: str, rhs) -> Constraint:
+def constraint(coeffs: Sequence[int], relation: str, rhs: int) -> Constraint:
     if relation not in _RELATIONS:
         raise ValueError(f"unknown relation {relation!r}")
-    return Constraint(coeffs=tuple(_exact(c) for c in coeffs), relation=relation, rhs=_exact(rhs))
+    coeffs = tuple(coeffs)
+    for x in (*coeffs, rhs):
+        if type(x) is not int:
+            raise ValueError(f"constraint entries must be int, not {type(x).__name__}")
+    return Constraint(coeffs=coeffs, relation=relation, rhs=rhs)
 
 
 @dataclass(frozen=True)
@@ -70,7 +68,6 @@ class FarkasCertificate:
 @dataclass(frozen=True)
 class Feasible:
     point: tuple[Fraction, ...]
-    objective_value: Fraction | None
 
 
 @dataclass(frozen=True)
@@ -78,28 +75,14 @@ class Infeasible:
     certificate: FarkasCertificate
 
 
-@dataclass(frozen=True)
-class UnboundedObjective:
-    pass
+LpResult = Feasible | Infeasible
 
 
-LpResult = Feasible | Infeasible | UnboundedObjective
-
-_ZERO = Fraction(0)
-
-
-def _integral(values: Sequence[Rational]) -> tuple[int, list[int]]:
+def _integral(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     """``(scale, ints)`` with ``ints == scale * values`` and ``scale`` the lcm
     of the denominators."""
     scale = lcm(*(x.denominator for x in values))
     return scale, [x.numerator * (scale // x.denominator) for x in values]
-
-
-def _integer_row(con: Constraint) -> tuple[int, list[int], int]:
-    """``(scale, coeffs, rhs)``: the constraint times the lcm of its
-    denominators."""
-    scale, ints = _integral((*con.coeffs, con.rhs))
-    return scale, ints[:-1], ints[-1]
 
 
 def verify_farkas(
@@ -116,25 +99,23 @@ def verify_farkas(
             return False
         if con.relation == GE and lam > 0:
             return False
-    rows = [_integer_row(con) for con in constraints]
-    # the multiplier of integer row i is lam_i / scale_i; put them all on one
-    # positive denominator, which changes no sign below
-    _, ints = _integral([lam if s == 1 else Fraction(lam, s) for lam, (s, _, _) in zip(mult, rows)])
+    # one positive denominator for all multipliers changes no sign below
+    _, ints = _integral(mult)
     for j in range(num_vars):
-        combined = sum(m * coeffs[j] for m, (_, coeffs, _) in zip(ints, rows))
+        combined = sum(m * con.coeffs[j] for m, con in zip(ints, constraints))
         if nonneg[j]:
             if combined < 0:
                 return False
         elif combined != 0:
             return False
-    return sum(m * rhs for m, (_, _, rhs) in zip(ints, rows)) < 0
+    return sum(m * con.rhs for m, con in zip(ints, constraints)) < 0
 
 
 def check_point(
     num_vars: int,
     constraints: Sequence[Constraint],
     nonneg: Sequence[bool],
-    point: Sequence[Rational],
+    point: Sequence[Fraction],
 ) -> bool:
     if len(point) != num_vars:
         return False
@@ -142,9 +123,8 @@ def check_point(
     if any(nonneg[j] and ints[j] < 0 for j in range(num_vars)):
         return False
     for con in constraints:
-        _, coeffs, rhs = _integer_row(con)
-        val = sum(c * x for c, x in zip(coeffs, ints))
-        rhs *= den
+        val = sum(c * x for c, x in zip(con.coeffs, ints))
+        rhs = con.rhs * den
         if con.relation == LE and val > rhs:
             return False
         if con.relation == GE and val < rhs:
@@ -203,16 +183,14 @@ class _Tableau:
         self.rows: list[list[int]] = []
         self.row_sign: list[int] = []  # sign applied after LE-normalization
         self.flip: list[int] = []  # -1 when a >= row was rewritten as <=
-        self.scale: list[int] = []  # the row is the constraint times this
         self.basis: list[int] = []
         for i, con in enumerate(self.constraints):
-            scale, coeffs, rhs = _integer_row(con)
             flip = -1 if con.relation == GE else 1
-            rhs *= flip
+            rhs = con.rhs * flip
             sign = -1 if rhs < 0 else 1
             row = [0] * self.width
             for k, (j, sgn) in enumerate(self.columns):
-                row[k] = coeffs[j] * sgn * flip * sign
+                row[k] = con.coeffs[j] * sgn * flip * sign
             if i in slack_of_row:
                 row[self.n_struct + slack_of_row[i]] = sign
             row[-1] = rhs * sign
@@ -221,7 +199,6 @@ class _Tableau:
             self.rows.append(row)
             self.row_sign.append(sign)
             self.flip.append(flip)
-            self.scale.append(scale)
             self.basis.append(art)
         self.art_start = self.n_struct + n_slack
 
@@ -241,19 +218,25 @@ class _Tableau:
         self.den = p
         self.basis[r] = c
 
-    def _simplex(self, obj: list[int], allow_art: bool) -> bool:
-        """Minimize; returns False when unbounded.  Bland's rule throughout."""
-        limit = self.width - 1 if allow_art else self.art_start
+    def phase_one(self) -> tuple[bool, list[int]]:
+        """Minimize the sum of the artificials by Bland's rule; feasible
+        exactly when that minimum is zero."""
+        # the cost row, reduced against the artificial basis
+        obj = [0] * self.width
+        for row in self.rows:
+            obj = [o - x for o, x in zip(obj, row)]
+        for c in range(self.art_start, self.width - 1):
+            obj[c] += 1
         rows = self.rows
         basis = self.basis
         while True:
             enter = -1
-            for c in range(limit):
+            for c in range(self.width - 1):
                 if obj[c] < 0:
                     enter = c
                     break
             if enter < 0:
-                return True
+                return obj[-1] == 0, obj
             # minimum ratio rhs / a over a > 0, compared by cross-multiplying
             # (den cancels); ties go to the smallest basic column
             leave = -1
@@ -267,27 +250,16 @@ class _Tableau:
                     if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                         leave, best_rhs, best_a = i, row[-1], a
             if leave < 0:
-                return False
+                raise RuntimeError("phase-1 cost is bounded by construction")
             self._pivot(leave, enter, obj)
-
-    def phase_one(self) -> tuple[bool, list[int]]:
-        # the sum of the artificials, reduced against the artificial basis
-        obj = [0] * self.width
-        for row in self.rows:
-            obj = [o - x for o, x in zip(obj, row)]
-        for c in range(self.art_start, self.width - 1):
-            obj[c] += 1
-        if not self._simplex(obj, allow_art=True):
-            raise RuntimeError("phase-1 objective is bounded by construction")
-        return obj[-1] == 0, obj
 
     def farkas_from_phase_one(self, obj: list[int]) -> FarkasCertificate:
         # the dual value of row i is 1 - obj[art_i] / den
         den = self.den
         return FarkasCertificate(
             multipliers=tuple(
-                Fraction((obj[self.art_start + i] - den) * sign * flip * scale, den)
-                for i, (sign, flip, scale) in enumerate(zip(self.row_sign, self.flip, self.scale))
+                Fraction((obj[self.art_start + i] - den) * sign * flip, den)
+                for i, (sign, flip) in enumerate(zip(self.row_sign, self.flip))
             )
         )
 
@@ -303,17 +275,6 @@ class _Tableau:
         self.rows = [self.rows[i] for i in keep]
         self.basis = [self.basis[i] for i in keep]
 
-    def phase_two(self, objective: Sequence[Rational]) -> bool:
-        _, cost = _integral(objective)  # a positive scale keeps every pivot
-        col_cost = [cost[j] * sgn for j, sgn in self.columns]
-        col_cost += [0] * (self.width - self.n_struct)
-        obj = [self.den * x for x in col_cost]
-        for row, b in zip(self.rows, self.basis):
-            f = col_cost[b]
-            if f:
-                obj = [o - f * x for o, x in zip(obj, row)]
-        return self._simplex(obj, allow_art=False)
-
     def extract_point(self) -> tuple[Fraction, ...]:
         values = [0] * self.n_struct
         for row, b in zip(self.rows, self.basis):
@@ -325,37 +286,19 @@ class _Tableau:
         return tuple(Fraction(v, self.den) for v in point)
 
 
-def _checked_point(tab: _Tableau, constraints) -> tuple[Fraction, ...]:
-    point = tab.extract_point()
-    if not check_point(tab.num_vars, constraints, tab.nonneg, point):
-        raise CertificateError("simplex point violates the constraints")
-    return point
-
-
 def solve_lp(
     num_vars: int,
     constraints: Sequence[Constraint],
     nonneg: Sequence[bool] | None = None,
-    objective: Sequence | None = None,
-    maximize: bool = False,
 ) -> LpResult:
-    """Solve an exact rational LP.
+    """Decide feasibility of an exact integer linear system.
 
-    With no objective this is a feasibility check.  Infeasible results carry
-    a Farkas certificate that is re-verified before being returned.
+    A feasible point and an infeasibility certificate are both re-checked
+    before being returned; a failed check raises ``CertificateError``.
     """
     if nonneg is None:
         nonneg = [True] * num_vars
     nonneg = list(nonneg)
-    constraints = [
-        c if isinstance(c, Constraint) else constraint(*c) for c in constraints
-    ]
-    cost = None
-    if objective is not None:
-        cost = [_exact(c) for c in objective]
-        if len(cost) != num_vars:
-            raise ValueError("objective length does not match variable count")
-
     tab = _Tableau(num_vars, constraints, nonneg)
     feasible, obj_row = tab.phase_one()
     if not feasible:
@@ -364,13 +307,7 @@ def solve_lp(
             raise CertificateError("Farkas certificate does not prove infeasibility")
         return Infeasible(certificate=cert)
     tab.drop_artificials()
-
-    if cost is None:
-        return Feasible(point=_checked_point(tab, constraints), objective_value=None)
-
-    bounded = tab.phase_two([-c for c in cost] if maximize else cost)
-    if not bounded:
-        return UnboundedObjective()
-    point = _checked_point(tab, constraints)
-    value = sum((c * x for c, x in zip(cost, point)), _ZERO)
-    return Feasible(point=point, objective_value=value)
+    point = tab.extract_point()
+    if not check_point(num_vars, constraints, nonneg, point):
+        raise CertificateError("simplex point violates the constraints")
+    return Feasible(point=point)

@@ -9,6 +9,7 @@ without loss; rationals are always "p/q" strings.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .graphs import Graph, GraphPredicates, INF
@@ -28,6 +29,7 @@ from .traces import GraphTrace, NoTrace, TraceReport
 SCHEMA_VERSION = 2
 
 _SAFE_INT = 2**53 - 1
+_INT_RE = re.compile(r"-?[0-9]+\Z")
 
 HUMAN = "human"
 JSON = "json"
@@ -51,8 +53,19 @@ def element_to_json(e: Element) -> dict:
 
 
 def element_from_json(data: dict, torsion_len: int, free_len: int) -> Element:
+    """Read back what ``element_to_json`` writes: each entry a JSON integer
+    or a decimal-integer string; anything else raises ValueError."""
+
     def ints(values):
-        return tuple(int(v) for v in values)
+        if not isinstance(values, list):
+            raise ValueError(f"{values!r} is not a list")
+        out = []
+        for v in values:
+            if type(v) is int or (type(v) is str and _INT_RE.match(v)):
+                out.append(int(v))
+            else:
+                raise ValueError(f"entry {v!r} is not an integer")
+        return tuple(out)
 
     torsion = ints(data.get("torsion", [0] * torsion_len))
     free = ints(data.get("free", [0] * free_len))

@@ -103,7 +103,12 @@ def parse_graph(text: str | bytes, source_name: str = "<string>") -> GraphDocume
                 if word == "inf":
                     m: object = INF
                 elif _NUM_RE.match(word):
-                    m = int(word)
+                    try:
+                        m = int(word)
+                    except ValueError:  # past the interpreter's int-string limit
+                        raise ParseError(
+                            lineno, col, "multiplicity has too many digits"
+                        ) from None
                     if m == 0:
                         raise ParseError(lineno, col, "multiplicity must be positive")
                 else:

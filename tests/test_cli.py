@@ -82,6 +82,29 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_element_entries_must_be_integers(self, corpus, capsys):
+        # JSON integers and decimal-integer strings are read; floats,
+        # booleans and any other string or container are usage errors
+        for element in (
+            '{"free":[-1.5]}',
+            '{"free":[true]}',
+            '{"free":[null]}',
+            '{"free":["1.0"]}',
+            '{"free":["1e3"]}',
+            '{"free":[" 1"]}',
+            '{"free":"5"}',
+        ):
+            code, out, err = invoke(
+                capsys, "member", corpus / "toeplitz.graph", "--element", element
+            )
+            assert (code, out) == (2, ""), element
+            assert err.startswith("graphk0: bad --element: "), element
+        for element in ('{"free":[-1]}', '{"free":["-1"]}', '{"free":["-%s"]}' % ("9" * 30)):
+            code, _, err = invoke(
+                capsys, "member", corpus / "toeplitz.graph", "--element", element
+            )
+            assert (code, err) == (0, ""), element
+
     def test_budget_checked_before_k0(self, corpus, capsys, monkeypatch):
         # a bad --budget is a usage error found before any K0 is computed
         def refuse(g):

@@ -4,7 +4,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
@@ -33,7 +33,8 @@ from graphk0.ktheory import (
     verify_desingularization_consistency,
     witness_is_valid,
 )
-from graphk0.linalg import CokerPresentation, Element
+from graphk0.linalg import CokerPresentation, Element, determinant
+from graphk0.lp import EQ, GE, Feasible, constraint, solve_lp
 from graphk0.reports import k0_to_json
 
 
@@ -285,6 +286,82 @@ class TestConeMembership:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "debug False raised\n"
 
+    def test_corrupted_functional_raises_without_asserts(self):
+        # a fresh separating or strictly positive functional that fails its
+        # exact re-check raises, under `python -O` too
+        script = textwrap.dedent(
+            """
+            import graphk0.ktheory as kt
+            from graphk0 import CertificateError, Element, Graph
+
+            kt._ambient_functional = lambda k, coeffs: (0,) * len(k.ambient_order)
+            k = kt.compute_k0(Graph(["v", "w"], {("v", "v"): 1, ("v", "w"): 1}))
+            for name, call in (
+                ("separating", lambda: kt.cone_membership(k, Element(torsion=(), free=(-1,)))),
+                ("positive", lambda: kt._strictly_positive_functional(k)),
+            ):
+                try:
+                    call()
+                except CertificateError:
+                    print("debug", __debug__, name, "raised")
+            """
+        )
+        src = os.path.dirname(os.path.dirname(graphk0.ktheory.__file__))
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "debug False separating raised\ndebug False positive raised\n"
+
+    def test_face_reduction_one_pass(self, monkeypatch):
+        # the restart loop it replaced: after each deletion, test the
+        # remaining generators again against the shrunken set
+        def restart_loop(k, gens, x):
+            nfree = k.coker.free_rank
+            active = list(gens)
+            changed = True
+            while changed and active:
+                changed = False
+                for idx, (_, e) in enumerate(active):
+                    cons = [constraint(list(g.free), GE, 0) for _, g in active]
+                    cons.append(constraint(list(x.free), EQ, 0))
+                    cons.append(constraint(list(e.free), GE, 1))
+                    if isinstance(solve_lp(nfree, cons, nonneg=[False] * nfree), Feasible):
+                        del active[idx]
+                        changed = True
+                        break
+            return active
+
+        calls = []
+        monkeypatch.setattr(
+            graphk0.ktheory,
+            "solve_lp",
+            lambda *args, **kwargs: calls.append(1) or solve_lp(*args, **kwargs),
+        )
+        rng = random.Random(5)
+        proper = 0
+        for _ in range(60):
+            k = compute_k0(random_graph(rng, 8, edge_prob=0.15))
+            gens = [(v, k.delta[v]) for v in k.graph.vertices if not k.delta[v].is_zero()]
+            if k.coker.free_rank == 0:
+                continue
+            for _ in range(4):
+                # x in the cone, so in the relative interior of some face
+                x = k.coker.zero()
+                for _, e in gens:
+                    if rng.random() < 0.4:
+                        x = k.coker.add(x, k.coker.scale(rng.randint(1, 3), e))
+                calls.clear()
+                face = graphk0.ktheory._face_reduction(k, gens, x)
+                assert len(calls) == len(gens)
+                assert face == restart_loop(k, gens, x)
+                proper += 0 < len(face) < len(gens)
+        assert proper >= 50
+
     def test_budget_validation(self):
         k = compute_k0(toeplitz())
         with pytest.raises(ValueError):
@@ -482,6 +559,52 @@ class TestCompare:
                 assert isinstance(ab, IsomorphicCandidate) == isinstance(
                     ba, IsomorphicCandidate
                 )
+
+    def test_free_map_options_match_plain_enumeration(self):
+        # the shell walk it replaced: every matrix of the shell, in
+        # lexicographic order, kept when its determinant is 1 or -1
+        def plain(nfree):
+            bound = 1
+            while True:
+                for flat in product(range(-bound, bound + 1), repeat=nfree * nfree):
+                    if max(abs(x) for x in flat) != bound:
+                        continue
+                    mat = [list(flat[i * nfree : (i + 1) * nfree]) for i in range(nfree)]
+                    if determinant(mat) in (1, -1):
+                        yield tuple(map(tuple, mat))
+                bound += 1
+
+        # the 2x2 run crosses six shell boundaries; the 3x3 run stays in shell 1
+        for nfree, count, shell in ((2, 1000, 7), (3, 3000, 1)):
+            want = list(islice(plain(nfree), count))
+            assert max(abs(x) for row in want[-1] for x in row) == shell
+            assert list(islice(graphk0.ktheory._free_map_options(nfree), count)) == want
+
+    def test_high_free_rank_budget_bounds_compare(self):
+        # free rank 6: the first unimodular candidate comes at once, so
+        # budget 1 returns after one candidate
+        script = textwrap.dedent(
+            """
+            from graphk0 import Graph, compare_k0, compute_k0
+
+            names = [f"v{i}" for i in range(6)]
+            loops = {(v, v): 1 for v in names}
+            k1 = compute_k0(Graph(names, loops))
+            k2 = compute_k0(Graph(names[::-1], loops))
+            print(compare_k0(k1, k2, budget=1))
+            """
+        )
+        src = os.path.dirname(os.path.dirname(graphk0.ktheory.__file__))
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=20,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "UnknownComparison(budget_spent=1)\n"
 
     def test_torsion_automorphism_search(self):
         # Z/4 with generator 1 vs Z/4 with generator 3: iso via x -> 3x

@@ -37,6 +37,13 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_graph("vertex v\nedge v v many")
 
+    def test_multiplicity_past_int_string_limit(self):
+        # Python refuses to read an int of more than 4300 digits from a string
+        with pytest.raises(ParseError) as exc:
+            parse_graph("vertex v\nedge v v " + "9" * 5000)
+        assert (exc.value.line, exc.value.column) == (2, 10)
+        assert exc.value.message == "multiplicity has too many digits"
+
     def test_unknown_directive(self):
         with pytest.raises(ParseError) as exc:
             parse_graph("node v")
