@@ -147,7 +147,7 @@ def _dispatch(args) -> int:
             x = element_from_json(
                 data, len(k.coker.torsion_moduli), k.coker.free_rank
             )
-        except (ValueError, TypeError) as err:
+        except (ValueError, TypeError, RecursionError) as err:
             raise _UsageError(f"bad --element: {err}") from None
         verdict = cone_membership(k, x, budget=args.budget)
         print(emit_json(membership_to_json(verdict)) if args.json else membership_human(verdict))

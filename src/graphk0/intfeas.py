@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .linalg import CertificateError, solve_diophantine
-from .lp import EQ, GE, LE, Feasible, constraint, solve_lp
+from .lp import EQ, GE, LE, Feasible, check_point, constraint, solve_lp
 
 
 @dataclass(frozen=True)
@@ -78,20 +78,6 @@ def integer_feasibility(
     def node_nonneg(node_bounds):
         return [lo is not None and lo >= 0 for lo, _ in node_bounds]
 
-    def verify(point):
-        for coeffs, rhs in equalities:
-            if sum(c * x for c, x in zip(coeffs, point)) != rhs:
-                return False
-        for coeffs, rhs in inequalities:
-            if sum(c * x for c, x in zip(coeffs, point)) > rhs:
-                return False
-        for x, (lo, hi) in zip(point, bounds):
-            if lo is not None and x < lo:
-                return False
-            if hi is not None and x > hi:
-                return False
-        return True
-
     stack: list[list[Bound]] = [list(bounds)]
     nodes = 0
     while stack:
@@ -113,7 +99,7 @@ def integer_feasibility(
                 frac_var = j
         if frac_var < 0:
             ints = tuple(int(v) for v in point)
-            if not verify(ints):
+            if not check_point(num_vars, node_constraints(bounds), node_nonneg(bounds), ints):
                 raise CertificateError("integral relaxation point violates the program")
             return IntWitness(point=ints)
         floor = point[frac_var].numerator // point[frac_var].denominator

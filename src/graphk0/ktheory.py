@@ -8,7 +8,12 @@ finite batch of target classes" (kept intensional via per-target capacities).
 
 Membership in the cone is decided three-valued: Member carries a witness,
 NotMember a rational separating functional on ambient coordinates, and
-Unknown the spent search budget.  A query that no cached verdict, finite
+Unknown the spent search budget.  The functionals nonnegative on the cone
+are the unnormalised graph traces (Tomforde, arXiv math/0204095), so the
+cone's dual is described once, by ``trace_cone`` over the vertices in
+declaration order.  The separating LP solves its rows plus the query row,
+the pointedness LP its rows made strict, and ``nonnegative_on_cone``
+checks a point against them.  A query that no cached verdict, finite
 group or separating functional settles goes to one search
 (``_cone_search``): ``_cone_program`` lays out the cone's integer program
 (generator counts bounded by their orders, each family's emitter and target
@@ -19,9 +24,7 @@ solves it, and ``_decode_witness`` reads the point back as a witness.
 witness before caching it and raises ``CertificateError`` if the check
 fails, and a newly found functional that fails ``functional_certifies``
 raises it too.  Both checks are plain code, so they also run under
-``python -O``.  The cone's dual is described once, as an LP
-(``_dual_cone_constraints``) and as an exact check
-(``nonnegative_on_cone``).  Comparison of two presentations enumerates group
+``python -O``.  Comparison of two presentations enumerates group
 isomorphisms under a budget and checks cone preservation through the
 membership machinery.
 """
@@ -31,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import gcd
 
@@ -54,7 +58,7 @@ from .linalg import (
     smith_normal_form,
     solve_diophantine,
 )
-from .lp import EQ, GE, LE, Feasible, constraint, solve_lp
+from .lp import EQ, GE, LE, Constraint, Feasible, check_point, constraint, solve_lp
 
 DEFAULT_BUDGET = 100000
 
@@ -116,6 +120,10 @@ class K0Presentation:
 
     def group_invariants(self) -> tuple[int, tuple[int, ...]]:
         return self.coker.group_invariants()
+
+    @cached_property
+    def _trace_rows(self) -> list[Constraint]:
+        return trace_cone(self.graph).constraints()
 
 
 def relation_matrix(g: Graph) -> tuple[Matrix, tuple[str, ...]]:
@@ -242,33 +250,90 @@ def witness_is_valid(k: K0Presentation, witness: MembershipWitness) -> bool:
     return True
 
 
+@dataclass(frozen=True)
+class TracePolytope:
+    """Exact description of a set of graph traces.
+
+    Variables are the vertices in declaration order, all nonnegative; rows
+    are ``(coefficients, rhs)``, equalities and then <=-inequalities.
+    ``forced_zero`` lists the vertices pinned to zero because they receive
+    infinitely many edges from one emitter.
+    """
+
+    variables: tuple[str, ...]
+    equalities: tuple[tuple[tuple[int, ...], int], ...]
+    inequalities: tuple[tuple[tuple[int, ...], int], ...]
+    forced_zero: frozenset[str]
+
+    def constraints(self) -> list[Constraint]:
+        """The rows as LP constraints, equalities first."""
+        return [constraint(row, EQ, rhs) for row, rhs in self.equalities] + [
+            constraint(row, LE, rhs) for row, rhs in self.inequalities
+        ]
+
+
+def trace_cone(g: Graph) -> TracePolytope:
+    """The cone of unnormalised graph traces: t(v) = sum A(v, w) t(w) at
+    every regular vertex, then t(w) = 0 for every target an emitter reaches
+    infinitely often, and t(e) >= sum m t(w) over each emitter's finite
+    edges.  These are the functionals nonnegative on the positive cone."""
+    names = g.vertices
+    idx = {v: i for i, v in enumerate(names)}
+    n = len(names)
+    equalities: list[tuple[tuple[int, ...], int]] = []
+    inequalities: list[tuple[tuple[int, ...], int]] = []
+    forced: set[str] = set()
+
+    for v in names:
+        cls = classify_vertex(g, v)
+        if cls is VertexClass.REGULAR:
+            row = [0] * n
+            row[idx[v]] += 1
+            for w, m in g.out_edges(v):
+                row[idx[w]] -= m
+            equalities.append((tuple(row), 0))
+        elif cls is VertexClass.INFINITE_EMITTER:
+            row = [0] * n
+            row[idx[v]] -= 1
+            for w, m in g.out_edges(v):
+                if m is INF:
+                    forced.add(w)
+                else:
+                    row[idx[w]] += m
+            inequalities.append((tuple(row), 0))
+
+    for w in sorted(forced, key=idx.get):
+        row = [0] * n
+        row[idx[w]] = 1
+        equalities.append((tuple(row), 0))
+
+    return TracePolytope(
+        variables=names,
+        equalities=tuple(equalities),
+        inequalities=tuple(inequalities),
+        forced_zero=frozenset(forced),
+    )
+
+
+def _to_declaration(k: K0Presentation, phi) -> list:
+    """An ambient-order vector reordered to the graph's vertex order."""
+    return [phi[k.ambient_index(v)] for v in k.graph.vertices]
+
+
+def _to_ambient(k: K0Presentation, values) -> tuple:
+    """A vertex-order vector reordered to ambient order."""
+    pos = {v: i for i, v in enumerate(k.graph.vertices)}
+    return tuple(values[pos[v]] for v in k.ambient_order)
+
+
 def nonnegative_on_cone(k: K0Presentation, phi: tuple[Fraction, ...]) -> bool:
     """Exact check that an ambient functional is well defined on the group
-    and nonnegative on every cone generator."""
-    m = len(k.ambient_order)
-    if len(phi) != m:
+    and nonnegative on every cone generator: reordered to the vertices, it
+    is a point of ``trace_cone``."""
+    n = len(k.ambient_order)
+    if len(phi) != n:
         return False
-    # vanishes on every relation column
-    for col in range(len(k.relation_matrix[0]) if k.relation_matrix else 0):
-        if sum((phi[i] * k.relation_matrix[i][col] for i in range(m)), _ZERO) != 0:
-            return False
-    # nonnegative on each vertex class
-    if any(p < 0 for p in phi):
-        return False
-    # nonnegative on every family element, uniformly over capacities: zero on
-    # uncapped targets, and the emitter dominates its capped batch
-    for fam in k.cone.families:
-        value = phi[k.ambient_index(fam.emitter)]
-        for w, cap in fam.targets:
-            pw = phi[k.ambient_index(w)]
-            if cap is None:
-                if pw != 0:
-                    return False
-            else:
-                value -= cap * pw
-        if value < 0:
-            return False
-    return True
+    return check_point(n, k._trace_rows, [True] * n, _to_declaration(k, phi))
 
 
 def functional_certifies(
@@ -281,53 +346,17 @@ def functional_certifies(
     return sum((p * c for p, c in zip(phi, lift)), _ZERO) < 0
 
 
-def _dual_cone_constraints(k: K0Presentation, floor: int):
-    """Constraints and nonnegativity flags of the LP "functional >= floor on
-    every nonzero vertex class and every family element".  The variables are
-    the functional's free-part coefficients, then one nonnegative bound on the
-    functional per capped family target."""
-    f = k.coker.free_rank
-    aux = sum(cap is not None for fam in k.cone.families for _, cap in fam.targets)
-    pad = [0] * aux
-    cons = [
-        constraint(list(k.delta[v].free) + pad, GE, floor)
-        for v in k.graph.vertices
-        if not k.delta[v].is_zero()
-    ]
-    p = f
-    for fam in k.cone.families:
-        fam_row = list(k.delta[fam.emitter].free) + pad
-        for w, cap in fam.targets:
-            row = list(k.delta[w].free) + pad
-            if cap is not None:
-                row[p] = -1  # p >= functional on w
-                fam_row[p] -= cap
-                p += 1
-            cons.append(constraint(row, LE, 0))
-        cons.append(constraint(fam_row, GE, floor))
-    return cons, [False] * f + [True] * aux
-
-
-def _ambient_functional(k: K0Presentation, coeffs) -> tuple[Fraction, ...]:
-    """The ambient functional whose free-part coefficients are ``coeffs``."""
-    rows = k.coker.projection[len(k.coker.torsion_moduli) :]
-    return tuple(
-        sum((c * row[i] for c, row in zip(coeffs, rows)), _ZERO)
-        for i in range(len(k.ambient_order))
-    )
-
-
 def _separating_functional(k: K0Presentation, x: Element) -> tuple[Fraction, ...] | None:
-    """Search a rational functional proving x outside the cone."""
-    f = k.coker.free_rank
-    if f == 0:
+    """Search a graph trace negative on x: in ambient order, a rational
+    functional proving x outside the cone."""
+    if k.coker.free_rank == 0:
         return None
-    cons, nonneg = _dual_cone_constraints(k, 0)
-    cons.append(constraint(list(x.free) + [0] * (len(nonneg) - f), LE, -1))
-    res = solve_lp(len(nonneg), cons, nonneg=nonneg)
+    n = len(k.ambient_order)
+    query = constraint(_to_declaration(k, k.coker.lift(x)), LE, -1)
+    res = solve_lp(n, [*k._trace_rows, query])
     if not isinstance(res, Feasible):
         return None
-    return _ambient_functional(k, res.point[:f])
+    return _to_ambient(k, res.point)
 
 
 def _pure_torsion_witness(k: K0Presentation, x: Element) -> MembershipWitness:
@@ -718,19 +747,27 @@ def _canonical_generators(coker: CokerPresentation) -> list[Element]:
 
 
 def _strictly_positive_functional(k: K0Presentation) -> tuple[Fraction, ...] | None:
-    """A functional >= 1 on every nonzero generator certifies pointedness."""
-    f = k.coker.free_rank
-    if f == 0:
+    """A graph trace that is at least 1 on every nonzero vertex class, and
+    by which every emitter exceeds its finite batch by at least 1, is
+    positive on every nonzero generator: it certifies pointedness."""
+    if k.coker.free_rank == 0:
         return None
-    cons, nonneg = _dual_cone_constraints(k, 1)
-    res = solve_lp(len(nonneg), cons, nonneg=nonneg)
+    cone = trace_cone(k.graph)
+    n = len(cone.variables)
+    rows = [constraint(row, EQ, rhs) for row, rhs in cone.equalities]
+    rows += [constraint(row, LE, -1) for row, _ in cone.inequalities]
+    rows += [
+        constraint([1 if j == i else 0 for j in range(n)], GE, 1)
+        for i, v in enumerate(cone.variables)
+        if not k.delta[v].is_zero()
+    ]
+    res = solve_lp(n, rows)
     if not isinstance(res, Feasible):
         return None
-    phi = _ambient_functional(k, res.point[:f])
-    # re-verify strictness on every nonzero vertex class
-    for v in k.graph.vertices:
-        if not k.delta[v].is_zero() and phi[k.ambient_index(v)] <= 0:
-            raise CertificateError(f"functional is not positive on the class of {v}")
+    phi = _to_ambient(k, res.point)
+    # re-check strictness in ambient order
+    if not check_point(n, rows, [True] * n, _to_declaration(k, phi)):
+        raise CertificateError("functional is not positive on every cone generator")
     return phi
 
 

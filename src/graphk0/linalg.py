@@ -268,13 +268,6 @@ class CokerPresentation:
         self._u = u
         self._u_inv = u_inv
 
-    @property
-    def projection(self) -> Matrix:
-        """Rows mapping ambient vectors to (torsion residues, free coordinates)."""
-        return [self._u[i][:] for i in self._torsion_rows] + [
-            self._u[i][:] for i in self._free_rows
-        ]
-
     def group_invariants(self) -> tuple[int, tuple[int, ...]]:
         return self.free_rank, self.torsion_moduli
 

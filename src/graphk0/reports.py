@@ -54,7 +54,8 @@ def element_to_json(e: Element) -> dict:
 
 def element_from_json(data: dict, torsion_len: int, free_len: int) -> Element:
     """Read back what ``element_to_json`` writes: each entry a JSON integer
-    or a decimal-integer string; anything else raises ValueError."""
+    or a decimal-integer string, and no key but ``torsion`` and ``free``;
+    anything else raises ValueError."""
 
     def ints(values):
         if not isinstance(values, list):
@@ -67,6 +68,9 @@ def element_from_json(data: dict, torsion_len: int, free_len: int) -> Element:
                 raise ValueError(f"entry {v!r} is not an integer")
         return tuple(out)
 
+    unknown = sorted(set(data) - {"torsion", "free"})
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}")
     torsion = ints(data.get("torsion", [0] * torsion_len))
     free = ints(data.get("free", [0] * free_len))
     if len(torsion) != torsion_len or len(free) != free_len:

@@ -2,7 +2,9 @@
 
 A graph trace assigns a nonnegative rational to each vertex so that regular
 vertices split their value over their targets (counted with multiplicity)
-and infinite emitters dominate every finite batch of theirs.  Norm-one
+and infinite emitters dominate every finite batch of theirs.  These
+conditions are written once, by ``ktheory.trace_cone``; here they gain the
+norm row, and every check is ``lp.check_point`` on those rows.  Norm-one
 traces form a rational polytope; its vertices are enumerated exactly.  A
 norm-one trace is the same data as a state on the K0 presentation (a
 positive normalized functional), and both directions of that dictionary are
@@ -11,17 +13,16 @@ implemented with full re-verification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .dd import polytope_vertices
-from .graphs import Graph, INF, VertexClass, classify_vertex
-from .ktheory import K0Presentation, nonnegative_on_cone
+from .graphs import Graph, INF
+from .ktheory import K0Presentation, TracePolytope, nonnegative_on_cone, trace_cone
 from .linalg import CertificateError, Element
-from .lp import EQ, FarkasCertificate, Infeasible, constraint, solve_lp
+from .lp import FarkasCertificate, Infeasible, check_point, solve_lp
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -47,59 +48,11 @@ class NoTrace:
     certificate: FarkasCertificate
 
 
-@dataclass(frozen=True)
-class TracePolytope:
-    """Exact description of the norm-one graph traces.
-
-    Variables are the vertices (implicitly nonnegative); ``forced_zero``
-    lists the vertices pinned to zero because they receive infinitely many
-    edges from one emitter.
-    """
-
-    variables: tuple[str, ...]
-    equalities: tuple[tuple[tuple[int, ...], int], ...]
-    inequalities: tuple[tuple[tuple[int, ...], int], ...]
-    forced_zero: frozenset[str]
-
-
 def trace_constraints(g: Graph) -> TracePolytope:
-    names = g.vertices
-    idx = {v: i for i, v in enumerate(names)}
-    n = len(names)
-    equalities: list[tuple[tuple[int, ...], int]] = []
-    inequalities: list[tuple[tuple[int, ...], int]] = []
-    forced: set[str] = set()
-
-    for v in names:
-        cls = classify_vertex(g, v)
-        if cls is VertexClass.REGULAR:
-            row = [0] * n
-            row[idx[v]] += 1
-            for w, m in g.out_edges(v):
-                row[idx[w]] -= m
-            equalities.append((tuple(row), 0))
-        elif cls is VertexClass.INFINITE_EMITTER:
-            row = [0] * n
-            row[idx[v]] -= 1
-            for w, m in g.out_edges(v):
-                if m is INF:
-                    forced.add(w)
-                else:
-                    row[idx[w]] += m
-            inequalities.append((tuple(row), 0))
-
-    for w in sorted(forced, key=idx.get):
-        row = [0] * n
-        row[idx[w]] = 1
-        equalities.append((tuple(row), 0))
-    equalities.append((tuple([1] * n), 1))  # norm one
-
-    return TracePolytope(
-        variables=names,
-        equalities=tuple(equalities),
-        inequalities=tuple(inequalities),
-        forced_zero=frozenset(forced),
-    )
+    """The norm-one graph traces: ``trace_cone`` plus the norm row."""
+    cone = trace_cone(g)
+    norm = (tuple([1] * len(cone.variables)), 1)
+    return replace(cone, equalities=cone.equalities + (norm,))
 
 
 def verify_graph_trace(g: Graph, t: GraphTrace) -> bool:
@@ -107,48 +60,29 @@ def verify_graph_trace(g: Graph, t: GraphTrace) -> bool:
     values = t.as_dict()
     if set(values) != set(g.vertices):
         return False
-    if any(val < 0 for val in values.values()):
-        return False
-    for v in g.vertices:
-        cls = classify_vertex(g, v)
-        if cls is VertexClass.REGULAR:
-            if values[v] != sum((m * values[w] for w, m in g.out_edges(v)), _ZERO):
-                return False
-        elif cls is VertexClass.INFINITE_EMITTER:
-            finite_sum = _ZERO
-            for w, m in g.out_edges(v):
-                if m is INF:
-                    if values[w] != 0:
-                        return False
-                else:
-                    finite_sum += m * values[w]
-            if values[v] < finite_sum:
-                return False
-    return True
+    cone = trace_cone(g)
+    n = len(cone.variables)
+    return check_point(n, cone.constraints(), [True] * n, [values[v] for v in cone.variables])
 
 
-def _checked_trace(g: Graph, t: GraphTrace) -> GraphTrace:
-    """Return t after the exact re-check that it is a norm-one graph trace."""
-    if not verify_graph_trace(g, t) or t.norm != 1:
-        raise CertificateError("computed point is not a norm-one graph trace")
-    return t
-
-
-def _polytope_lp(poly: TracePolytope):
+def _checked_traces(poly: TracePolytope, points) -> list[GraphTrace]:
+    """The traces with these values, after the exact re-check that each is
+    a point of ``poly``."""
     n = len(poly.variables)
-    cons = [constraint(row, EQ, rhs) for row, rhs in poly.equalities]
-    cons += [constraint(row, "<=", rhs) for row, rhs in poly.inequalities]
-    return n, cons
+    rows = poly.constraints()
+    for point in points:
+        if not check_point(n, rows, [True] * n, point):
+            raise CertificateError("computed point is not a norm-one graph trace")
+    return [GraphTrace(values=tuple(zip(poly.variables, point))) for point in points]
 
 
 def find_graph_trace(g: Graph) -> GraphTrace | NoTrace:
     """Any norm-one graph trace, or a NoTrace with a Farkas certificate."""
     poly = trace_constraints(g)
-    n, cons = _polytope_lp(poly)
-    res = solve_lp(n, cons)  # re-checks its Farkas certificate itself
+    res = solve_lp(len(poly.variables), poly.constraints())  # re-checks its Farkas certificate itself
     if isinstance(res, Infeasible):
         return NoTrace(certificate=res.certificate)
-    return _checked_trace(g, GraphTrace(values=tuple(zip(poly.variables, res.point))))
+    return _checked_traces(poly, [res.point])[0]
 
 
 def extreme_traces(g: Graph) -> list[GraphTrace]:
@@ -157,10 +91,7 @@ def extreme_traces(g: Graph) -> list[GraphTrace]:
     vertices = polytope_vertices(
         len(poly.variables), list(poly.equalities), list(poly.inequalities)
     )
-    return [
-        _checked_trace(g, GraphTrace(values=tuple(zip(poly.variables, point))))
-        for point in vertices
-    ]
+    return _checked_traces(poly, vertices)
 
 
 @dataclass(frozen=True)
@@ -206,7 +137,7 @@ def state_to_trace(g: Graph, k: K0Presentation, s: StateOnK0) -> GraphTrace:
     if not verify_state(s):
         raise ValueError("not a state on this presentation")
     values = dict(s.values_on_delta)
-    return _checked_trace(g, GraphTrace(values=tuple((v, values[v]) for v in g.vertices)))
+    return _checked_traces(trace_constraints(g), [[values[v] for v in g.vertices]])[0]
 
 
 @dataclass(frozen=True)

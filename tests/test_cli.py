@@ -84,7 +84,8 @@ class TestExitCodes:
 
     def test_element_entries_must_be_integers(self, corpus, capsys):
         # JSON integers and decimal-integer strings are read; floats,
-        # booleans and any other string or container are usage errors
+        # booleans, any other string or container, a key other than
+        # "torsion" and "free", and nesting too deep to parse are usage errors
         for element in (
             '{"free":[-1.5]}',
             '{"free":[true]}',
@@ -93,6 +94,9 @@ class TestExitCodes:
             '{"free":["1e3"]}',
             '{"free":[" 1"]}',
             '{"free":"5"}',
+            '{"fre":[-1]}',
+            '{"free":[-1],"torsoin":[]}',
+            "[" * 5000,
         ):
             code, out, err = invoke(
                 capsys, "member", corpus / "toeplitz.graph", "--element", element

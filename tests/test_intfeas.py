@@ -1,9 +1,17 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
+import graphk0.intfeas
 from graphk0.intfeas import IntInfeasible, IntWitness, integer_feasibility
+from graphk0.linalg import CertificateError
+from graphk0.lp import Feasible
 
 
 class TestBoundedNonnegFeasibility:
@@ -93,3 +101,50 @@ class TestFreeVariables:
         assert isinstance(res, IntWitness)
         x, y = res.point
         assert x + y == 4 and x <= 2 * y and y <= 3
+
+
+class TestWitnessRecheck:
+    """An integral relaxation point is re-checked against the whole program
+    before it is returned; a point that breaks it raises."""
+
+    # (bounds, inequalities, the point the relaxation claims)
+    BROKEN = (
+        ([(0, 4)], [], (5,)),  # above the upper bound
+        ([(2, None)], [], (1,)),  # below a nonzero lower bound
+        ([(0, None)], [], (-1,)),  # negative where the bound is 0
+        ([(None, None)], [([1], 3)], (4,)),  # breaks an inequality
+    )
+
+    @pytest.mark.parametrize("bounds, inequalities, point", BROKEN)
+    def test_bad_point_raises(self, monkeypatch, bounds, inequalities, point):
+        monkeypatch.setattr(
+            graphk0.intfeas, "solve_lp", lambda *args, **kw: Feasible(point=tuple(map(Fraction, point)))
+        )
+        with pytest.raises(CertificateError):
+            integer_feasibility(1, [], inequalities=inequalities, bounds=bounds)
+
+    def test_bad_point_raises_without_asserts(self):
+        script = textwrap.dedent(
+            """
+            from fractions import Fraction
+            import graphk0.intfeas as intfeas
+            from graphk0 import CertificateError
+            from graphk0.lp import Feasible
+
+            intfeas.solve_lp = lambda *args, **kw: Feasible(point=(Fraction(5),))
+            try:
+                intfeas.integer_feasibility(1, [], bounds=[(0, 4)])
+            except CertificateError:
+                print("debug", __debug__, "raised")
+            """
+        )
+        src = os.path.dirname(os.path.dirname(graphk0.intfeas.__file__))
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "debug False raised\n"

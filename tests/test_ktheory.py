@@ -288,13 +288,14 @@ class TestConeMembership:
 
     def test_corrupted_functional_raises_without_asserts(self):
         # a fresh separating or strictly positive functional that fails its
-        # exact re-check raises, under `python -O` too
+        # exact re-check raises, under `python -O` too; here the graph trace
+        # found by the LP is corrupted on its way to ambient order
         script = textwrap.dedent(
             """
             import graphk0.ktheory as kt
             from graphk0 import CertificateError, Element, Graph
 
-            kt._ambient_functional = lambda k, coeffs: (0,) * len(k.ambient_order)
+            kt._to_ambient = lambda k, values: (0,) * len(k.ambient_order)
             k = kt.compute_k0(Graph(["v", "w"], {("v", "v"): 1, ("v", "w"): 1}))
             for name, call in (
                 ("separating", lambda: kt.cone_membership(k, Element(torsion=(), free=(-1,)))),
@@ -316,6 +317,23 @@ class TestConeMembership:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "debug False separating raised\ndebug False positive raised\n"
+
+    def test_pointedness_needs_strict_emitter_rows(self):
+        # a and b each dominate the other with one edge and reach u (class 0)
+        # infinitely often: [a] - [b] and [b] - [a] are both in the cone, so
+        # it is not pointed, though the trace 1, 1, 0 is positive on every
+        # nonzero vertex class.  It is zero on [a] - [b]; a pointedness
+        # certificate must be positive on the family elements too.
+        g = Graph(
+            ["a", "b", "u"],
+            {("a", "b"): 1, ("a", "u"): INF, ("b", "a"): 1, ("b", "u"): INF, ("u", "u"): 2},
+        )
+        k = compute_k0(g)
+        diff = k.coker.subtract(k.delta["a"], k.delta["b"])
+        assert isinstance(cone_membership(k, diff), Member)
+        assert isinstance(cone_membership(k, k.coker.negate(diff)), Member)
+        assert graphk0.ktheory._strictly_positive_functional(k) is None
+        assert order_properties(k, budget=1000).cone_pointed is not ThreeValued.YES
 
     def test_face_reduction_one_pass(self, monkeypatch):
         # the restart loop it replaced: after each deletion, test the

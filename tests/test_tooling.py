@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 import graphk0
@@ -12,3 +13,22 @@ def test_no_assert_statements_in_library():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_bench_traced_names_exist():
+    # the benchmark's tracer wraps these functions by name and fails on a
+    # renamed one; read its table without importing the benchmark
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    traced = None
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
+        ):
+            traced = ast.literal_eval(node.value)
+    assert traced, "no TRACED table in bench/tracing.py"
+    missing = []
+    for module, name, _ in traced:
+        mod = importlib.import_module(f"graphk0.{module}")
+        if not callable(getattr(mod, name, None)):
+            missing.append(f"{module}.{name}")
+    assert not missing, missing

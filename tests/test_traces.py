@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from test_graphs import random_graph as shared_random_graph
 
-from graphk0.graphs import INF, Graph
-from graphk0.ktheory import compute_k0
+from graphk0.graphs import INF, Graph, VertexClass, classify_vertex
+from graphk0.ktheory import compute_k0, nonnegative_on_cone
 from graphk0.lp import verify_farkas
 from graphk0.traces import (
     GraphTrace,
@@ -76,12 +77,10 @@ class TestFindGraphTrace:
         assert isinstance(res, NoTrace)
 
     def test_no_trace_certificate_verifies(self):
-        from graphk0.traces import _polytope_lp
-
         res = find_graph_trace(two_loop())
         poly = trace_constraints(two_loop())
-        n, cons = _polytope_lp(poly)
-        assert verify_farkas(n, cons, [True] * n, res.certificate)
+        n = len(poly.variables)
+        assert verify_farkas(n, poly.constraints(), [True] * n, res.certificate)
 
     def test_m2(self):
         res = find_graph_trace(m2())
@@ -243,3 +242,141 @@ class TestTracialStateReport:
         assert rep.condition_k
         assert rep.trace_state_identification == "canonical"
         assert rep.trace_count is inf_marker
+
+
+# ---------------------------------------------------------------------------
+# The trace conditions are described once, by ``ktheory.trace_cone``.  The
+# hand-written builder and checks it replaced are kept here as references.
+
+
+def reference_trace_constraints(g):
+    names = g.vertices
+    idx = {v: i for i, v in enumerate(names)}
+    n = len(names)
+    equalities, inequalities, forced = [], [], set()
+    for v in names:
+        cls = classify_vertex(g, v)
+        if cls is VertexClass.REGULAR:
+            row = [0] * n
+            row[idx[v]] += 1
+            for w, m in g.out_edges(v):
+                row[idx[w]] -= m
+            equalities.append((tuple(row), 0))
+        elif cls is VertexClass.INFINITE_EMITTER:
+            row = [0] * n
+            row[idx[v]] -= 1
+            for w, m in g.out_edges(v):
+                if m is INF:
+                    forced.add(w)
+                else:
+                    row[idx[w]] += m
+            inequalities.append((tuple(row), 0))
+    for w in sorted(forced, key=idx.get):
+        row = [0] * n
+        row[idx[w]] = 1
+        equalities.append((tuple(row), 0))
+    equalities.append((tuple([1] * n), 1))
+    return names, tuple(equalities), tuple(inequalities), frozenset(forced)
+
+
+def reference_broken_conditions(g, values):
+    """The trace conditions ``values`` breaks, each named by its kind."""
+    broken = [("nonnegative", v) for v in g.vertices if values[v] < 0]
+    for v in g.vertices:
+        cls = classify_vertex(g, v)
+        if cls is VertexClass.REGULAR:
+            if values[v] != sum((m * values[w] for w, m in g.out_edges(v)), Fraction(0)):
+                broken.append(("regular", v))
+        elif cls is VertexClass.INFINITE_EMITTER:
+            finite_sum = Fraction(0)
+            for w, m in g.out_edges(v):
+                if m is INF:
+                    if values[w] != 0:
+                        broken.append(("forced zero", w))
+                else:
+                    finite_sum += m * values[w]
+            if values[v] < finite_sum:
+                broken.append(("emitter", v))
+    return broken
+
+
+def reference_nonnegative_on_cone(k, phi):
+    m = len(k.ambient_order)
+    if len(phi) != m:
+        return False
+    for col in range(len(k.relation_matrix[0]) if k.relation_matrix else 0):
+        if sum((phi[i] * k.relation_matrix[i][col] for i in range(m)), Fraction(0)) != 0:
+            return False
+    if any(p < 0 for p in phi):
+        return False
+    for fam in k.cone.families:
+        value = phi[k.ambient_index(fam.emitter)]
+        for w, cap in fam.targets:
+            pw = phi[k.ambient_index(w)]
+            if cap is None:
+                if pw != 0:
+                    return False
+            else:
+                value -= cap * pw
+        if value < 0:
+            return False
+    return True
+
+
+def reference_draws(count=240):
+    """Seeded graphs from the graph tests' generator, every other one with
+    infinite edges."""
+    rng = random.Random(9090)
+    return [
+        shared_random_graph(rng, inf_prob=0.4 if i % 2 else 0.0) for i in range(count)
+    ]
+
+
+class TestOneDescription:
+    def test_trace_constraints_match_reference(self):
+        for g in reference_draws():
+            poly = trace_constraints(g)
+            got = (poly.variables, poly.equalities, poly.inequalities, poly.forced_zero)
+            assert got == reference_trace_constraints(g), g.edges()
+
+    def test_checks_match_references(self):
+        rng = random.Random(4242)
+        kinds = {}
+        counts = {"valid": 0, "random": 0, "perturbed": 0}
+        for g in reference_draws():
+            k = compute_k0(g)
+            names = g.vertices
+            valid = [{v: Fraction(0) for v in names}]
+            for t in extreme_traces(g):
+                scale = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+                valid.append({v: scale * x for v, x in t.values})
+            points = [("valid", p) for p in valid]
+            for _ in range(3):
+                points.append(
+                    ("random", {v: Fraction(rng.randint(0, 5), rng.randint(1, 3)) for v in names})
+                )
+            for p in valid:
+                for v in names:
+                    for eps in (Fraction(1, 3), Fraction(-1, 3)):
+                        points.append(("perturbed", {**p, v: p[v] + eps}))
+            for label, values in points:
+                broken = reference_broken_conditions(g, values)
+                if label == "valid":
+                    assert not broken
+                if label == "perturbed" and len(broken) == 1:
+                    kinds[broken[0][0]] = kinds.get(broken[0][0], 0) + 1
+                counts[label] += 1
+                t = GraphTrace(values=tuple((v, values[v]) for v in names))
+                assert verify_graph_trace(g, t) == (not broken), (g.edges(), values)
+                phi = tuple(values[v] for v in k.ambient_order)
+                assert nonnegative_on_cone(k, phi) == reference_nonnegative_on_cone(k, phi)
+                assert nonnegative_on_cone(k, phi) == (not broken)
+            # the vertex set and the length are checked first
+            zero = tuple((v, Fraction(0)) for v in names)
+            assert not verify_graph_trace(g, GraphTrace(values=zero[1:]))
+            assert not verify_graph_trace(g, GraphTrace(values=zero + (("extra", Fraction(0)),)))
+            assert not nonnegative_on_cone(k, (Fraction(0),) * (len(names) + 1))
+        # every kind of condition is broken alone many times
+        assert set(kinds) == {"nonnegative", "regular", "forced zero", "emitter"}, kinds
+        assert min(kinds.values()) >= 20, kinds
+        assert counts["valid"] >= 300 and counts["random"] == 720, counts
