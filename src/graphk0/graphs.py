@@ -161,29 +161,70 @@ class GraphPredicates:
     singular_vertices: tuple[str, ...]
 
 
-def has_directed_cycle(g: Graph) -> bool:
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in g.vertices}
-    for start in g.vertices:
-        if color[start] != WHITE:
+def _weighted_adjacency(g: Graph) -> list[list[tuple[int, int]]]:
+    """Out-edges by vertex index as (target index, weight) pairs: weight 2 for
+    a multiplicity of two or more (or infinite), else 1."""
+    index = g._index
+    return [
+        [(index[w], 2 if m is INF or m >= 2 else 1) for w, m in g._out[v]]
+        for v in g.vertices
+    ]
+
+
+def _components(adj: list[list[tuple[int, int]]]) -> list[int]:
+    """Strongly connected component id of each vertex: Tarjan's algorithm
+    (SIAM J. Comput. 1, 1972) with an explicit stack instead of recursion."""
+    n = len(adj)
+    order = [-1] * n
+    low = [0] * n
+    comp = [-1] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    counter = 0
+    found = 0
+    for root in range(n):
+        if order[root] >= 0:
             continue
-        stack = [(start, iter([w for w, _ in g.out_edges(start)]))]
-        color[start] = GRAY
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if color[w] == GRAY:
-                    return True
-                if color[w] == WHITE:
-                    color[w] = GRAY
-                    stack.append((w, iter([u for u, _ in g.out_edges(w)])))
-                    advanced = True
+        order[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(adj[root]))]
+        while work:
+            v, it = work[-1]
+            for w, _ in it:
+                if order[w] < 0:
+                    order[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(adj[w])))
                     break
-            if not advanced:
-                color[v] = BLACK
-                stack.pop()
-    return False
+                if on_stack[w]:
+                    low[v] = min(low[v], order[w])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == order[v]:
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp[w] = found
+                        if w == v:
+                            break
+                    found += 1
+    return comp
+
+
+def has_directed_cycle(g: Graph) -> bool:
+    """True iff some edge joins two vertices of one strongly connected
+    component: a component of two or more vertices, or a vertex's edge to
+    itself."""
+    adj = _weighted_adjacency(g)
+    comp = _components(adj)
+    return any(comp[v] == comp[w] for v, out in enumerate(adj) for w, _ in out)
 
 
 def predicates(g: Graph) -> GraphPredicates:
@@ -199,34 +240,45 @@ def predicates(g: Graph) -> GraphPredicates:
 
 
 def simple_loop_census(g: Graph) -> dict[str, int]:
-    """For each vertex, the number of simple directed cycles through it,
-    counted with edge multiplicity and saturated at 2 ("two or more")."""
-    return {v: _cycles_through(g, v) for v in g.vertices}
+    """For each vertex, the number of vertex-simple directed cycles through
+    it, each weighted by its edge multiplicities (an edge of multiplicity two
+    or more, or infinite, counts twice) and the sum saturated at 2 ("two or
+    more").
+
+    Every simple cycle through a vertex lies inside its strongly connected
+    component, so each vertex is walked only on edges inside its own
+    component (the first step of Johnson's circuit enumeration, SIAM J.
+    Comput. 4, 1975); a vertex on no cycle costs no walk.  This is not the
+    return-path reading of Condition (K), whose intermediate vertices may
+    repeat: the two disagree on ``v->w, w->v, v->v`` (ROADMAP item 1)."""
+    adj = _weighted_adjacency(g)
+    comp = _components(adj)
+    inner = [[(w, k) for w, k in out if comp[w] == comp[v]] for v, out in enumerate(adj)]
+    return {v: _cycles_through(inner, base) for base, v in enumerate(g.vertices)}
 
 
-def _cycles_through(g: Graph, base: str) -> int:
+def _cycles_through(inner: list[list[tuple[int, int]]], base: int) -> int:
+    """Weighted count, saturated at 2, of the vertex-simple paths from
+    ``base`` back to itself along ``inner``, walked with an explicit stack."""
     total = 0
-
-    def weight(m) -> int:
-        if m is INF or m >= 2:
-            return 2
-        return 1
-
-    # DFS over vertex-distinct paths that return to the base vertex
-    def dfs(current: str, visited: frozenset[str], acc: int) -> bool:
-        nonlocal total
-        for target, m in g.out_edges(current):
-            w = min(2, acc * weight(m))
-            if target == base:
-                total = min(2, total + w)
+    visited = [False] * len(inner)
+    visited[base] = True
+    stack = [(base, 1, iter(inner[base]))]
+    while stack:
+        v, acc, it = stack[-1]
+        for w, k in it:
+            weight = min(2, acc * k)
+            if w == base:
+                total += weight
                 if total >= 2:
-                    return True
-            elif target not in visited:
-                if dfs(target, visited | {target}, w):
-                    return True
-        return False
-
-    dfs(base, frozenset({base}), 1)
+                    return 2
+            elif not visited[w]:
+                visited[w] = True
+                stack.append((w, weight, iter(inner[w])))
+                break
+        else:
+            stack.pop()
+            visited[v] = False
     return total
 
 

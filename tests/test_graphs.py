@@ -57,6 +57,36 @@ def brute_census(g, base):
     return min(count, 2)
 
 
+def layered_graph(rng, sizes):
+    """Random graph whose edges run inside a block or to a later block, so
+    every strongly connected component lies in one block and the edges
+    between blocks lead away from every cycle."""
+    names = iter(f"v{i}" for i in range(sum(sizes)))
+    blocks = [[next(names) for _ in range(size)] for size in sizes]
+    mult = {}
+    for b, block in enumerate(blocks):
+        later = [w for other in blocks[b + 1 :] for w in other]
+        for src in block:
+            for dst in block:
+                if rng.random() < 0.5:
+                    mult[(src, dst)] = rng.randint(1, 3)
+            for dst in later:
+                if rng.random() < 0.3:
+                    mult[(src, dst)] = rng.randint(1, 3)
+    return Graph([v for block in blocks for v in block], mult)
+
+
+def has_cycle_by_peeling(g):
+    """Independent oracle: repeatedly delete vertices with no out-edge left;
+    a cycle exists iff some vertex survives."""
+    alive = set(g.vertices)
+    while True:
+        dead = {v for v in alive if not any(w in alive for w, _ in g.out_edges(v))}
+        if not dead:
+            return bool(alive)
+        alive -= dead
+
+
 def random_graph(rng, max_vertices=6, max_mult=3, inf_prob=0.0, edge_prob=0.35):
     n = rng.randint(1, max_vertices)
     names = [f"v{i}" for i in range(n)]
@@ -154,6 +184,14 @@ class TestPredicates:
         assert (p.row_finite, p.has_loop, p.is_af, p.unital) == (False, True, False, True)
         assert p.singular_vertices == ("v",)
 
+    def test_has_loop_against_peeling(self):
+        rng = random.Random(2024)
+        for _ in range(300):
+            g = random_graph(rng, max_vertices=7, inf_prob=0.1, edge_prob=rng.random() * 0.4)
+            p = predicates(g)
+            assert p.has_loop == has_cycle_by_peeling(g), g.edges()
+            assert p.is_af == (not p.has_loop)
+
 
 class TestSimpleLoopCensus:
     def test_two_loop(self):
@@ -187,6 +225,37 @@ class TestSimpleLoopCensus:
             census = simple_loop_census(g)
             if not predicates(g).has_loop:
                 assert all(c == 0 for c in census.values())
+
+    def test_against_brute_force_several_components(self):
+        rng = random.Random(4242)
+        for _ in range(25):
+            n = rng.randint(7, 8)
+            cuts = sorted(rng.sample(range(1, n), rng.randint(1, 3)))
+            g = layered_graph(rng, [b - a for a, b in zip([0] + cuts, cuts + [n])])
+            census = simple_loop_census(g)
+            for v in g.vertices:
+                assert census[v] == brute_census(g, v), (g.edges(), v)
+
+    def test_long_cycle_needs_no_recursion(self):
+        # a recursive walk overflowed the interpreter stack here
+        names = [f"c{i}" for i in range(1200)]
+        g = Graph(names, {(v, names[(i + 1) % len(names)]): 1 for i, v in enumerate(names)})
+        assert simple_loop_census(g) == {v: 1 for v in names}
+        assert predicates(g).has_loop
+
+    def test_dead_end_branches_are_not_walked(self):
+        # v has a loop and an edge into 40 diamond layers that never lead
+        # back: 2**40 simple paths, none of them on a cycle
+        layers = 40
+        names = ["v"] + [f"d{i}" for i in range(layers + 1)]
+        mult = {("v", "v"): 1, ("v", "d0"): 1}
+        for i in range(layers):
+            for side in ("a", "b"):
+                names.append(f"{side}{i}")
+                mult[(f"d{i}", f"{side}{i}")] = 1
+                mult[(f"{side}{i}", f"d{i + 1}")] = 1
+        census = simple_loop_census(Graph(names, mult))
+        assert census == {v: int(v == "v") for v in names}
 
 
 class TestDesingularize:

@@ -32,3 +32,25 @@ def test_bench_traced_names_exist():
         if not callable(getattr(mod, name, None)):
             missing.append(f"{module}.{name}")
     assert not missing, missing
+
+
+def test_graph_walks_are_iterative():
+    # a recursive walk overflows the interpreter stack on long cycles; keep
+    # every function in graphs.py from calling itself
+    path = Path(graphk0.__file__).parent / "graphs.py"
+    found = []
+    for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = node.func
+            if (isinstance(callee, ast.Name) and callee.id == fn.name) or (
+                isinstance(callee, ast.Attribute)
+                and callee.attr == fn.name
+                and isinstance(callee.value, ast.Name)
+                and callee.value.id in ("self", "cls")
+            ):
+                found.append(f"graphs.py:{node.lineno} {fn.name}")
+    assert not found, found
