@@ -1,6 +1,7 @@
 """Ordered K0-groups of graph C*-algebras from finitely presented directed
 graphs, in exact arithmetic."""
 
+from .dd import polytope_vertices  # the reference vertex enumerator
 from .graphs import (
     INF,
     Graph,

@@ -11,19 +11,25 @@ NotMember a rational separating functional on ambient coordinates, and
 Unknown the spent search budget.  The functionals nonnegative on the cone
 are the unnormalised graph traces (Tomforde, arXiv math/0204095), so the
 cone's dual is described once, by ``trace_cone`` over the vertices in
-declaration order.  The separating LP solves its rows plus the query row,
-the pointedness LP its rows made strict, and ``nonnegative_on_cone``
-checks a point against them.  A query that no cached verdict, finite
-group or separating functional settles goes to one search
-(``_cone_search``): ``_cone_program`` lays out the cone's integer program
-(generator counts bounded by their orders, each family's emitter and target
-counts with the capacity rows, then lattice columns), branch and bound
-solves it, and ``_decode_witness`` reads the point back as a witness.
+declaration order, and ``nonnegative_on_cone`` checks a point against its
+rows.  That cone is simplicial: ``trace_rays`` reads its extreme rays off
+the strongly connected components and certifies that they span it.  Every
+reader of the dual uses those rays: the separating functional is the first
+one negative on the query, the face step keeps the generators on which
+every ray that is zero on the query vanishes, the pointedness functional is
+their sum, and the cone is the whole group exactly when there is none.  A
+query that no cached verdict, finite group or extreme trace settles goes
+to one search (``_cone_search``): ``_cone_program`` lays out the cone's
+integer program (generator counts bounded by their orders, each family's
+emitter and target counts with the capacity rows, then lattice columns),
+branch and bound solves it, and ``_decode_witness`` reads the point back as
+a witness.
 
 ``cone_membership`` is the one gate for certificates: it re-checks every new
 witness before caching it and raises ``CertificateError`` if the check
-fails, and a newly found functional that fails ``functional_certifies``
-raises it too.  Both checks are plain code, so they also run under
+fails, and a separating functional that fails ``functional_certifies``
+raises it too, as does a ray list that fails the re-check of
+``trace_rays``.  These checks are plain code, so they also run under
 ``python -O``.  Comparison of two presentations enumerates group
 isomorphisms under a budget and checks cone preservation through the
 membership machinery.
@@ -42,6 +48,8 @@ from .graphs import (
     Graph,
     INF,
     VertexClass,
+    _components,
+    _weighted_adjacency,
     block_decomposition,
     classify_vertex,
     desingularize_with_tails,
@@ -62,7 +70,9 @@ from .lp import EQ, GE, LE, Constraint, Feasible, check_point, constraint, solve
 
 DEFAULT_BUDGET = 100000
 
-_ZERO = Fraction(0)
+
+def _dot(phi, vec):
+    return sum(p * c for p, c in zip(phi, vec))
 
 
 @dataclass(frozen=True)
@@ -101,7 +111,6 @@ class K0Presentation:
         self.relation_matrix = relation_matrix
         self._ambient_index = {v: i for i, v in enumerate(ambient_order)}
         self._membership_cache: dict[Element, tuple[object, int]] = {}
-        self._functional_pool: list[tuple[Fraction, ...]] = []
         self._face_cache: dict[tuple, tuple] = {}
 
     @property
@@ -124,6 +133,11 @@ class K0Presentation:
     @cached_property
     def _trace_rows(self) -> list[Constraint]:
         return trace_cone(self.graph).constraints()
+
+    @cached_property
+    def _rays(self) -> list[tuple[int, ...]]:
+        """The extreme graph traces (``trace_rays``) in ambient order."""
+        return [_to_ambient(self, h) for h in trace_rays(self.graph)]
 
 
 def relation_matrix(g: Graph) -> tuple[Matrix, tuple[str, ...]]:
@@ -315,6 +329,143 @@ def trace_cone(g: Graph) -> TracePolytope:
     )
 
 
+def trace_rays(g: Graph) -> list[tuple[int, ...]]:
+    """The integral extreme rays of ``trace_cone(g)``, over the vertices in
+    declaration order, read off the strongly connected components.
+
+    A *unit cycle* is a component that is one simple cycle of
+    multiplicity-1 edges.  Every trace vanishes on the forward closure Z of
+    the infinite targets, the vertices of the other components with a cycle
+    (a subinvariant vector of an irreducible matrix of spectral radius
+    above 1 is zero) and the exit targets of unit cycles (going round the
+    cycle, the exits sum to zero).  The *boundary elements* outside Z are
+    the sinks, the infinite emitters on no cycle and the unit cycles; each
+    has a coefficient c_b (the value at the sink, the emitter's slack, the
+    value at the cycle's first vertex), and its ray h_b counts the weighted
+    paths from each vertex to b, stopping at the first vertex of b reached.
+    Every trace t is the sum of c_b(t) * h_b.
+
+    The rays are re-checked before they are returned, and a failed check
+    raises ``CertificateError``: each is a point of the cone, c_b(h_b') is
+    1 when b = b' and 0 otherwise, the rows of the cone as equalities, Z and
+    the c_b can be solved by substitution for a zero vector, and no trace is
+    positive on Z or on the slack of an emitter that is not a boundary
+    element (an infeasible LP, whose Farkas certificate ``solve_lp``
+    re-checks).  Then t - sum c_b(t) * h_b satisfies all of those rows for
+    every trace t, so it is zero.
+    """
+    cone = trace_cone(g)
+    coefficients, zero, rays = _component_rays(g, cone)
+    _check_rays(cone, coefficients, zero, rays)
+    return rays
+
+
+def _component_rays(g: Graph, cone: TracePolytope):
+    """The coefficient row c_b of each boundary element, in the order of
+    their first vertices, the vertex indices of Z, and the rays h_b."""
+    names = g.vertices
+    idx = {v: i for i, v in enumerate(names)}
+    n = len(names)
+    adj = _weighted_adjacency(g)
+    comp = _components(adj)
+    inner = [[k for w, k in out if comp[w] == comp[v]] for v, out in enumerate(adj)]
+    cyclic = {comp[v] for v in range(n) if inner[v]}
+    unit = cyclic - {comp[v] for v in range(n) if inner[v] != [1]}
+    seeds = [idx[w] for w in cone.forced_zero]
+    seeds += [v for v in range(n) if comp[v] in cyclic - unit]
+    seeds += [w for v in range(n) if comp[v] in unit for w, _ in adj[v] if comp[w] != comp[v]]
+    zero = set(seeds)
+    while seeds:
+        for w, _ in adj[seeds.pop()]:
+            if w not in zero:
+                zero.add(w)
+                seeds.append(w)
+
+    edges = [[(idx[w], m) for w, m in g.out_edges(v) if m is not INF] for v in names]
+    coefficients: list[tuple[int, ...]] = []
+    members: list[set[int]] = []
+    seen: set[int] = set()
+    for v in range(n):
+        if v in zero or comp[v] in seen:
+            continue
+        row = [0] * n
+        if comp[v] in cyclic:
+            seen.add(comp[v])
+            members.append({w for w in range(n) if comp[w] == comp[v]})
+        elif classify_vertex(g, names[v]) is not VertexClass.REGULAR:
+            members.append({v})
+            for w, m in edges[v]:
+                row[w] -= m
+        else:
+            continue
+        row[v] += 1
+        coefficients.append(tuple(row))
+
+    # downstream components first: Tarjan numbers a component after every
+    # component it reaches
+    order = sorted(range(n), key=comp.__getitem__)
+    rays = []
+    for b in members:
+        h = [0] * n
+        for v in order:
+            if v in b:
+                h[v] = 1
+            elif v not in zero and comp[v] not in cyclic:
+                h[v] = sum(m * h[w] for w, m in edges[v])
+        rays.append(tuple(h))
+    return coefficients, sorted(zero), rays
+
+
+def _solvable_by_substitution(n: int, rows) -> bool:
+    """True when rows . t = 0 forces t = 0 by substitution alone: some row
+    has one unknown left, which is then zero, until none is left."""
+    left = [{j for j, c in enumerate(row) if c} for row in rows]
+    uses: list[list[int]] = [[] for _ in range(n)]
+    for i, unknowns in enumerate(left):
+        for j in unknowns:
+            uses[j].append(i)
+    ready = [i for i, unknowns in enumerate(left) if len(unknowns) == 1]
+    solved = 0
+    while ready:
+        unknowns = left[ready.pop()]
+        if len(unknowns) != 1:
+            continue
+        j = unknowns.pop()
+        solved += 1
+        for i in uses[j]:
+            left[i].discard(j)
+            if len(left[i]) == 1:
+                ready.append(i)
+    return solved == n
+
+
+def _check_rays(cone: TracePolytope, coefficients, zero, rays) -> None:
+    """The re-check of ``trace_rays``; raises ``CertificateError``."""
+    n = len(cone.variables)
+    rows = cone.constraints()
+    if len(rays) != len(coefficients):
+        raise CertificateError("the boundary elements and the rays differ in number")
+    for i, h in enumerate(rays):
+        if not check_point(n, rows, [True] * n, h):
+            raise CertificateError("a computed ray is not a graph trace")
+        for j, c in enumerate(coefficients):
+            if _dot(c, h) != int(i == j):
+                raise CertificateError("the ray coefficients are not dual to the rays")
+    units = [tuple(int(j == z) for j in range(n)) for z in zero]
+    slacks = [tuple(-c for c in row) for row, _ in cone.inequalities]
+    equalities = [row for row, _ in cone.equalities]
+    if not _solvable_by_substitution(n, equalities + slacks + units + coefficients):
+        raise CertificateError("the rays do not determine every graph trace")
+    boundary = set(coefficients)
+    positive = [
+        sum(col) for col in zip(*units, *(s for s in slacks if s not in boundary), (0,) * n)
+    ]
+    if any(positive) and isinstance(
+        solve_lp(n, [*rows, constraint(positive, GE, 1)]), Feasible
+    ):
+        raise CertificateError("a graph trace is positive where every ray vanishes")
+
+
 def _to_declaration(k: K0Presentation, phi) -> list:
     """An ambient-order vector reordered to the graph's vertex order."""
     return [phi[k.ambient_index(v)] for v in k.graph.vertices]
@@ -342,21 +493,7 @@ def functional_certifies(
     """Exact re-verification of a NotMember certificate."""
     if not nonnegative_on_cone(k, phi):
         return False
-    lift = k.coker.lift(x)
-    return sum((p * c for p, c in zip(phi, lift)), _ZERO) < 0
-
-
-def _separating_functional(k: K0Presentation, x: Element) -> tuple[Fraction, ...] | None:
-    """Search a graph trace negative on x: in ambient order, a rational
-    functional proving x outside the cone."""
-    if k.coker.free_rank == 0:
-        return None
-    n = len(k.ambient_order)
-    query = constraint(_to_declaration(k, k.coker.lift(x)), LE, -1)
-    res = solve_lp(n, [*k._trace_rows, query])
-    if not isinstance(res, Feasible):
-        return None
-    return _to_ambient(k, res.point)
+    return _dot(phi, k.coker.lift(x)) < 0
 
 
 def _pure_torsion_witness(k: K0Presentation, x: Element) -> MembershipWitness:
@@ -455,27 +592,21 @@ def _decode_witness(gens, fams, point) -> MembershipWitness:
 def _face_reduction(k: K0Presentation, gens, x: Element):
     """The generators that some representation of x can use, in order.
 
-    A functional y that is nonnegative on every generator, zero on x and at
-    least one on a generator g forces g's coefficient to zero, so g is kept
-    exactly when the LP {y.h >= 0 for every generator h, y.x = 0, y.g >= 1}
-    is infeasible: one LP per generator, with no restart.  That leaves
-    exactly the generators of the smallest face of the cone holding x.  The
-    caller runs this only after the separating LP has failed, so x lies in
-    the rational cone of ``gens``, in the relative interior of that face F;
-    every face of a polyhedral cone is exposed, so one such y is positive on
-    every generator outside F, and every such y vanishes on F.
+    The caller runs this only when no extreme trace is negative on x, so x
+    lies in the rational cone of ``gens``, in the relative interior of its
+    smallest face F.  The traces are the functionals nonnegative on that
+    cone, and a trace that is zero on x is a sum of extreme traces that are
+    zero on x.  So a generator lies outside F exactly when some extreme
+    trace that is zero on x is positive on it, and is then dropped.
     """
-    nfree = k.coker.free_rank
-    cons = [constraint(list(h.free), GE, 0) for _, h in gens]
-    cons.append(constraint(list(x.free), EQ, 0))
-    return [
-        (v, e)
-        for v, e in gens
-        if not isinstance(
-            solve_lp(nfree, cons + [constraint(list(e.free), GE, 1)], nonneg=[False] * nfree),
-            Feasible,
-        )
-    ]
+    lift = k.coker.lift(x)
+    face = [phi for phi in k._rays if _dot(phi, lift) == 0]
+    kept = []
+    for v, e in gens:
+        lift = k.coker.lift(e)
+        if not any(_dot(phi, lift) > 0 for phi in face):
+            kept.append((v, e))
+    return kept
 
 
 def _lineality_units(k: K0Presentation, active):
@@ -692,15 +823,13 @@ def _decide_membership(k: K0Presentation, x: Element, budget: int):
     extended = _member_by_extension(k, x)
     if extended is not None:
         return extended
-    for phi in k._functional_pool:
-        if functional_certifies(k, phi, x):
+    lift = k.coker.lift(x)
+    for ray in k._rays:
+        if _dot(ray, lift) < 0:
+            phi = tuple(map(Fraction, ray))
+            if not functional_certifies(k, phi, x):
+                raise CertificateError(f"separating functional does not certify {x}")
             return NotMember(functional=phi)
-    phi = _separating_functional(k, x)
-    if phi is not None:
-        if not functional_certifies(k, phi, x):
-            raise CertificateError(f"separating functional does not certify {x}")
-        k._functional_pool.append(phi)
-        return NotMember(functional=phi)
     verdict = _cone_search(k, x, budget)
     if isinstance(verdict, _ProvenEmpty):
         # a certified-empty search without a separating functional still
@@ -746,12 +875,12 @@ def _canonical_generators(coker: CokerPresentation) -> list[Element]:
     return gens
 
 
-def _strictly_positive_functional(k: K0Presentation) -> tuple[Fraction, ...] | None:
-    """A graph trace that is at least 1 on every nonzero vertex class, and
-    by which every emitter exceeds its finite batch by at least 1, is
-    positive on every nonzero generator: it certifies pointedness."""
-    if k.coker.free_rank == 0:
-        return None
+def _strictly_positive_functional(k: K0Presentation) -> tuple[int, ...] | None:
+    """The sum of the extreme traces, when it is at least 1 on every nonzero
+    vertex class and every emitter exceeds its finite batch by at least 1
+    under it: it is then positive on every nonzero generator, and certifies
+    pointedness.  Each trace is a sum of extreme traces, so when any trace
+    passes this check the sum passes it too."""
     cone = trace_cone(k.graph)
     n = len(cone.variables)
     rows = [constraint(row, EQ, rhs) for row, rhs in cone.equalities]
@@ -761,13 +890,9 @@ def _strictly_positive_functional(k: K0Presentation) -> tuple[Fraction, ...] | N
         for i, v in enumerate(cone.variables)
         if not k.delta[v].is_zero()
     ]
-    res = solve_lp(n, rows)
-    if not isinstance(res, Feasible):
-        return None
-    phi = _to_ambient(k, res.point)
-    # re-check strictness in ambient order
+    phi = tuple(map(sum, zip(*k._rays, (0,) * n)))
     if not check_point(n, rows, [True] * n, _to_declaration(k, phi)):
-        raise CertificateError("functional is not positive on every cone generator")
+        return None
     return phi
 
 
@@ -777,43 +902,33 @@ def order_properties(k: K0Presentation, budget: int = DEFAULT_BUDGET) -> OrderPr
         return OrderProperties(
             cone_is_everything=ThreeValued.YES, cone_pointed=ThreeValued.YES
         )
+    if not k._rays:
+        # the rays are certified complete, so the only trace is 0 and the
+        # rational cone is the whole space: -g is a positive rational
+        # combination of cone elements, and scaled as in _lineality_units
+        # that puts -g in the cone for every generator g
+        return OrderProperties(
+            cone_is_everything=ThreeValued.YES,
+            cone_pointed=ThreeValued.NO,
+            pointed_witness=gens[0],
+        )
+    # an extreme trace h_b is 1 on [b], so -[b] is outside the cone
     per_call = max(1000, budget // max(1, 2 * len(gens)))
-
-    everything = ThreeValued.YES
-    for g in gens:
-        for candidate in (g, k.coker.negate(g)):
-            verdict = cone_membership(k, candidate, budget=per_call)
-            if isinstance(verdict, NotMember):
-                everything = ThreeValued.NO
-                break
-            if isinstance(verdict, UnknownMembership) and everything is ThreeValued.YES:
-                everything = ThreeValued.UNKNOWN
-        if everything is ThreeValued.NO:
-            break
-
-    pointed: ThreeValued
+    pointed = ThreeValued.UNKNOWN
     pointed_witness = None
-    if everything is ThreeValued.YES:
-        pointed = ThreeValued.NO
-        pointed_witness = gens[0]
-    else:
-        pointed = ThreeValued.UNKNOWN
-        for v in k.graph.vertices:
-            dv = k.delta[v]
-            if dv.is_zero():
-                continue
-            verdict = cone_membership(k, k.coker.negate(dv), budget=per_call)
-            if isinstance(verdict, Member):
-                pointed = ThreeValued.NO
-                pointed_witness = dv
-                break
-        if pointed is ThreeValued.UNKNOWN:
-            if _strictly_positive_functional(k) is not None:
-                pointed = ThreeValued.YES
-            elif all(e.is_zero() for e in k.delta.values()) and not k.cone.families:
-                pointed = ThreeValued.YES  # the cone is {0}
+    for v in k.graph.vertices:
+        dv = k.delta[v]
+        if dv.is_zero():
+            continue
+        verdict = cone_membership(k, k.coker.negate(dv), budget=per_call)
+        if isinstance(verdict, Member):
+            pointed = ThreeValued.NO
+            pointed_witness = dv
+            break
+    if pointed is ThreeValued.UNKNOWN and _strictly_positive_functional(k) is not None:
+        pointed = ThreeValued.YES
     return OrderProperties(
-        cone_is_everything=everything,
+        cone_is_everything=ThreeValued.NO,
         cone_pointed=pointed,
         pointed_witness=pointed_witness,
     )

@@ -5,7 +5,8 @@ vertices split their value over their targets (counted with multiplicity)
 and infinite emitters dominate every finite batch of theirs.  These
 conditions are written once, by ``ktheory.trace_cone``; here they gain the
 norm row, and every check is ``lp.check_point`` on those rows.  Norm-one
-traces form a rational polytope; its vertices are enumerated exactly.  A
+traces form a rational polytope whose vertices are the extreme rays of the
+trace cone, ``ktheory.trace_rays``, each divided by its norm.  A
 norm-one trace is the same data as a state on the K0 presentation (a
 positive normalized functional), and both directions of that dictionary are
 implemented with full re-verification.
@@ -16,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .dd import polytope_vertices
 from .graphs import Graph, INF
-from .ktheory import K0Presentation, TracePolytope, nonnegative_on_cone, trace_cone
+from .ktheory import K0Presentation, TracePolytope, nonnegative_on_cone, trace_cone, trace_rays
 from .linalg import CertificateError, Element
 from .lp import FarkasCertificate, Infeasible, check_point, solve_lp
 
@@ -77,21 +77,23 @@ def _checked_traces(poly: TracePolytope, points) -> list[GraphTrace]:
 
 
 def find_graph_trace(g: Graph) -> GraphTrace | NoTrace:
-    """Any norm-one graph trace, or a NoTrace with a Farkas certificate."""
+    """The first extreme norm-one graph trace, or a NoTrace with a Farkas
+    certificate."""
+    extremes = extreme_traces(g)
+    if extremes:
+        return extremes[0]
     poly = trace_constraints(g)
     res = solve_lp(len(poly.variables), poly.constraints())  # re-checks its Farkas certificate itself
-    if isinstance(res, Infeasible):
-        return NoTrace(certificate=res.certificate)
-    return _checked_traces(poly, [res.point])[0]
+    if not isinstance(res, Infeasible):
+        raise CertificateError("a norm-one graph trace exists but no extreme trace was found")
+    return NoTrace(certificate=res.certificate)
 
 
 def extreme_traces(g: Graph) -> list[GraphTrace]:
-    """All extreme points of the norm-one trace polytope, sorted canonically."""
-    poly = trace_constraints(g)
-    vertices = polytope_vertices(
-        len(poly.variables), list(poly.equalities), list(poly.inequalities)
-    )
-    return _checked_traces(poly, vertices)
+    """All extreme points of the norm-one trace polytope, sorted canonically:
+    the extreme rays of the trace cone, each divided by its norm."""
+    points = sorted(tuple(Fraction(c, sum(h)) for c in h) for h in trace_rays(g))
+    return _checked_traces(trace_constraints(g), points)
 
 
 @dataclass(frozen=True)

@@ -287,19 +287,29 @@ class TestConeMembership:
         assert proc.stdout == "debug False raised\n"
 
     def test_corrupted_functional_raises_without_asserts(self):
-        # a fresh separating or strictly positive functional that fails its
-        # exact re-check raises, under `python -O` too; here the graph trace
-        # found by the LP is corrupted on its way to ambient order
+        # a separating or strictly positive functional read off a corrupted
+        # extreme trace raises, under `python -O` too: a ray corrupted in
+        # the construction fails the re-check of trace_rays, and one
+        # corrupted after it fails the functional_certifies gate
         script = textwrap.dedent(
             """
             import graphk0.ktheory as kt
             from graphk0 import CertificateError, Element, Graph
 
-            kt._to_ambient = lambda k, values: (0,) * len(k.ambient_order)
-            k = kt.compute_k0(Graph(["v", "w"], {("v", "v"): 1, ("v", "w"): 1}))
+            toeplitz = Graph(["v", "w"], {("v", "v"): 1, ("v", "w"): 1})
+            build = kt._component_rays
+
+            def corrupted(coefficients, zero, rays):
+                return coefficients, zero, [tuple(c + 1 for c in h) for h in rays]
+
+            kt._component_rays = lambda g, cone: corrupted(*build(g, cone))
+            k = kt.compute_k0(toeplitz)
+            gated = kt.compute_k0(toeplitz)
+            gated._rays = [(2, 1)]
             for name, call in (
                 ("separating", lambda: kt.cone_membership(k, Element(torsion=(), free=(-1,)))),
                 ("positive", lambda: kt._strictly_positive_functional(k)),
+                ("gate", lambda: kt.cone_membership(gated, Element(torsion=(), free=(-1,)))),
             ):
                 try:
                     call()
@@ -316,7 +326,9 @@ class TestConeMembership:
             env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "debug False separating raised\ndebug False positive raised\n"
+        assert proc.stdout == (
+            "debug False separating raised\ndebug False positive raised\ndebug False gate raised\n"
+        )
 
     def test_pointedness_needs_strict_emitter_rows(self):
         # a and b each dominate the other with one edge and reach u (class 0)
@@ -373,9 +385,10 @@ class TestConeMembership:
                 for _, e in gens:
                     if rng.random() < 0.4:
                         x = k.coker.add(x, k.coker.scale(rng.randint(1, 3), e))
+                k._rays  # the extreme traces are found, and certified, once per presentation
                 calls.clear()
                 face = graphk0.ktheory._face_reduction(k, gens, x)
-                assert len(calls) == len(gens)
+                assert not calls
                 assert face == restart_loop(k, gens, x)
                 proper += 0 < len(face) < len(gens)
         assert proper >= 50
@@ -531,6 +544,31 @@ class TestOrderProperties:
         assert props.cone_is_everything is ThreeValued.YES
         assert props.cone_pointed is ThreeValued.NO
         assert props.pointed_witness is not None
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            {
+                ("v0", "v0"): INF, ("v0", "v3"): INF, ("v0", "v4"): 1, ("v1", "v1"): 3,
+                ("v1", "v3"): 1, ("v2", "v4"): INF, ("v3", "v2"): 3, ("v3", "v3"): 2,
+                ("v4", "v0"): INF, ("v4", "v1"): 1, ("v4", "v4"): 2,
+            },
+            {
+                ("v0", "v3"): 3, ("v1", "v1"): 3, ("v1", "v2"): 3, ("v1", "v3"): 2,
+                ("v2", "v0"): 1, ("v2", "v2"): 3, ("v2", "v3"): 3, ("v3", "v0"): INF,
+                ("v3", "v1"): 2, ("v4", "v1"): 2,
+            },
+        ],
+    )
+    def test_everything_without_traces(self, edges):
+        # no nonzero graph trace, so the cone is the whole group; the
+        # membership searches behind the former flag stall on one generator
+        # even with a budget of 20,000 nodes, and the flag read UNKNOWN
+        g = Graph([f"v{i}" for i in range(5)], edges)
+        assert graphk0.ktheory.trace_rays(g) == []
+        props = order_properties(compute_k0(g))
+        assert props.cone_is_everything is ThreeValued.YES
+        assert props.cone_pointed is ThreeValued.NO
 
 
 class TestCompare:

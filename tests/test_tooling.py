@@ -1,5 +1,8 @@
 import ast
-import importlib
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import graphk0
@@ -15,23 +18,48 @@ def test_no_assert_statements_in_library():
     assert not found, found
 
 
-def test_bench_traced_names_exist():
-    # the benchmark's tracer wraps these functions by name and fails on a
-    # renamed one; read its table without importing the benchmark
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-    traced = None
+def _bench_table(filename, name):
+    """A constant table of a benchmark script, read without importing it."""
+    path = Path(__file__).resolve().parents[1] / "bench" / filename
     for node in ast.parse(path.read_text(), filename=str(path)).body:
         if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
         ):
-            traced = ast.literal_eval(node.value)
-    assert traced, "no TRACED table in bench/tracing.py"
-    missing = []
-    for module, name, _ in traced:
-        mod = importlib.import_module(f"graphk0.{module}")
-        if not callable(getattr(mod, name, None)):
-            missing.append(f"{module}.{name}")
-    assert not missing, missing
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no {name} table in bench/{filename}")
+
+
+def test_bench_names_resolve_after_import():
+    # the benchmark looks its modules up in sys.modules after importing
+    # graphk0 and graphk0.cli, and its tracer wraps functions by name; a
+    # module the package stops loading, or a renamed function, fails every
+    # benchmark run, so check both tables in a fresh interpreter
+    modules = _bench_table("run.py", "MODULES")
+    traced = [(module, name) for module, name, _ in _bench_table("tracing.py", "TRACED")]
+    script = textwrap.dedent(
+        f"""
+        import sys
+        import graphk0, graphk0.cli
+
+        missing = [m for m in {modules!r} if f"graphk0.{{m}}" not in sys.modules]
+        missing += [
+            f"{{m}}.{{f}}"
+            for m, f in {traced!r}
+            if not callable(getattr(sys.modules.get(f"graphk0.{{m}}"), f, None))
+        ]
+        print(missing)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(graphk0.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_graph_walks_are_iterative():

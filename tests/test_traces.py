@@ -1,11 +1,17 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 from test_graphs import random_graph as shared_random_graph
 
+import graphk0
+from graphk0 import polytope_vertices
 from graphk0.graphs import INF, Graph, VertexClass, classify_vertex
-from graphk0.ktheory import compute_k0, nonnegative_on_cone
+from graphk0.ktheory import compute_k0, nonnegative_on_cone, trace_rays
 from graphk0.lp import verify_farkas
 from graphk0.traces import (
     GraphTrace,
@@ -124,6 +130,108 @@ class TestExtremeTraces:
             for t in extremes:
                 assert verify_graph_trace(g, t)
                 assert t.norm == 1
+
+
+def reference_extremes(g):
+    """The vertices of the norm-one trace polytope from the double
+    description enumerator."""
+    poly = trace_constraints(g)
+    return polytope_vertices(len(poly.variables), list(poly.equalities), list(poly.inequalities))
+
+
+class TestTraceRays:
+    HAND_CASES = {
+        # t(e) = t(a) = 0, though the equality rows allow t(a) = 2 t(e)
+        "emitter-two-cycle": (
+            Graph(["e", "a", "u"], {("e", "a"): 1, ("a", "e"): 2, ("e", "u"): INF}),
+            [],
+        ),
+        "unit-cycle-with-exit": (
+            Graph(["a", "b", "c", "s"], {("a", "b"): 1, ("b", "a"): 1, ("b", "c"): 1, ("c", "s"): 1}),
+            [(1, 1, 0, 0)],
+        ),
+        "emitter-on-unit-cycle": (
+            Graph(
+                ["a", "e", "u", "p"],
+                {("a", "e"): 1, ("e", "a"): 1, ("e", "u"): INF, ("p", "a"): 2},
+            ),
+            [(1, 1, 0, 2)],
+        ),
+        "loops-of-multiplicity-1-and-2": (
+            Graph(
+                ["x", "y", "p", "s"],
+                {("x", "x"): 1, ("y", "y"): 2, ("p", "x"): 1, ("p", "y"): 1, ("p", "s"): 3},
+            ),
+            [(1, 0, 1, 0), (0, 0, 3, 1)],
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(HAND_CASES))
+    def test_hand_cases(self, name):
+        g, rays = self.HAND_CASES[name]
+        assert trace_rays(g) == rays
+        got = [tuple(v for _, v in t.values) for t in extreme_traces(g)]
+        assert got == reference_extremes(g)
+
+    def test_against_reference_on_random_graphs(self):
+        rng = random.Random(17)
+        extremes = emitters = 0
+        for i in range(400):
+            g = shared_random_graph(rng, 7, inf_prob=(0.0, 0.2, 0.5)[i % 3])
+            got = [tuple(v for _, v in t.values) for t in extreme_traces(g)]
+            assert got == reference_extremes(g), g.edges()
+            extremes += len(got)
+            emitters += any(classify_vertex(g, v) is VertexClass.INFINITE_EMITTER for v in g.vertices)
+        assert extremes > 200 and emitters > 150
+
+    def test_bad_rays_raise_without_asserts(self):
+        # a truncated or corrupted construction fails the re-check of
+        # trace_rays under `python -O` too
+        script = textwrap.dedent(
+            """
+            import graphk0.ktheory as kt
+            from graphk0 import CertificateError, Graph, INF
+
+            g = Graph(["v", "a", "b", "c"], {("v", "a"): 1, ("v", "b"): 1, ("c", "c"): 2})
+            build = kt._component_rays
+
+            def ray_dropped(coefficients, zero, rays):
+                return coefficients, zero, rays[:-1]
+
+            def element_dropped(coefficients, zero, rays):
+                return coefficients[:-1], zero, rays[:-1]
+
+            def ray_corrupted(coefficients, zero, rays):
+                return coefficients, zero, [(2, *rays[0][1:]), *rays[1:]]
+
+            def zero_enlarged(coefficients, zero, rays):
+                return coefficients, [1, *zero], rays
+
+            print(len(build(g, kt.trace_cone(g))[2]), "rays")
+            for bad in (ray_dropped, element_dropped, ray_corrupted, zero_enlarged):
+                kt._component_rays = lambda g, cone: bad(*build(g, cone))
+                try:
+                    kt.trace_rays(g)
+                except CertificateError:
+                    print("debug", __debug__, bad.__name__, "raised")
+            """
+        )
+        src = os.path.dirname(os.path.dirname(graphk0.__file__))
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            "2 rays\n"
+            "debug False ray_dropped raised\n"
+            "debug False element_dropped raised\n"
+            "debug False ray_corrupted raised\n"
+            "debug False zero_enlarged raised\n"
+        )
 
 
 class TestStates:
