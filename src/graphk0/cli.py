@@ -39,7 +39,7 @@ from .reports import (
     traces_to_json,
 )
 from .textio import ParseError, parse_graph, serialize_graph
-from .traces import find_graph_trace, tracial_state_report
+from .traces import no_trace, tracial_state_report
 
 
 class _UsageError(Exception):
@@ -157,7 +157,10 @@ def _dispatch(args) -> int:
         g = _load_graph(args.path)
         report = tracial_state_report(g)
         extremes = report.extremes if args.extremes else None
-        result = None if extremes else find_graph_trace(g)
+        if extremes:
+            result = None
+        else:
+            result = report.extremes[0] if report.extremes else no_trace(g)
         if args.json:
             print(emit_json(traces_to_json(result, extremes, report)))
         else:

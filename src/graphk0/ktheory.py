@@ -161,9 +161,7 @@ def _build_presentation(g: Graph) -> K0Presentation:
     coker = cokernel(mat)
     pos = {v: i for i, v in enumerate(order)}
     delta = {v: coker.basis_class(pos[v]) for v in g.vertices}
-    unit = coker.zero()
-    for v in g.vertices:
-        unit = coker.add(unit, delta[v])
+    unit = coker.project([1] * len(order))
     families = []
     for v in g.vertices:
         if classify_vertex(g, v) is VertexClass.INFINITE_EMITTER:

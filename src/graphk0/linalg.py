@@ -28,10 +28,6 @@ def matrix_dims(a: Matrix) -> tuple[int, int]:
     return rows, cols
 
 
-def identity_matrix(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def zero_matrix(rows: int, cols: int) -> Matrix:
     return [[0] * cols for _ in range(rows)]
 
@@ -105,6 +101,17 @@ class SmithForm:
     invariant_factors: tuple[int, ...]
 
 
+def _axpy(dst: dict[int, int], src: dict[int, int], q: int) -> None:
+    """dst += q * src on sparse rows, dropping the entries that cancel."""
+    get = dst.get
+    for k, y in src.items():
+        x = get(k, 0) + q * y
+        if x:
+            dst[k] = x
+        else:
+            del dst[k]
+
+
 def smith_normal_form(a: Matrix) -> SmithForm:
     """Smith normal form with transforms.
 
@@ -118,13 +125,24 @@ def smith_normal_form(a: Matrix) -> SmithForm:
     which is the one the full scan would keep.  The divisibility rescan of
     the remaining block is skipped when the pivot is 1, since every integer
     is divisible by 1 and the scan could find no offending row.
+
+    Every row is kept sparse, as a ``{column: nonzero int}`` dict, so an
+    operation touches only the nonzero entries of the row it adds.  A dict
+    is not in column order, so the pivot search visits each row's columns
+    sorted, which keeps the row-major tie-break.  ``u`` is kept by rows,
+    and ``u_inv`` and ``v`` as the rows of their transposes, so that their
+    column operations are row operations too.  Only the active block of
+    ``s`` (rows and columns from the current pivot on) changes: a finished
+    pivot's row and column are zero off the diagonal, so a column
+    operation reaches only the rows from the pivot on, and of those only
+    the ones where the pivot column is nonzero.  The dense matrices are
+    built once, at the end.
     """
     rows, cols = matrix_dims(a)
-    s = [row[:] for row in a]
-    u = identity_matrix(rows)
-    # u_inv is kept transposed, so its column operations act on one list
-    u_inv_t = identity_matrix(rows)
-    v = identity_matrix(cols)
+    s = [{j: x for j, x in enumerate(row) if x} for row in a]
+    u = [{i: 1} for i in range(rows)]
+    u_inv_t = [{i: 1} for i in range(rows)]
+    v_t = [{j: 1} for j in range(cols)]
 
     def swap_rows(i: int, j: int) -> None:
         if i == j:
@@ -133,50 +151,40 @@ def smith_normal_form(a: Matrix) -> SmithForm:
         u[i], u[j] = u[j], u[i]
         u_inv_t[i], u_inv_t[j] = u_inv_t[j], u_inv_t[i]
 
-    def negate_row(i: int) -> None:
-        s[i] = [-x for x in s[i]]
-        u[i] = [-x for x in u[i]]
-        u_inv_t[i] = [-x for x in u_inv_t[i]]
-
     def add_row(i: int, j: int, q: int) -> None:
         # row_i += q * row_j; u_inv gets the inverse column operation
         if q == 0:
             return
-        s[i] = [x + q * y for x, y in zip(s[i], s[j])]
-        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
-        u_inv_t[j] = [x - q * y for x, y in zip(u_inv_t[j], u_inv_t[i])]
+        _axpy(s[i], s[j], q)
+        _axpy(u[i], u[j], q)
+        _axpy(u_inv_t[j], u_inv_t[i], -q)
 
-    def swap_cols(i: int, j: int) -> None:
-        if i == j:
+    def swap_cols(t: int, j: int) -> None:
+        if t == j:
             return
-        for r in s:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def add_col(i: int, j: int, q: int) -> None:
-        # col_i += q * col_j
-        if q == 0:
-            return
-        for r in s:
-            r[i] += q * r[j]
-        for r in v:
-            r[i] += q * r[j]
+        for r in s[t:]:
+            if t in r or j in r:
+                x = r.pop(t, 0)
+                y = r.pop(j, 0)
+                if x:
+                    r[j] = x
+                if y:
+                    r[t] = y
+        v_t[t], v_t[j] = v_t[j], v_t[t]
 
     def smallest_pivot(t: int) -> tuple[int, int] | None:
         best = None
         where = None
         for i in range(t, rows):
             si = s[i]
-            for j in range(t, cols):
+            for j in sorted(si):
                 val = si[j]
-                if val:
-                    val = -val if val < 0 else val
-                    if val == 1:
-                        return i, j
-                    if best is None or val < best:
-                        best = val
-                        where = (i, j)
+                val = -val if val < 0 else val
+                if val == 1:
+                    return i, j
+                if best is None or val < best:
+                    best = val
+                    where = (i, j)
         return where
 
     t = 0
@@ -189,20 +197,37 @@ def smith_normal_form(a: Matrix) -> SmithForm:
             pi, pj = pivot
             swap_rows(t, pi)
             swap_cols(t, pj)
-            if s[t][t] < 0:
-                negate_row(t)
-            d = s[t][t]
+            st = s[t]
+            if st[t] < 0:
+                for r in (st, u[t], u_inv_t[t]):
+                    for k in r:
+                        r[k] = -r[k]
+            d = st[t]
             dirty = False
             for i in range(t + 1, rows):
-                if s[i][t]:
-                    add_row(i, t, -(s[i][t] // d))
-                    if s[i][t]:
+                x = s[i].get(t)
+                if x:
+                    add_row(i, t, -(x // d))
+                    if t in s[i]:
                         dirty = True
-            for j in range(t + 1, cols):
-                if s[t][j]:
-                    add_col(j, t, -(s[t][j] // d))
-                    if s[t][j]:
-                        dirty = True
+            # column t is fixed while the column operations run, so they
+            # reach only the rows where it is nonzero
+            holders = [(r, r[t]) for r in s[t:] if t in r]
+            col_t = v_t[t]
+            for j, x in list(st.items()):
+                if j == t:
+                    continue
+                q = -(x // d)
+                if q:
+                    for r, c in holders:
+                        y = r.get(j, 0) + q * c
+                        if y:
+                            r[j] = y
+                        else:
+                            del r[j]
+                    _axpy(v_t[j], col_t, q)
+                if j in st:
+                    dirty = True
             if dirty:
                 pivot = smallest_pivot(t)
                 continue
@@ -210,8 +235,7 @@ def smith_normal_form(a: Matrix) -> SmithForm:
                 break
             offender = None
             for i in range(t + 1, rows):
-                si = s[i]
-                if any(x % d for x in si[t + 1 :]):
+                if any(x % d for x in s[i].values()):
                     offender = i
                     break
             if offender is None:
@@ -223,8 +247,33 @@ def smith_normal_form(a: Matrix) -> SmithForm:
 
     rank = t
     factors = tuple(s[i][i] for i in range(rank))
-    u_inv = [list(r) for r in zip(*u_inv_t)]
-    return SmithForm(u=u, s=s, v=v, u_inv=u_inv, rank=rank, invariant_factors=factors)
+    return SmithForm(
+        u=_dense(u, rows),
+        s=_dense(s, cols),
+        v=_transposed(v_t, cols),
+        u_inv=_transposed(u_inv_t, rows),
+        rank=rank,
+        invariant_factors=factors,
+    )
+
+
+def _dense(sparse_rows: list[dict[int, int]], width: int) -> Matrix:
+    out = []
+    for r in sparse_rows:
+        row = [0] * width
+        for j, x in r.items():
+            row[j] = x
+        out.append(row)
+    return out
+
+
+def _transposed(sparse_rows: list[dict[int, int]], height: int) -> Matrix:
+    """The dense matrix whose columns are the given sparse rows."""
+    out = zero_matrix(height, len(sparse_rows))
+    for j, r in enumerate(sparse_rows):
+        for i, x in r.items():
+            out[i][j] = x
+    return out
 
 
 @dataclass(frozen=True)
@@ -350,8 +399,9 @@ def cokernel(a: Matrix) -> CokerPresentation:
     """Present Z^m / im(a) where ``a`` maps Z^n -> Z^m by columns."""
     rows, _cols = matrix_dims(a)
     snf = smith_normal_form(a)
-    u = [r[:] for r in snf.u]
-    u_inv = [r[:] for r in snf.u_inv]
+    # the Smith form is fresh, so its transforms are reoriented in place
+    u = snf.u
+    u_inv = snf.u_inv
     torsion_rows = tuple(i for i in range(snf.rank) if snf.s[i][i] >= 2)
     moduli = tuple(snf.s[i][i] for i in torsion_rows)
     free_rows = tuple(range(snf.rank, rows))

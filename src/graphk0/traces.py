@@ -80,8 +80,12 @@ def find_graph_trace(g: Graph) -> GraphTrace | NoTrace:
     """The first extreme norm-one graph trace, or a NoTrace with a Farkas
     certificate."""
     extremes = extreme_traces(g)
-    if extremes:
-        return extremes[0]
+    return extremes[0] if extremes else no_trace(g)
+
+
+def no_trace(g: Graph) -> NoTrace:
+    """The Farkas certificate that ``g`` has no norm-one graph trace, for a
+    graph whose ``extreme_traces`` came back empty."""
     poly = trace_constraints(g)
     res = solve_lp(len(poly.variables), poly.constraints())  # re-checks its Farkas certificate itself
     if not isinstance(res, Infeasible):

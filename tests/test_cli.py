@@ -3,6 +3,7 @@ import json
 import pytest
 
 import graphk0.cli
+import graphk0.traces
 from graphk0.cli import run
 from graphk0.textio import parse_graph
 
@@ -194,16 +195,32 @@ class TestReports:
         }
 
     def test_traces_extremes_json(self, corpus, capsys, monkeypatch):
-        # with extreme traces at hand the single-trace LP is not needed
+        # with extreme traces at hand the no-trace LP is not needed
         def refuse(g):
-            raise AssertionError("find_graph_trace called")
+            raise AssertionError("no_trace called")
 
-        monkeypatch.setattr(graphk0.cli, "find_graph_trace", refuse)
+        monkeypatch.setattr(graphk0.cli, "no_trace", refuse)
         code, out, _ = invoke(capsys, "traces", corpus / "m2.graph", "--extremes", "--json")
         assert code == 0
         payload = json.loads(out)
         assert payload["traces"] == [{"a": "1/2", "b": "1/2"}]
         assert payload["tracial_state_report"]["trace_count"] == 1
+
+    def test_traces_finds_the_extreme_traces_once(self, corpus, capsys, monkeypatch):
+        calls = []
+        true_rays = graphk0.traces.trace_rays
+
+        def counted(g):
+            calls.append(g)
+            return true_rays(g)
+
+        monkeypatch.setattr(graphk0.traces, "trace_rays", counted)
+        for name in ("m2.graph", "o2.graph"):
+            for extra in ((), ("--extremes",)):
+                calls.clear()
+                code, _, _ = invoke(capsys, "traces", corpus / name, *extra)
+                assert code == 0
+                assert len(calls) == 1, (name, extra)
 
     def test_deterministic_output(self, corpus, capsys):
         first = invoke(capsys, "k0", corpus / "toeplitz.graph", "--json")

@@ -162,17 +162,22 @@ class TestComputeK0:
                     assert k.delta[v] == k.coker.project(k.ambient_basis_vector(v))
 
     def test_no_projection_per_vertex(self, monkeypatch):
-        # the classes are read off U; one projection per vertex is O(n^3)
+        # the classes are read off U; one projection per vertex is O(n^3),
+        # so the order unit is the one projection, of the all-ones vector
         graphs = [toeplitz(), infinite_loop(), loops(4)]
         rng = random.Random(47)
         graphs += [random_graph(rng, 8, inf_prob=0.1) for _ in range(10)]
         expected = [k0_to_json(compute_k0(g)) for g in graphs]
+        true_project = CokerPresentation.project
+        calls = []
 
-        def refuse(self, x):
-            raise RuntimeError("compute_k0 called CokerPresentation.project")
+        def counted(self, x):
+            calls.append(x)
+            return true_project(self, x)
 
-        monkeypatch.setattr(CokerPresentation, "project", refuse)
+        monkeypatch.setattr(CokerPresentation, "project", counted)
         assert [k0_to_json(compute_k0(g)) for g in graphs] == expected
+        assert calls == [[1] * len(g.vertices) for g in graphs]
 
     def test_regular_vertex_relation(self):
         # [v] = sum_w A(v, w)[w] for every regular vertex

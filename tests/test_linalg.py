@@ -10,12 +10,13 @@ from math import gcd
 import pytest
 
 import graphk0.linalg
+from graphk0.graphs import Graph
+from graphk0.ktheory import relation_matrix
 from graphk0.linalg import (
     CertificateError,
     Element,
     cokernel,
     determinant,
-    identity_matrix,
     mat_mul,
     mat_vec,
     smith_normal_form,
@@ -35,8 +36,31 @@ def minor_gcd(a, k):
     return g
 
 
+def identity_matrix(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
 def random_matrix(rng, rows, cols, lo=-9, hi=9):
     return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
+
+
+def random_relation_matrix(rng, n):
+    """The relation matrix of a graph on n vertices drawn like the benchmark's
+    graphs: each vertex has 0-3 edges to uniform targets, multiplicity 1-3."""
+    names = [f"v{i}" for i in range(n)]
+    mult = {}
+    for src in names:
+        for _ in range(rng.randrange(0, 4)):
+            key = (src, rng.choice(names))
+            mult[key] = mult.get(key, 0) + rng.randrange(1, 4)
+    return relation_matrix(Graph(names, mult))[0]
+
+
+def assert_dense(m, rows, cols):
+    assert type(m) is list and len(m) == rows
+    for row in m:
+        assert type(row) is list and len(row) == cols
+        assert all(type(x) is int for x in row)
 
 
 def reference_snf(a):
@@ -118,10 +142,14 @@ class TestSmithNormalForm:
         assert snf.invariant_factors == ()
 
     def test_empty_shapes(self):
-        for shape in [(0, 0), (0, 3), (3, 0)]:
+        for shape in [(0, 0), (0, 3), (3, 0), (2, 3)]:
             rows, cols = shape
             snf = smith_normal_form([[0] * cols for _ in range(rows)])
             assert snf.rank == 0
+            width = cols if rows else 0  # a matrix with no rows has no columns
+            for m, dims in ((snf.u, (rows, rows)), (snf.s, (rows, width)),
+                            (snf.v, (width, width)), (snf.u_inv, (rows, rows))):
+                assert_dense(m, *dims)
             assert mat_mul(mat_mul(snf.u, [[0] * cols for _ in range(rows)]), snf.v) == snf.s
 
     def test_transforms_random(self):
@@ -176,6 +204,27 @@ class TestSmithNormalForm:
             assert (snf.u, snf.s, snf.v, snf.u_inv, snf.rank, snf.invariant_factors) == (
                 reference_snf(a)
             ), a
+
+    def test_matches_reference_on_relation_matrices(self):
+        # entries of every third matrix scaled by 2 or 6 give non-unit pivots
+        # and divisibility pulls (45 here) on the shapes compute_k0 meets
+        rng = random.Random(1207)
+        for k in range(24):
+            a = random_relation_matrix(rng, rng.randint(20, 60))
+            if k % 3 == 2:
+                a = [[rng.choice((1, 2, 6)) * x for x in row] for row in a]
+            rows, cols = len(a), len(a[0])
+            snf = smith_normal_form(a)
+            u, s, v, u_inv, rank, factors = reference_snf(a)
+            for m, shape in ((snf.u, (rows, rows)), (snf.s, (rows, cols)),
+                             (snf.v, (cols, cols)), (snf.u_inv, (rows, rows))):
+                assert_dense(m, *shape)
+            assert snf.u == u
+            assert snf.s == s
+            assert snf.v == v
+            assert snf.u_inv == u_inv
+            assert snf.rank == rank
+            assert snf.invariant_factors == factors
 
     def test_deterministic(self):
         a = [[3, -1, 4], [1, 5, -9], [2, 6, 5]]

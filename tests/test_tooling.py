@@ -1,11 +1,14 @@
 import ast
 import os
+import random
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
 import graphk0
+from graphk0.linalg import smith_normal_form
+from test_linalg import random_relation_matrix
 
 
 def test_no_assert_statements_in_library():
@@ -16,6 +19,32 @@ def test_no_assert_statements_in_library():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_smith_form_unchanged_without_asserts():
+    # the elimination holds no assert, so `python -O` must reach the same
+    # Smith form, transforms included, on a relation matrix of 40 vertices
+    a = random_relation_matrix(random.Random(40), 40)
+    snf = smith_normal_form(a)
+    fields = (snf.u, snf.s, snf.v, snf.u_inv, snf.rank, snf.invariant_factors)
+    script = textwrap.dedent(
+        f"""
+        from graphk0.linalg import smith_normal_form
+
+        snf = smith_normal_form({a!r})
+        print(__debug__, (snf.u, snf.s, snf.v, snf.u_inv, snf.rank, snf.invariant_factors))
+        """
+    )
+    src = os.path.dirname(os.path.dirname(graphk0.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"False {fields!r}\n"
 
 
 def _bench_table(filename, name):
