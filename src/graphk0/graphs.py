@@ -54,14 +54,12 @@ class Graph:
         for (src, dst), m in multiplicities.items():
             if src not in index or dst not in index:
                 raise ValueError(f"edge endpoint not declared: {src!r} -> {dst!r}")
-            if m is INF:
-                mult[(src, dst)] = INF
-            elif isinstance(m, int) and not isinstance(m, bool) and m >= 1:
-                mult[(src, dst)] = m
-            elif m == 0:
-                continue
-            else:
+            # INF or an int >= 0, where 0 means no edge; bools, floats and
+            # Fractions are rejected, whatever their value
+            if m is not INF and (type(m) is not int or m < 0):
                 raise ValueError(f"invalid multiplicity {m!r} for {src!r} -> {dst!r}")
+            if m is INF or m:
+                mult[(src, dst)] = m
         self._vertices = vs
         self._index = index
         self._mult = mult

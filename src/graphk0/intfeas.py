@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .linalg import CertificateError, solve_diophantine
-from .lp import EQ, GE, LE, Feasible, check_point, constraint, solve_lp
+from .lp import EQ, GE, LE, Constraint, Feasible, check_point, constraint, solve_lp
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,22 @@ class IntUnknown:
 IntResult = IntWitness | IntInfeasible | IntUnknown
 
 Bound = tuple[int | None, int | None]
+
+
+def relaxation(
+    rows: Sequence[Constraint], bounds: Sequence[Bound]
+) -> tuple[list[Constraint], list[bool]]:
+    """The LP relaxation under ``bounds``, as the constraints and the
+    nonnegativity flags of ``solve_lp``: ``rows``, then each bound as a
+    unit row, except that a zero lower bound is a nonnegativity flag."""
+    cons = list(rows)
+    for j, (lo, hi) in enumerate(bounds):
+        unit = [1 if k == j else 0 for k in range(len(bounds))]
+        if lo is not None and lo != 0:
+            cons.append(constraint(unit, GE, lo))
+        if hi is not None:
+            cons.append(constraint(unit, LE, hi))
+    return cons, [lo is not None and lo >= 0 for lo, _ in bounds]
 
 
 def integer_feasibility(
@@ -64,20 +80,6 @@ def integer_feasibility(
 
     base_cons = [constraint(coeffs, EQ, rhs) for coeffs, rhs in equalities]
     base_cons += [constraint(coeffs, LE, rhs) for coeffs, rhs in inequalities]
-
-    def node_constraints(node_bounds):
-        cons = list(base_cons)
-        for j, (lo, hi) in enumerate(node_bounds):
-            unit = [1 if k == j else 0 for k in range(num_vars)]
-            if lo is not None and lo != 0:
-                cons.append(constraint(unit, GE, lo))
-            if hi is not None:
-                cons.append(constraint(unit, LE, hi))
-        return cons
-
-    def node_nonneg(node_bounds):
-        return [lo is not None and lo >= 0 for lo, _ in node_bounds]
-
     stack: list[list[Bound]] = [list(bounds)]
     nodes = 0
     while stack:
@@ -85,7 +87,7 @@ def integer_feasibility(
             return IntUnknown(nodes_explored=nodes)
         node = stack.pop()
         nodes += 1
-        res = solve_lp(num_vars, node_constraints(node), nonneg=node_nonneg(node))
+        res = solve_lp(num_vars, *relaxation(base_cons, node))
         if not isinstance(res, Feasible):
             continue
         point = res.point
@@ -99,7 +101,7 @@ def integer_feasibility(
                 frac_var = j
         if frac_var < 0:
             ints = tuple(int(v) for v in point)
-            if not check_point(num_vars, node_constraints(bounds), node_nonneg(bounds), ints):
+            if not check_point(num_vars, *relaxation(base_cons, bounds), ints):
                 raise CertificateError("integral relaxation point violates the program")
             return IntWitness(point=ints)
         floor = point[frac_var].numerator // point[frac_var].denominator

@@ -16,23 +16,27 @@ rows.  That cone is simplicial: ``trace_rays`` reads its extreme rays off
 the strongly connected components and certifies that they span it.  Every
 reader of the dual uses those rays: the separating functional is the first
 one negative on the query, the face step keeps the generators on which
-every ray that is zero on the query vanishes, the pointedness functional is
-their sum, and the cone is the whole group exactly when there is none.  A
-query that no cached verdict, finite group or extreme trace settles goes
-to one search (``_cone_search``): ``_cone_program`` lays out the cone's
-integer program (generator counts bounded by their orders, each family's
-emitter and target counts with the capacity rows, then lattice columns),
-branch and bound solves it, and ``_decode_witness`` reads the point back as
-a witness.
+every ray that is zero on the query vanishes, and the cone is the whole
+group exactly when there is none.  A query that no cached verdict, finite
+group or extreme trace settles goes to one search (``_cone_search``):
+``_cone_program`` lays out the cone's integer program (generator counts
+bounded by their orders, each family's emitter and target counts with the
+capacity rows, then lattice columns), branch and bound solves it, and
+``_decode_witness`` reads the point back as a witness.  Pointedness
+(``order_properties``) reads the same program without a budget: with x = 0
+and one generator on which every ray vanishes forced in, its rational
+relaxation is either infeasible, with a Farkas certificate, or gives a
+relation, which ``_decode_witness`` reads as witnesses of x and -x.
 
 ``cone_membership`` is the one gate for certificates: it re-checks every new
 witness before caching it and raises ``CertificateError`` if the check
 fails, and a separating functional that fails ``functional_certifies``
 raises it too, as does a ray list that fails the re-check of
 ``trace_rays``.  These checks are plain code, so they also run under
-``python -O``.  Comparison of two presentations enumerates group
-isomorphisms under a budget and checks cone preservation through the
-membership machinery.
+``python -O``.  Comparison of two presentations compares the group
+invariants, the number of extreme traces and the order flags, then
+enumerates group isomorphisms under a budget and checks cone preservation
+through the membership machinery.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 from .graphs import (
     Graph,
@@ -55,7 +59,7 @@ from .graphs import (
     desingularize_with_tails,
     emitter_edge_listing,
 )
-from .intfeas import IntInfeasible, IntUnknown, IntWitness, integer_feasibility
+from .intfeas import IntInfeasible, IntUnknown, IntWitness, integer_feasibility, relaxation
 from .linalg import (
     CertificateError,
     CokerPresentation,
@@ -122,11 +126,6 @@ class K0Presentation:
     def ambient_index(self, v: str) -> int:
         return self._ambient_index[v]
 
-    def ambient_basis_vector(self, v: str) -> list[int]:
-        vec = [0] * len(self.ambient_order)
-        vec[self._ambient_index[v]] = 1
-        return vec
-
     def group_invariants(self) -> tuple[int, tuple[int, ...]]:
         return self.coker.group_invariants()
 
@@ -156,7 +155,8 @@ def relation_matrix(g: Graph) -> tuple[Matrix, tuple[str, ...]]:
     return mat, order
 
 
-def _build_presentation(g: Graph) -> K0Presentation:
+def compute_k0(g: Graph) -> K0Presentation:
+    """Ordered K0 presentation of an arbitrary finitely presented graph."""
     mat, order = relation_matrix(g)
     coker = cokernel(mat)
     pos = {v: i for i, v in enumerate(order)}
@@ -181,15 +181,10 @@ def _build_presentation(g: Graph) -> K0Presentation:
     )
 
 
-def compute_k0(g: Graph) -> K0Presentation:
-    """Ordered K0 presentation of an arbitrary finitely presented graph."""
-    return _build_presentation(g)
-
-
 def compute_k0_row_finite(g: Graph) -> K0Presentation:
     """Row-finite specialization: the cone is the image of the nonnegative
     orthant, so no generator families appear."""
-    k = _build_presentation(g)
+    k = compute_k0(g)
     if not k.row_finite_orthant:
         raise ValueError("graph has an infinite emitter; row-finite path not applicable")
     return k
@@ -689,22 +684,13 @@ class _ProvenEmpty:
     budget_spent: int
 
 
-def _cone_search(
-    k: K0Presentation, x: Element, budget: int
-) -> Member | _ProvenEmpty | UnknownMembership:
-    """Branch-and-bound search for a decomposition of x into cone generators.
-
-    Families whose emitter and targets all have class zero are dropped:
-    their columns would be zero, and a zero column never enters a basis
-    under Bland's rule and is never branched on.  A family with an uncapped
-    target is either unused or used at least once; each combination of
-    those cases is one ``_cone_program``.  With no family left, a quick
-    search of at most 40 nodes settles the common cases, and a stall falls
-    through to the face-and-lineality reduction, whose final search region
-    is bounded, so the search ends with a definite answer given enough
-    budget.
-    """
-    coker = k.coker
+def _cone_columns(k: K0Presentation):
+    """The generators and families of ``_cone_program``: the nonzero vertex
+    classes as ``(vertex, class)``, and each family as ``(emitter, class,
+    targets)`` with its nonzero-class targets as ``(vertex, capacity,
+    class)``.  Families whose emitter and targets all have class zero are
+    dropped: their columns would be zero, and a zero column never enters a
+    basis under Bland's rule and is never branched on."""
     gens = [(v, k.delta[v]) for v in k.graph.vertices if not k.delta[v].is_zero()]
     fams = []
     for fam in k.cone.families:
@@ -712,6 +698,34 @@ def _cone_search(
         targets = [(w, cap, k.delta[w]) for w, cap in fam.targets if not k.delta[w].is_zero()]
         if targets or not de.is_zero():
             fams.append((fam.emitter, de, targets))
+    return gens, fams
+
+
+def _split_cases(fams):
+    """The ``fams`` arguments of ``_cone_program``, one per case: a family
+    with an uncapped target is either unused or used at least once (lower
+    bound 1), and every other family is present with lower bound 0."""
+    split = [
+        i for i, (_, _, targets) in enumerate(fams) if any(cap is None for _, cap, _ in targets)
+    ]
+    for mask in range(1 << len(split)):
+        used = {split[b] for b in range(len(split)) if mask >> b & 1}
+        yield [(fam, int(i in used)) for i, fam in enumerate(fams) if i in used or i not in split]
+
+
+def _cone_search(
+    k: K0Presentation, x: Element, budget: int
+) -> Member | _ProvenEmpty | UnknownMembership:
+    """Branch-and-bound search for a decomposition of x into cone generators.
+
+    Each case of ``_split_cases`` is one ``_cone_program``.  With no family
+    left, a quick search of at most 40 nodes settles the common cases, and a
+    stall falls through to the face-and-lineality reduction, whose final
+    search region is bounded, so the search ends with a definite answer
+    given enough budget.
+    """
+    coker = k.coker
+    gens, fams = _cone_columns(k)
     lattice = _torsion_lattice_columns(coker)
     if fams:
         # either sign spans the same lattice, but the sign steers the simplex
@@ -721,14 +735,9 @@ def _cone_search(
         limit = budget
     else:
         limit = min(budget, 40)
-    split = [
-        i for i, (_, _, targets) in enumerate(fams) if any(cap is None for _, cap, _ in targets)
-    ]
     spent = 0
     stalled = False
-    for mask in range(1 << len(split)):
-        used = {split[b] for b in range(len(split)) if mask >> b & 1}
-        case = [(fam, int(i in used)) for i, fam in enumerate(fams) if i in used or i not in split]
+    for case in _split_cases(fams):
         if limit - spent < 1:
             return UnknownMembership(budget_spent=spent)
         res = integer_feasibility(
@@ -853,50 +862,98 @@ class OrderProperties:
     pointed_witness: Element | None = None
 
 
-def _canonical_generators(coker: CokerPresentation) -> list[Element]:
-    gens = []
-    ntor = len(coker.torsion_moduli)
-    for i in range(ntor):
-        gens.append(
-            Element(
-                torsion=tuple(1 if j == i else 0 for j in range(ntor)),
-                free=(0,) * coker.free_rank,
-            )
+def _opposite_pair(k: K0Presentation, plus, minus) -> Element:
+    """x, from a witness of x and one of -x; raises ``CertificateError``
+    unless both witnesses are valid and x is nonzero."""
+    x = evaluate_witness(k, plus)
+    if x.is_zero() or not (
+        witness_is_valid(k, plus)
+        and witness_is_valid(k, minus)
+        and evaluate_witness(k, minus) == k.coker.negate(x)
+    ):
+        raise CertificateError("the witnesses of x and -x do not check")
+    return x
+
+
+def _cone_pointed(k: K0Presentation) -> tuple[ThreeValued, Element | None]:
+    """Whether the cone is pointed, and if not an x != 0 with x and -x in it.
+
+    Every trace is >= 0 on every generator, so in a relation "sum of
+    generators = 0" each term is 0 under every extreme ray.  The candidates
+    are the nonzero vertex classes, and the full family elements
+    [e] - sum cap * [w] over the capped targets, on which every ray
+    vanishes; one of finite order d settles it, as -g = (d - 1) g.
+
+    If x != 0 and -x are in the cone, some nonzero generator g of x has
+    -g = (x - g) + (-x) in the cone: g plus a representation of -g is a
+    point of the rational ``_cone_program`` with x = 0 and g's column at
+    least 1, in one case of ``_split_cases``.  In such a point a family
+    has m_w = cap * t where a ray is positive on [w].  Once the case's
+    vertex programs, which run first, are infeasible, it has that on every
+    target and no uncapped one, since a lower m_w or an uncapped target
+    would turn into a point of the program of [w].  So the part of a
+    feasible point at its candidate is nonzero, and the rest represents
+    minus it.  When every program is infeasible (``solve_lp`` re-checks
+    each Farkas certificate) the cone is pointed.
+    """
+    gens, fams = _cone_columns(k)
+    full = {e: [(w, cap) for w, cap, _ in targets if cap is not None] for e, _, targets in fams}
+
+    def single(key, c):
+        """The witness of c times the candidate ``key``."""
+        kind, name = key
+        if kind == "vertex":
+            return MembershipWitness(((name, c),), ())
+        use = FamilyUse(name, c, tuple((w, c * n) for w, n in full[name]))
+        return MembershipWitness((), (use,))
+
+    candidates = []
+    for key in [("vertex", v) for v, _ in gens] + [("family", e) for e in full]:
+        x = evaluate_witness(k, single(key, 1))
+        order = k.coker.element_order(x)
+        if order is None:
+            lift = k.coker.lift(x)
+            if not any(_dot(h, lift) for h in k._rays):
+                candidates.append(key)
+        elif order > 1:
+            return ThreeValued.NO, _opposite_pair(k, single(key, 1), single(key, order - 1))
+    if not candidates:
+        return ThreeValued.YES, None
+    lattice = _torsion_lattice_columns(k.coker)
+    for case in _split_cases(fams):
+        num_vars, equalities, inequalities, bounds = _cone_program(
+            k.coker, k.coker.zero(), gens, case, lattice
         )
-    for j in range(coker.free_rank):
-        gens.append(
-            Element(
-                torsion=(0,) * ntor,
-                free=tuple(1 if l == j else 0 for l in range(coker.free_rank)),
-            )
-        )
-    return gens
+        rows = [constraint(row, EQ, rhs) for row, rhs in equalities]
+        rows += [constraint(row, LE, rhs) for row, rhs in inequalities]
+        spans = {("vertex", v): (i, i + 1) for i, (v, _) in enumerate(gens)}
+        col = len(gens)
+        for (emitter, _, targets), _ in case:
+            spans[("family", emitter)] = (col, col + 1 + len(targets))
+            col += 1 + len(targets)
+        for lo, hi in (spans[key] for key in candidates if key in spans):
+            forced = list(bounds)
+            forced[lo] = (1, None)
+            res = solve_lp(num_vars, *relaxation(rows, forced))
+            if not isinstance(res, Feasible):
+                continue
+            # the lattice coefficients scale to integers too, so the
+            # relation is 0 in the torsion coordinates as well
+            scale = lcm(*(q.denominator for q in res.point))
+            point = [int(q * scale) for q in res.point]
+            part = [c if lo <= j < hi else 0 for j, c in enumerate(point)]
+            rest = [0 if lo <= j < hi else c for j, c in enumerate(point)]
+            plus, minus = (_decode_witness(gens, case, p) for p in (part, rest))
+            return ThreeValued.NO, _opposite_pair(k, plus, minus)
+    return ThreeValued.YES, None
 
 
-def _strictly_positive_functional(k: K0Presentation) -> tuple[int, ...] | None:
-    """The sum of the extreme traces, when it is at least 1 on every nonzero
-    vertex class and every emitter exceeds its finite batch by at least 1
-    under it: it is then positive on every nonzero generator, and certifies
-    pointedness.  Each trace is a sum of extreme traces, so when any trace
-    passes this check the sum passes it too."""
-    cone = trace_cone(k.graph)
-    n = len(cone.variables)
-    rows = [constraint(row, EQ, rhs) for row, rhs in cone.equalities]
-    rows += [constraint(row, LE, -1) for row, _ in cone.inequalities]
-    rows += [
-        constraint([1 if j == i else 0 for j in range(n)], GE, 1)
-        for i, v in enumerate(cone.variables)
-        if not k.delta[v].is_zero()
-    ]
-    phi = tuple(map(sum, zip(*k._rays, (0,) * n)))
-    if not check_point(n, rows, [True] * n, _to_declaration(k, phi)):
-        return None
-    return phi
-
-
-def order_properties(k: K0Presentation, budget: int = DEFAULT_BUDGET) -> OrderProperties:
-    gens = _canonical_generators(k.coker)
-    if not gens:
+def order_properties(k: K0Presentation) -> OrderProperties:
+    """Whether the cone is the whole group and whether it is pointed, read
+    off the extreme traces with no membership search; neither flag is ever
+    UNKNOWN.  ``pointed_witness`` is an x != 0 with x and -x in the cone
+    when the cone is not pointed."""
+    if k.group_invariants() == (0, ()):
         return OrderProperties(
             cone_is_everything=ThreeValued.YES, cone_pointed=ThreeValued.YES
         )
@@ -908,27 +965,14 @@ def order_properties(k: K0Presentation, budget: int = DEFAULT_BUDGET) -> OrderPr
         return OrderProperties(
             cone_is_everything=ThreeValued.YES,
             cone_pointed=ThreeValued.NO,
-            pointed_witness=gens[0],
+            pointed_witness=next(e for e in k.delta.values() if not e.is_zero()),
         )
     # an extreme trace h_b is 1 on [b], so -[b] is outside the cone
-    per_call = max(1000, budget // max(1, 2 * len(gens)))
-    pointed = ThreeValued.UNKNOWN
-    pointed_witness = None
-    for v in k.graph.vertices:
-        dv = k.delta[v]
-        if dv.is_zero():
-            continue
-        verdict = cone_membership(k, k.coker.negate(dv), budget=per_call)
-        if isinstance(verdict, Member):
-            pointed = ThreeValued.NO
-            pointed_witness = dv
-            break
-    if pointed is ThreeValued.UNKNOWN and _strictly_positive_functional(k) is not None:
-        pointed = ThreeValued.YES
+    pointed, witness = _cone_pointed(k)
     return OrderProperties(
         cone_is_everything=ThreeValued.NO,
         cone_pointed=pointed,
-        pointed_witness=pointed_witness,
+        pointed_witness=witness,
     )
 
 
@@ -984,67 +1028,28 @@ def apply_iso(moduli: tuple[int, ...], iso: GroupIso, e: Element) -> Element:
     return Element(torsion=torsion, free=free)
 
 
-def _torsion_inverse(moduli, tmap) -> tuple[tuple[int, ...], ...] | None:
-    n = len(moduli)
-    if n == 0:
-        return ()
-    mat = [
-        [tmap[i][j] for j in range(n)] + [moduli[i] if j == i else 0 for j in range(n)]
+def _invert_iso(moduli, iso: GroupIso) -> GroupIso | None:
+    """The inverse of ``iso``, or None when it is not invertible.  Over the
+    (free, torsion) coordinates ``iso`` is [[F, 0], [S, T]] with torsion
+    rows mod the moduli, so inverse column j solves
+    [[F, 0, 0], [S, T, diag(moduli)]] x = e_j, reduced mod the moduli."""
+    nfree, n = len(iso.free_map), len(moduli)
+    mat = [list(row) + [0] * (2 * n) for row in iso.free_map]
+    mat += [
+        [*iso.mixed_map[i], *iso.torsion_map[i], *(moduli[i] if j == i else 0 for j in range(n))]
         for i in range(n)
     ]
     cols = []
-    for i in range(n):
-        rhs = [1 if r == i else 0 for r in range(n)]
-        sol = solve_diophantine(mat, rhs)
+    for j in range(nfree + n):
+        sol = solve_diophantine(mat, [int(r == j) for r in range(nfree + n)])
         if sol is None:
             return None
-        cols.append([sol[r] % moduli[r] for r in range(n)])
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-
-
-def _invert_iso(moduli, iso: GroupIso) -> GroupIso | None:
-    nfree = len(iso.free_map)
-    tinv = _torsion_inverse(moduli, iso.torsion_map)
-    if tinv is None:
-        return None
-    if nfree:
-        fmat = [list(r) for r in iso.free_map]
-        det = determinant(fmat)
-        if det not in (1, -1):
-            return None
-        finv = _integer_inverse(fmat, det)
-    else:
-        finv = ()
-    n = len(moduli)
-    mixed = tuple(
-        tuple(
-            (
-                -sum(
-                    tinv[i][a] * iso.mixed_map[a][b] * finv[b][l]
-                    for a in range(n)
-                    for b in range(nfree)
-                )
-            )
-            % moduli[i]
-            for l in range(nfree)
-        )
-        for i in range(n)
+        cols.append(sol[:nfree] + [sol[nfree + i] % moduli[i] for i in range(n)])
+    return GroupIso(
+        free_map=tuple(tuple(cols[l][i] for l in range(nfree)) for i in range(nfree)),
+        torsion_map=tuple(tuple(cols[nfree + j][nfree + i] for j in range(n)) for i in range(n)),
+        mixed_map=tuple(tuple(cols[l][nfree + i] for l in range(nfree)) for i in range(n)),
     )
-    return GroupIso(free_map=finv, torsion_map=tinv, mixed_map=mixed)
-
-
-def _integer_inverse(mat: Matrix, det: int) -> tuple[tuple[int, ...], ...]:
-    n = len(mat)
-    adj = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = [
-                [mat[r][c] for c in range(n) if c != i] for r in range(n) if r != j
-            ]
-            row.append(((-1) ** (i + j)) * determinant(minor) // det)
-        adj.append(tuple(row))
-    return tuple(adj)
 
 
 def _free_map_options(nfree: int):
@@ -1176,8 +1181,14 @@ def compare_k0(
         return NotIsomorphic(
             reason=f"group invariants differ: {inv1} vs {inv2}"
         )
-    op1 = order_properties(k1, budget=8 * COMPARE_MEMBERSHIP_BUDGET)
-    op2 = order_properties(k2, budget=8 * COMPARE_MEMBERSHIP_BUDGET)
+    if len(k1._rays) != len(k2._rays):
+        # the extreme traces are the extreme rays of Hom+(K0, R), an
+        # invariant of the ordered group, and trace_rays certifies them all
+        return NotIsomorphic(
+            reason=f"extreme trace counts differ: {len(k1._rays)} vs {len(k2._rays)}"
+        )
+    op1 = order_properties(k1)
+    op2 = order_properties(k2)
     for name, a, b in (
         ("cone-is-everything", op1.cone_is_everything, op2.cone_is_everything),
         ("pointedness", op1.cone_pointed, op2.cone_pointed),
@@ -1188,7 +1199,8 @@ def compare_k0(
     nfree, moduli = inv1
     gens1 = _cone_generator_elements(k1, VERIFIED_BOUND)
     gens2 = _cone_generator_elements(k2, VERIFIED_BOUND)
-    canon = _canonical_generators(k1.coker)
+    # the vertex classes generate the group
+    canon = list(k1.delta.values())
 
     candidates, complete = _enumerate_candidates(moduli, nfree, budget)
     uncertain = False
@@ -1204,32 +1216,17 @@ def compare_k0(
             continue
         if use_order_unit and apply_iso(moduli, iso, k1.order_unit) != k2.order_unit:
             continue
-        ok = True
-        for e in gens1:
-            verdict = cone_membership(
-                k2, apply_iso(moduli, iso, e), budget=COMPARE_MEMBERSHIP_BUDGET
-            )
-            if isinstance(verdict, Member):
-                continue
-            ok = False
-            if isinstance(verdict, UnknownMembership):
-                uncertain = True
-            break
-        if ok:
-            for e in gens2:
-                verdict = cone_membership(
-                    k1, apply_iso(moduli, inverse, e), budget=COMPARE_MEMBERSHIP_BUDGET
-                )
-                if isinstance(verdict, Member):
-                    continue
-                ok = False
-                if isinstance(verdict, UnknownMembership):
-                    uncertain = True
-                break
-        if ok:
-            return IsomorphicCandidate(
-                iso=iso, inverse=inverse, verified_bound=VERIFIED_BOUND
-            )
+        # the images of k1's generators in k2's cone, then back, stopping
+        # at the first one that is not a Member
+        verdicts = (
+            cone_membership(target, apply_iso(moduli, m, e), budget=COMPARE_MEMBERSHIP_BUDGET)
+            for target, m, gens in ((k2, iso, gens1), (k1, inverse, gens2))
+            for e in gens
+        )
+        rejection = next((v for v in verdicts if not isinstance(v, Member)), None)
+        if rejection is None:
+            return IsomorphicCandidate(iso=iso, inverse=inverse, verified_bound=VERIFIED_BOUND)
+        uncertain = uncertain or isinstance(rejection, UnknownMembership)
     if complete and not uncertain:
         kind = "unit-preserving ordered-group" if use_order_unit else "ordered-group"
         return NotIsomorphic(

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -111,6 +112,11 @@ class TestGraphModel:
             Graph(["a"], {("a", "a"): -1})
         with pytest.raises(ValueError):
             Graph(["bad name"], {})
+        # only the int 0 is "no edge"; other zeros and non-int ones raise
+        for m in (False, True, 0.0, 1.0, Fraction(0), Fraction(1), "1", None):
+            with pytest.raises(ValueError):
+                Graph(["a"], {("a", "a"): m})
+        assert Graph(["a"], {("a", "a"): 0}).edges() == []
 
     def test_zero_multiplicity_dropped(self):
         g = Graph(["a", "b"], {("a", "b"): 0})

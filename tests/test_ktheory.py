@@ -159,7 +159,8 @@ class TestComputeK0:
                 g = random_graph(rng, 7, inf_prob=inf_prob)
                 k = compute_k0(g)
                 for v in g.vertices:
-                    assert k.delta[v] == k.coker.project(k.ambient_basis_vector(v))
+                    unit = [int(u == v) for u in k.ambient_order]
+                    assert k.delta[v] == k.coker.project(unit)
 
     def test_no_projection_per_vertex(self, monkeypatch):
         # the classes are read off U; one projection per vertex is O(n^3),
@@ -292,7 +293,7 @@ class TestConeMembership:
         assert proc.stdout == "debug False raised\n"
 
     def test_corrupted_functional_raises_without_asserts(self):
-        # a separating or strictly positive functional read off a corrupted
+        # a separating functional or an order property read off a corrupted
         # extreme trace raises, under `python -O` too: a ray corrupted in
         # the construction fails the re-check of trace_rays, and one
         # corrupted after it fails the functional_certifies gate
@@ -313,7 +314,7 @@ class TestConeMembership:
             gated._rays = [(2, 1)]
             for name, call in (
                 ("separating", lambda: kt.cone_membership(k, Element(torsion=(), free=(-1,)))),
-                ("positive", lambda: kt._strictly_positive_functional(k)),
+                ("positive", lambda: kt.order_properties(k)),
                 ("gate", lambda: kt.cone_membership(gated, Element(torsion=(), free=(-1,)))),
             ):
                 try:
@@ -339,18 +340,19 @@ class TestConeMembership:
         # a and b each dominate the other with one edge and reach u (class 0)
         # infinitely often: [a] - [b] and [b] - [a] are both in the cone, so
         # it is not pointed, though the trace 1, 1, 0 is positive on every
-        # nonzero vertex class.  It is zero on [a] - [b]; a pointedness
-        # certificate must be positive on the family elements too.
+        # nonzero vertex class.  It is zero on [a] - [b], and no -[v] is in
+        # the cone, so the witness is a family element.
         g = Graph(
             ["a", "b", "u"],
             {("a", "b"): 1, ("a", "u"): INF, ("b", "a"): 1, ("b", "u"): INF, ("u", "u"): 2},
         )
+        props = order_properties(compute_k0(g))
+        assert props.cone_pointed is ThreeValued.NO
         k = compute_k0(g)
-        diff = k.coker.subtract(k.delta["a"], k.delta["b"])
-        assert isinstance(cone_membership(k, diff), Member)
-        assert isinstance(cone_membership(k, k.coker.negate(diff)), Member)
-        assert graphk0.ktheory._strictly_positive_functional(k) is None
-        assert order_properties(k, budget=1000).cone_pointed is not ThreeValued.YES
+        x = props.pointed_witness
+        assert not x.is_zero()
+        assert isinstance(cone_membership(k, x), Member)
+        assert isinstance(cone_membership(k, k.coker.negate(x)), Member)
 
     def test_face_reduction_one_pass(self, monkeypatch):
         # the restart loop it replaced: after each deletion, test the
@@ -576,6 +578,61 @@ class TestOrderProperties:
         assert props.cone_pointed is ThreeValued.NO
 
 
+    def test_seed_11_draw(self):
+        # no flag is UNKNOWN; every NO comes with x and -x in the cone, and
+        # no YES is contradicted by the sums of at most four generators,
+        # family elements with up to two targets taken included
+        rng = random.Random(11)
+        decided = {ThreeValued.NO: 0, ThreeValued.YES: 0}
+        for i in range(400):
+            g = random_graph(rng, 6, inf_prob=0.3 if i % 2 else 0.0)
+            k = compute_k0(g)
+            props = order_properties(k)
+            decided[props.cone_pointed] += 1
+            if props.cone_pointed is ThreeValued.NO:
+                if props.cone_is_everything is ThreeValued.YES:
+                    # the empty ray list certifies it, while the membership
+                    # search can stall on such a cone
+                    continue
+                x = props.pointed_witness
+                assert not x.is_zero()
+                assert isinstance(cone_membership(k, x), Member), g.edges()
+                assert isinstance(cone_membership(k, k.coker.negate(x)), Member), g.edges()
+                continue
+            moves = set(k.delta.values())
+            for fam in k.cone.families:
+                tops = [2 if cap is None else min(cap, 2) for _, cap in fam.targets]
+                for counts in product(*(range(top + 1) for top in tops)):
+                    if sum(counts) <= 2:
+                        e = k.delta[fam.emitter]
+                        for (w, _), c in zip(fam.targets, counts):
+                            e = k.coker.subtract(e, k.coker.scale(c, k.delta[w]))
+                        moves.add(e)
+            reachable = frontier = {k.coker.zero()}
+            for _ in range(4):
+                frontier = {k.coker.add(e, m) for e in frontier for m in moves} - reachable
+                reachable = reachable | frontier
+            assert all(
+                x.is_zero() or k.coker.negate(x) not in reachable for x in reachable
+            ), g.edges()
+        assert sum(decided.values()) == 400
+        assert decided == {ThreeValued.NO: 280, ThreeValued.YES: 120}
+
+    def test_no_membership_search(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("order_properties ran a membership search")
+
+        monkeypatch.setattr(graphk0.ktheory, "cone_membership", forbidden)
+        monkeypatch.setattr(graphk0.ktheory, "integer_feasibility", forbidden)
+        rng = random.Random(12)
+        graphs = [toeplitz(), infinite_loop(), loops(4)]
+        graphs += [random_graph(rng, 6, inf_prob=0.3) for _ in range(40)]
+        for g in graphs:
+            k = compute_k0(g)
+            order_properties(k)
+            assert not k._membership_cache
+
+
 class TestCompare:
     def test_o2_vs_o3(self):
         verdict = compare_k0(compute_k0(loops(2)), compute_k0(loops(3)))
@@ -666,6 +723,19 @@ class TestCompare:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "UnknownComparison(budget_spent=1)\n"
+
+    def test_extreme_trace_counts_differ(self):
+        # two sinks, and an emitter reaching a sink infinitely often: both
+        # groups are Z^2, both cones are pointed and not everything, but
+        # the first has two extreme traces and the second one
+        k1 = compute_k0(Graph(["a", "b"], {}))
+        k2 = compute_k0(Graph(["e", "w"], {("e", "w"): INF}))
+        assert k1.group_invariants() == k2.group_invariants() == (2, ())
+        assert order_properties(k1) == order_properties(k2)
+        for ka, kb in ((k1, k2), (k2, k1)):
+            verdict = compare_k0(ka, kb)
+            assert isinstance(verdict, NotIsomorphic)
+            assert "extreme trace counts differ" in verdict.reason
 
     def test_torsion_automorphism_search(self):
         # Z/4 with generator 1 vs Z/4 with generator 3: iso via x -> 3x
