@@ -17,16 +17,21 @@ the strongly connected components and certifies that they span it.  Every
 reader of the dual uses those rays: the separating functional is the first
 one negative on the query, the face step keeps the generators on which
 every ray that is zero on the query vanishes, and the cone is the whole
-group exactly when there is none.  A query that no cached verdict, finite
-group or extreme trace settles goes to one search (``_cone_search``):
+group exactly when there is none.  Then every query is a member, read off
+a preimage (``_whole_group_witness``).  A query that no cached verdict or
+extreme trace settles goes to one search (``_cone_search``):
 ``_cone_program`` lays out the cone's integer program (generator counts
 bounded by their orders, each family's emitter and target counts with the
 capacity rows, then lattice columns), branch and bound solves it, and
-``_decode_witness`` reads the point back as a witness.  Pointedness
-(``order_properties``) reads the same program without a budget: with x = 0
-and one generator on which every ray vanishes forced in, its rational
-relaxation is either infeasible, with a Farkas certificate, or gives a
-relation, which ``_decode_witness`` reads as witnesses of x and -x.
+``_decode_witness`` reads the point back as a witness.  Without families
+the units (the generators on which every ray vanishes) become lattice
+columns, once per presentation, and the search runs over the rest of the
+query's face.  The same program with x = 0, one column forced to at least
+1 and no budget gives relations (``_relation``): its rational relaxation
+is either infeasible, with a Farkas certificate, or scales to a relation,
+read as witnesses of a generator and its negative.  They write minus a
+unit as a sum of units, and pointedness (``order_properties``) forces in
+each generator on which every ray vanishes.
 
 ``cone_membership`` is the one gate for certificates: it re-checks every new
 witness before caching it and raises ``CertificateError`` if the check
@@ -65,8 +70,11 @@ from .linalg import (
     CokerPresentation,
     Element,
     Matrix,
+    SmithForm,
     cokernel,
     determinant,
+    mat_mul,
+    mat_vec,
     smith_normal_form,
     solve_diophantine,
 )
@@ -115,7 +123,6 @@ class K0Presentation:
         self.relation_matrix = relation_matrix
         self._ambient_index = {v: i for i, v in enumerate(ambient_order)}
         self._membership_cache: dict[Element, tuple[object, int]] = {}
-        self._face_cache: dict[tuple, tuple] = {}
 
     @property
     def row_finite_orthant(self) -> bool:
@@ -137,6 +144,31 @@ class K0Presentation:
     def _rays(self) -> list[tuple[int, ...]]:
         """The extreme graph traces (``trace_rays``) in ambient order."""
         return [_to_ambient(self, h) for h in trace_rays(self.graph)]
+
+    @cached_property
+    def _lineality(self):
+        """The units of a cone without families, a witness of minus
+        each, and a lattice basis for a search over the rest.
+
+        The cone is then generated by the vertex classes, so its rational
+        cone is closed and dual to the extreme traces, and a trace's value
+        on [v] is its value at v.  So [v] is a unit (-[v] is in the cone)
+        exactly when every ray vanishes at v, and then minus it is a
+        combination of units alone: every ray vanishes on -[v], and no ray
+        is negative on a generator.  Returns the units as ``(vertex,
+        class)``, their negations (``_negation`` over the units), and the
+        Smith normal form of the matrix whose columns are the quotient
+        coordinates of the units, then the torsion moduli
+        (``_torsion_lattice_columns``).  None of it depends on the query.
+        """
+        gens, _ = _cone_columns(self)
+        rays = self._rays
+        units = [(v, e) for v, e in gens if not any(h[self.ambient_index(v)] for h in rays)]
+        negations = [_negation(self.coker, units, (), i) for i in range(len(units))]
+        lattice = [_quotient_coords(e) for _, e in units] + _torsion_lattice_columns(self.coker)
+        dim = len(self.coker.torsion_moduli) + self.coker.free_rank
+        snf = smith_normal_form([[col[r] for col in lattice] for r in range(dim)])
+        return units, negations, snf
 
 
 def relation_matrix(g: Graph) -> tuple[Matrix, tuple[str, ...]]:
@@ -489,27 +521,32 @@ def functional_certifies(
     return _dot(phi, k.coker.lift(x)) < 0
 
 
-def _pure_torsion_witness(k: K0Presentation, x: Element) -> MembershipWitness:
-    """With no free part the vertex classes generate the whole (finite)
-    group, so every element has a witness; build one by a lattice solve
-    reduced mod orders."""
-    moduli = k.coker.torsion_moduli
-    gens = [(v, k.delta[v]) for v in k.graph.vertices if not k.delta[v].is_zero()]
-    rows = len(moduli)
-    mat = [
-        [e.torsion[i] for _, e in gens] + [moduli[i] if j == i else 0 for j in range(rows)]
-        for i in range(rows)
-    ]
-    sol = solve_diophantine(mat, list(x.torsion))
-    if sol is None:
-        raise CertificateError(f"the vertex classes do not generate {x}")
-    counts = []
-    for (v, e), c in zip(gens, sol):
-        order = k.coker.element_order(e)
-        c %= order
-        if c:
-            counts.append((v, c))
-    return MembershipWitness(base_counts=tuple(counts), family_uses=())
+def _single(v: str) -> MembershipWitness:
+    """The witness of the vertex class [v]."""
+    return MembershipWitness(base_counts=((v, 1),), family_uses=())
+
+
+def _combine(terms) -> MembershipWitness:
+    """The witness of the sum of c * w over the pairs (c, w >= 0) in
+    ``terms``: base counts sorted by vertex, one use per emitter."""
+    base: dict[str, int] = {}
+    uses: dict[str, tuple[list[int], dict[str, int]]] = {}
+    for c, w in terms:
+        for v, n in w.base_counts:
+            base[v] = base.get(v, 0) + c * n
+        for use in w.family_uses:
+            count, targets = uses.setdefault(use.emitter, ([0], {}))
+            count[0] += c * use.count
+            for t, n in use.target_counts:
+                targets[t] = targets.get(t, 0) + c * n
+    return MembershipWitness(
+        base_counts=tuple(sorted((v, n) for v, n in base.items() if n)),
+        family_uses=tuple(
+            FamilyUse(e, count, tuple((t, n) for t, n in targets.items() if n))
+            for e, ([count], targets) in uses.items()
+            if count
+        ),
+    )
 
 
 def _quotient_coords(e: Element) -> list[int]:
@@ -520,7 +557,7 @@ def _torsion_lattice_columns(coker: CokerPresentation) -> list[list[int]]:
     """Columns spanning the representative ambiguity of torsion residues."""
     dim = len(coker.torsion_moduli) + coker.free_rank
     return [
-        [coker.torsion_moduli[i] if r == i else 0 for r in range(dim)]
+        [-coker.torsion_moduli[i] if r == i else 0 for r in range(dim)]
         for i in range(len(coker.torsion_moduli))
     ]
 
@@ -590,98 +627,53 @@ def _face_reduction(k: K0Presentation, gens, x: Element):
     smallest face F.  The traces are the functionals nonnegative on that
     cone, and a trace that is zero on x is a sum of extreme traces that are
     zero on x.  So a generator lies outside F exactly when some extreme
-    trace that is zero on x is positive on it, and is then dropped.
+    trace that is zero on x is positive on it, and is then dropped.  A
+    trace vanishes on the relations, so its value on [v] is its value at v.
     """
     lift = k.coker.lift(x)
     face = [phi for phi in k._rays if _dot(phi, lift) == 0]
-    kept = []
-    for v, e in gens:
-        lift = k.coker.lift(e)
-        if not any(_dot(phi, lift) > 0 for phi in face):
-            kept.append((v, e))
-    return kept
+    return [(v, e) for v, e in gens if not any(phi[k.ambient_index(v)] for phi in face)]
 
 
-def _lineality_units(k: K0Presentation, active):
-    """Generators whose negative lies in the rational cone of the face.
+def _relation(coker: CokerPresentation, gens, fams, lattice, col: int):
+    """A relation "sum of cone generators = 0" with column ``col`` at least
+    1, as an integer point of ``_cone_program`` with x = 0, or None.
 
-    Such a generator u can be used with any integer coefficient: from a
-    rational combination D*(-u) = sum n_g * g, scaling by the torsion
-    exponent L gives the exact group identity -u = (D*L-1)*u + sum L*n_g*g
-    with nonnegative coefficients.
+    The rational relaxation is solved (``solve_lp`` re-checks a Farkas
+    certificate) and a feasible point is scaled by the lcm of its
+    denominators.  The lattice coefficients scale to integers too, so the
+    relation holds in the torsion coordinates as well.
     """
-    nfree = k.coker.free_rank
-    exponent = 1
-    for d in k.coker.torsion_moduli:
-        exponent *= d
-    units = []
-    for idx, (v, e) in enumerate(active):
-        cons = []
-        for j in range(nfree):
-            row = [g.free[j] for _, g in active]
-            cons.append(constraint(row, EQ, -e.free[j]))
-        res = solve_lp(len(active), cons)
-        if not isinstance(res, Feasible):
-            continue
-        denom = 1
-        for q in res.point:
-            denom = denom * q.denominator // gcd(denom, q.denominator)
-        counts = tuple(int(q * denom) * exponent for q in res.point)
-        scale = denom * exponent  # -u = (scale - 1) * u + sum counts * g
-        units.append((idx, scale, counts))
-    return units
+    num_vars, equalities, inequalities, bounds = _cone_program(
+        coker, coker.zero(), gens, fams, lattice
+    )
+    rows = [constraint(row, EQ, rhs) for row, rhs in equalities]
+    rows += [constraint(row, LE, rhs) for row, rhs in inequalities]
+    bounds[col] = (1, None)
+    res = solve_lp(num_vars, *relaxation(rows, bounds))
+    if not isinstance(res, Feasible):
+        return None
+    scale = lcm(*(q.denominator for q in res.point))
+    return [int(q * scale) for q in res.point]
 
 
-def _expand_unit_uses(active, units, coefficients):
-    """Turn integer coefficients on lineality generators into plain counts."""
-    counts = [0] * len(active)
-    for (idx, scale, expansion), c in zip(units, coefficients):
-        if c >= 0:
-            counts[idx] += c
-        else:
-            counts[idx] += (-c) * (scale - 1)
-            for g_idx, n in enumerate(expansion):
-                counts[g_idx] += (-c) * n
-    return counts
+def _negation(coker: CokerPresentation, gens, fams, col: int) -> MembershipWitness:
+    """A witness of minus the generator ``gens[col]``: the rest of a
+    ``_relation`` in the first case of ``_split_cases(fams)`` that has one.
+    Raises ``CertificateError`` when no case has one."""
+    lattice = _torsion_lattice_columns(coker)
+    for case in _split_cases(fams):
+        point = _relation(coker, gens, case, lattice, col)
+        if point is not None:
+            point[col] -= 1
+            return _decode_witness(gens, case, point)
+    v = gens[col][0]
+    raise CertificateError(f"no relation puts -[{v}] in the cone, yet no ray is positive at {v}")
 
 
-def _reduced_face(k: K0Presentation, gens, x: Element):
-    """The face of the cone that can hold x, with its lineality.
-
-    Returns the generators left by ``_face_reduction``, their lineality
-    units, the pointed rest, and a lattice basis spanning the units and the
-    torsion ambiguity, each basis column with its expression in those."""
-    face_key = (tuple(sorted(v for v, _ in gens)), tuple(x.free))
-    cached = k._face_cache.get(face_key)
-    if cached is None:
-        active = _face_reduction(k, gens, x)
-        units = _lineality_units(k, active)
-        k._face_cache[face_key] = (active, units)
-    else:
-        active, units = cached
-    unit_indices = {idx for idx, _, _ in units}
-    pointed = [pair for i, pair in enumerate(active) if i not in unit_indices]
-    lattice = [_quotient_coords(active[idx][1]) for idx, _, _ in units]
-    lattice += _torsion_lattice_columns(k.coker)
-    basis_cols: list[list[int]] = []
-    basis_expr: list[list[int]] = []
-    if lattice:
-        mat = [list(row) for row in zip(*lattice)]
-        snf = smith_normal_form(mat)
-        for i in range(snf.rank):
-            expr = [snf.v[j][i] for j in range(len(lattice))]
-            basis_cols.append([sum(a * b for a, b in zip(row, expr)) for row in mat])
-            basis_expr.append(expr)
-    return active, units, pointed, basis_cols, basis_expr
-
-
-@dataclass(frozen=True)
 class _ProvenEmpty:
     """Every search tree closed empty, so x has no decomposition into cone
-    generators; ``budget_spent`` counts the nodes of stages that stalled
-    before the one that closed."""
-
-    budget_spent: int
+    generators."""
 
 
 def _cone_columns(k: K0Presentation):
@@ -713,67 +705,73 @@ def _split_cases(fams):
         yield [(fam, int(i in used)) for i, fam in enumerate(fams) if i in used or i not in split]
 
 
+def _modulo_lattice(snf: SmithForm, program):
+    """``program``, a ``_cone_program`` without lattice columns, with its
+    equalities asked only modulo the lattice spanned by the columns of the
+    m that ``snf`` diagonalizes (u @ m @ v == s).  A residue r lies in that
+    lattice exactly when each (u @ r)_i is a multiple of s's diagonal entry
+    d_i (0 beyond the rank).  So the rows are combined by u; a row with
+    d_i == 1 holds at every integer point and is dropped, and a row with
+    d_i > 1 gets a free column d_i, so that no coefficient the other
+    variables determine is branched on."""
+    num_vars, equalities, inequalities, bounds = program
+    factors = snf.invariant_factors + (0,) * (len(snf.u) - snf.rank)
+    free = [i for i, d in enumerate(factors) if d > 1]
+    combined = mat_mul(snf.u, [[*row, rhs] for row, rhs in equalities])
+    rows = [
+        (row[:-1] + [d if f == i else 0 for f in free], row[-1])
+        for i, (row, d) in enumerate(zip(combined, factors))
+        if d != 1
+    ]
+    return num_vars + len(free), rows, inequalities, bounds + [(None, None)] * len(free)
+
+
 def _cone_search(
     k: K0Presentation, x: Element, budget: int
 ) -> Member | _ProvenEmpty | UnknownMembership:
     """Branch-and-bound search for a decomposition of x into cone generators.
 
-    Each case of ``_split_cases`` is one ``_cone_program``.  With no family
-    left, a quick search of at most 40 nodes settles the common cases, and a
-    stall falls through to the face-and-lineality reduction, whose final
-    search region is bounded, so the search ends with a definite answer
-    given enough budget.
+    With families, each case of ``_split_cases`` is one ``_cone_program``,
+    searched in turn with the whole budget.  Without them the search is one
+    program over the generators of x's face (``_face_reduction``) that are
+    not units, taken modulo the lattice the units and the torsion moduli
+    span (``K0Presentation._lineality``, ``_modulo_lattice``).  The rest is
+    that lattice's combination of units, and a negative coefficient on a
+    unit is paid with its negation.  Those generators span a pointed cone,
+    so that search region is bounded and the search ends with a definite
+    answer given enough budget.
     """
     coker = k.coker
     gens, fams = _cone_columns(k)
-    lattice = _torsion_lattice_columns(coker)
     if fams:
-        # either sign spans the same lattice, but the sign steers the simplex
-        # pivots and so which witness is reported: family programs use -d,
-        # programs without families +d, which keeps reported witnesses stable
-        lattice = [[-c for c in col] for col in lattice]
-        limit = budget
-    else:
-        limit = min(budget, 40)
-    spent = 0
-    stalled = False
-    for case in _split_cases(fams):
-        if limit - spent < 1:
-            return UnknownMembership(budget_spent=spent)
-        res = integer_feasibility(
-            *_cone_program(coker, x, gens, case, lattice), budget=limit - spent
-        )
-        if isinstance(res, IntWitness):
-            return Member(witness=_decode_witness(gens, case, res.point))
-        if isinstance(res, IntUnknown):
-            spent += res.nodes_explored
-            stalled = True
-    if not stalled:
-        return _ProvenEmpty(budget_spent=spent)
-    if fams:
-        return UnknownMembership(budget_spent=spent)
+        lattice = _torsion_lattice_columns(coker)
+        for case in _split_cases(fams):
+            program = _cone_program(coker, x, gens, case, lattice)
+            res = integer_feasibility(*program, budget=budget)
+            if isinstance(res, IntWitness):
+                return Member(witness=_decode_witness(gens, case, res.point))
+            if isinstance(res, IntUnknown):
+                return UnknownMembership(budget_spent=res.nodes_explored)
+        return _ProvenEmpty()
 
-    active, units, pointed, basis_cols, basis_expr = _reduced_face(k, gens, x)
-    if budget - spent < 1:
-        return UnknownMembership(budget_spent=spent)
-    res = integer_feasibility(
-        *_cone_program(coker, x, pointed, (), basis_cols), budget=budget - spent
-    )
+    units, negations, snf = k._lineality
+    pointed = [g for g in _face_reduction(k, gens, x) if g not in units]
+    program = _modulo_lattice(snf, _cone_program(coker, x, pointed, (), []))
+    res = integer_feasibility(*program, budget=budget)
     if isinstance(res, IntUnknown):
-        return UnknownMembership(budget_spent=spent + res.nodes_explored)
+        return UnknownMembership(budget_spent=res.nodes_explored)
     if isinstance(res, IntInfeasible):
-        return _ProvenEmpty(budget_spent=spent)
-    counts = dict(_decode_witness(pointed, (), res.point).base_counts)
-    basis_coeffs = res.point[len(pointed) :]
-    unit_coeffs = [
-        sum(expr[j] * c for expr, c in zip(basis_expr, basis_coeffs)) for j in range(len(units))
-    ]
-    for (v, _), c in zip(active, _expand_unit_uses(active, units, unit_coeffs)):
-        if c:
-            counts[v] = counts.get(v, 0) + c
-    return Member(
-        witness=MembershipWitness(base_counts=tuple(sorted(counts.items())), family_uses=())
-    )
+        return _ProvenEmpty()
+    rest = _quotient_coords(x)
+    for c, (_, e) in zip(res.point, pointed):
+        rest = [a - c * b for a, b in zip(rest, _quotient_coords(e))]
+    # m @ (v @ w) == rest for w = (u @ rest) / diagonal of s
+    w = [a // d for a, d in zip(mat_vec(snf.u, rest), snf.invariant_factors)]
+    terms = [(1, _decode_witness(pointed, (), res.point))]
+    for (v, _), row, minus in zip(units, snf.v, negations):
+        c = sum(a * b for a, b in zip(row, w))
+        terms.append((c, _single(v)) if c >= 0 else (-c, minus))
+    return Member(witness=_combine(terms))
 
 
 def cone_membership(k: K0Presentation, x: Element, budget: int = DEFAULT_BUDGET):
@@ -811,22 +809,32 @@ def _member_by_extension(k: K0Presentation, x: Element):
         cached = k._membership_cache.get(k.coker.subtract(x, dv))
         if cached is None or not isinstance(cached[0], Member):
             continue
-        prev = cached[0].witness
-        counts = dict(prev.base_counts)
-        counts[v] = counts.get(v, 0) + 1
-        witness = MembershipWitness(
-            base_counts=tuple(sorted(counts.items())),
-            family_uses=prev.family_uses,
-        )
-        return Member(witness=witness)
+        return Member(witness=_combine([(1, cached[0].witness), (1, _single(v))]))
     return None
+
+
+def _whole_group_witness(k: K0Presentation, x: Element) -> MembershipWitness:
+    """A witness of x when no extreme trace exists, so that the cone is the
+    whole group: x = sum a_v [v] for a = lift(x), with a_v taken mod the
+    order of [v] when that is finite, and a negative a_v paid with -a_v
+    witnesses of -[v] (``_negation``)."""
+    gens, fams = _cone_columns(k)
+    lift = k.coker.lift(x)
+    terms = []
+    for col, (v, e) in enumerate(gens):
+        c = lift[k.ambient_index(v)]
+        order = k.coker.element_order(e)
+        if order is not None:
+            c %= order
+        terms.append((c, _single(v)) if c >= 0 else (-c, _negation(k.coker, gens, fams, col)))
+    return _combine(terms)
 
 
 def _decide_membership(k: K0Presentation, x: Element, budget: int):
     if x.is_zero():
         return Member(witness=MembershipWitness(base_counts=(), family_uses=()))
-    if k.coker.free_rank == 0:
-        return Member(witness=_pure_torsion_witness(k, x))
+    if not k._rays:
+        return Member(witness=_whole_group_witness(k, x))
     extended = _member_by_extension(k, x)
     if extended is not None:
         return extended
@@ -841,7 +849,7 @@ def _decide_membership(k: K0Presentation, x: Element, budget: int):
     if isinstance(verdict, _ProvenEmpty):
         # a certified-empty search without a separating functional still
         # reports Unknown: NotMember promises a functional, and none exists
-        return UnknownMembership(budget_spent=verdict.budget_spent)
+        return UnknownMembership(budget_spent=0)
     return verdict
 
 
@@ -921,26 +929,15 @@ def _cone_pointed(k: K0Presentation) -> tuple[ThreeValued, Element | None]:
         return ThreeValued.YES, None
     lattice = _torsion_lattice_columns(k.coker)
     for case in _split_cases(fams):
-        num_vars, equalities, inequalities, bounds = _cone_program(
-            k.coker, k.coker.zero(), gens, case, lattice
-        )
-        rows = [constraint(row, EQ, rhs) for row, rhs in equalities]
-        rows += [constraint(row, LE, rhs) for row, rhs in inequalities]
         spans = {("vertex", v): (i, i + 1) for i, (v, _) in enumerate(gens)}
         col = len(gens)
         for (emitter, _, targets), _ in case:
             spans[("family", emitter)] = (col, col + 1 + len(targets))
             col += 1 + len(targets)
         for lo, hi in (spans[key] for key in candidates if key in spans):
-            forced = list(bounds)
-            forced[lo] = (1, None)
-            res = solve_lp(num_vars, *relaxation(rows, forced))
-            if not isinstance(res, Feasible):
+            point = _relation(k.coker, gens, case, lattice, lo)
+            if point is None:
                 continue
-            # the lattice coefficients scale to integers too, so the
-            # relation is 0 in the torsion coordinates as well
-            scale = lcm(*(q.denominator for q in res.point))
-            point = [int(q * scale) for q in res.point]
             part = [c if lo <= j < hi else 0 for j, c in enumerate(point)]
             rest = [0 if lo <= j < hi else c for j, c in enumerate(point)]
             plus, minus = (_decode_witness(gens, case, p) for p in (part, rest))
@@ -959,13 +956,13 @@ def order_properties(k: K0Presentation) -> OrderProperties:
         )
     if not k._rays:
         # the rays are certified complete, so the only trace is 0 and the
-        # rational cone is the whole space: -g is a positive rational
-        # combination of cone elements, and scaled as in _lineality_units
-        # that puts -g in the cone for every generator g
+        # cone is the whole group; x is the first nonzero vertex class
+        v = next(v for v in k.graph.vertices if not k.delta[v].is_zero())
+        minus = _whole_group_witness(k, k.coker.negate(k.delta[v]))
         return OrderProperties(
             cone_is_everything=ThreeValued.YES,
             cone_pointed=ThreeValued.NO,
-            pointed_witness=next(e for e in k.delta.values() if not e.is_zero()),
+            pointed_witness=_opposite_pair(k, _single(v), minus),
         )
     # an extreme trace h_b is 1 on [b], so -[b] is outside the cone
     pointed, witness = _cone_pointed(k)

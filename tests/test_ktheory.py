@@ -336,6 +336,50 @@ class TestConeMembership:
             "debug False separating raised\ndebug False positive raised\ndebug False gate raised\n"
         )
 
+    def test_corrupted_units_raise_without_asserts(self):
+        # rays that vanish at a vertex they are positive at make [v] look
+        # like a unit; an empty ray list makes every class look like one.
+        # The negation of [v] then has no relation behind it, and the units
+        # of a search, a whole-group witness and the whole-group pointedness
+        # witness raise, under `python -O` too
+        script = textwrap.dedent(
+            """
+            import graphk0.ktheory as kt
+            from graphk0 import CertificateError, Element, Graph
+
+            toeplitz = Graph(["v", "w"], {("v", "v"): 1, ("v", "w"): 1})
+            cases = []
+            for name, rays, query in (
+                ("units", [(0, 0)], Element(torsion=(), free=(2,))),
+                ("whole-group", [], Element(torsion=(), free=(-1,))),
+            ):
+                k = kt.compute_k0(toeplitz)
+                k._rays = rays
+                cases.append((name, lambda k=k, x=query: kt.cone_membership(k, x)))
+            k = kt.compute_k0(toeplitz)
+            k._rays = []
+            cases.append(("pointed", lambda: kt.order_properties(k)))
+            for name, call in cases:
+                try:
+                    call()
+                except CertificateError:
+                    print("debug", __debug__, name, "raised")
+            """
+        )
+        src = os.path.dirname(os.path.dirname(graphk0.ktheory.__file__))
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            "debug False units raised\ndebug False whole-group raised\n"
+            "debug False pointed raised\n"
+        )
+
     def test_pointedness_needs_strict_emitter_rows(self):
         # a and b each dominate the other with one edge and reach u (class 0)
         # infinitely often: [a] - [b] and [b] - [a] are both in the cone, so
@@ -399,6 +443,80 @@ class TestConeMembership:
                 assert face == restart_loop(k, gens, x)
                 proper += 0 < len(face) < len(gens)
         assert proper >= 50
+
+    def test_units_read_off_the_rays(self, monkeypatch):
+        # the per-generator LP screen the read-off replaced: g is a unit
+        # when -g is a nonnegative rational combination of the generators
+        def screen(k, gens):
+            units = []
+            for v, e in gens:
+                cons = [
+                    constraint([g.free[j] for _, g in gens], EQ, -e.free[j])
+                    for j in range(k.coker.free_rank)
+                ]
+                if isinstance(solve_lp(len(gens), cons), Feasible):
+                    units.append((v, e))
+            return units
+
+        lp_calls, searches = [], []
+        monkeypatch.setattr(
+            graphk0.ktheory,
+            "solve_lp",
+            lambda *args, **kwargs: lp_calls.append(1) or solve_lp(*args, **kwargs),
+        )
+        true_search = graphk0.ktheory.integer_feasibility
+        monkeypatch.setattr(
+            graphk0.ktheory,
+            "integer_feasibility",
+            lambda *args, **kwargs: searches.append(1) or true_search(*args, **kwargs),
+        )
+        rng = random.Random(8)
+        with_units = infinite_units = 0
+        for _ in range(80):
+            k = compute_k0(random_graph(rng, 7, edge_prob=0.2))
+            gens = [(v, k.delta[v]) for v in k.graph.vertices if not k.delta[v].is_zero()]
+            if not k._rays:
+                continue
+            for cold in range(2):
+                # a sum of generators, asked with nothing cached that settles it
+                x = k.coker.zero()
+                while x.is_zero():
+                    for _, e in gens:
+                        if rng.random() < 0.4:
+                            x = k.coker.add(x, k.coker.scale(rng.randint(1, 3), e))
+                k._membership_cache.clear()
+                lp_calls.clear()
+                searches.clear()
+                assert isinstance(cone_membership(k, x), Member)
+                assert len(searches) == 1
+            # the units and their negations were found by the first query
+            assert not lp_calls
+            units, negations, _ = k._lineality
+            assert units == screen(k, gens), k.graph.edges()
+            with_units += bool(units)
+            infinite_units += any(k.coker.element_order(e) is None for _, e in units)
+            for (v, e), minus in zip(units, negations):
+                # the relation [v] + minus = 0 has n_v >= 1 and uses units alone
+                assert witness_is_valid(k, minus) and not minus.family_uses
+                assert {u for u, _ in minus.base_counts} <= {u for u, _ in units}
+                assert k.coker.add(e, evaluate_witness(k, minus)).is_zero()
+        assert with_units >= 15 and infinite_units >= 5
+
+    def test_whole_group_membership(self):
+        # seed-11 draws 97 and 375 have free rank 3 and 2 and no extreme
+        # trace, so the cone is the whole group; the branch and bound that
+        # answered -[v] before stalled there for about 40 s at the default
+        # budget and reported Unknown
+        rng = random.Random(11)
+        draws = [random_graph(rng, 6, inf_prob=0.3 if i % 2 else 0.0) for i in range(400)]
+        for i in (97, 375):
+            k = compute_k0(draws[i])
+            assert not k._rays and k.coker.free_rank
+            for v in k.graph.vertices:
+                x = k.coker.negate(k.delta[v])
+                verdict = cone_membership(k, x)
+                assert isinstance(verdict, Member), (i, v)
+                assert evaluate_witness(k, verdict.witness) == x
 
     def test_budget_validation(self):
         k = compute_k0(toeplitz())
@@ -590,10 +708,6 @@ class TestOrderProperties:
             props = order_properties(k)
             decided[props.cone_pointed] += 1
             if props.cone_pointed is ThreeValued.NO:
-                if props.cone_is_everything is ThreeValued.YES:
-                    # the empty ray list certifies it, while the membership
-                    # search can stall on such a cone
-                    continue
                 x = props.pointed_witness
                 assert not x.is_zero()
                 assert isinstance(cone_membership(k, x), Member), g.edges()
