@@ -2,7 +2,9 @@
 
 Subcommands: k0, predicates, member, traces, desing, compare, consistency.
 Exit codes: 0 = computed (negative verdicts included), 1 = an Unknown
-verdict, 2 = parse or usage errors.
+verdict (a search budget exhausted, or a membership search that closed empty
+with no separating functional, reported with ``budget_spent`` 0), 2 = parse
+or usage errors.
 """
 
 from __future__ import annotations

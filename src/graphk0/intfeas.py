@@ -2,9 +2,10 @@
 
 The search is a depth-first branch and bound with most-fractional branching.
 Every verdict is conservative: witnesses are re-verified exactly, Infeasible
-is only reported when the whole branch tree has been closed (each leaf with
-a rationally infeasible relaxation), and running out of budget yields an
-explicit Unknown instead of a guess.
+is only reported when the equalities have no integer solution at all (a
+Diophantine pre-check, before any node) or when the whole branch tree has
+been closed (each leaf with a rationally infeasible relaxation), and running
+out of budget yields an explicit Unknown instead of a guess.
 """
 
 from __future__ import annotations

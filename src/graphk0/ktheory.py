@@ -8,7 +8,8 @@ finite batch of target classes" (kept intensional via per-target capacities).
 
 Membership in the cone is decided three-valued: Member carries a witness,
 NotMember a rational separating functional on ambient coordinates, and
-Unknown the spent search budget.  The functionals nonnegative on the cone
+Unknown the spent search budget, 0 when the search closed empty but no
+functional separates.  The functionals nonnegative on the cone
 are the unnormalised graph traces (Tomforde, arXiv math/0204095), so the
 cone's dual is described once, by ``trace_cone`` over the vertices in
 declaration order, and ``nonnegative_on_cone`` checks a point against its
@@ -18,15 +19,15 @@ reader of the dual uses those rays: the separating functional is the first
 one negative on the query, the face step keeps the generators on which
 every ray that is zero on the query vanishes, and the cone is the whole
 group exactly when there is none.  Then every query is a member, read off
-a preimage (``_whole_group_witness``).  A query that no cached verdict or
-extreme trace settles goes to one search (``_cone_search``):
-``_cone_program`` lays out the cone's integer program (generator counts
-bounded by their orders, each family's emitter and target counts with the
-capacity rows, then lattice columns), branch and bound solves it, and
-``_decode_witness`` reads the point back as a witness.  Without families
-the units (the generators on which every ray vanishes) become lattice
-columns, once per presentation, and the search runs over the rest of the
-query's face.  The same program with x = 0, one column forced to at least
+a preimage (``_whole_group_witness``).  A query that no cached verdict (the
+one reuse path: a repeat of the same query) or extreme trace settles goes
+to the face step and then to one search (``_cone_search``):
+``_cone_program`` lays out the cone's integer program over the face's
+vertex generators (counts bounded by their orders), each family's emitter
+and target counts with the capacity rows, then lattice columns; branch and
+bound solves it, and ``_decode_witness`` reads the point back as a
+witness.  Without families the units (the generators on which every ray
+vanishes) become lattice columns, once per presentation.  The same program with x = 0, one column forced to at least
 1 and no budget gives relations (``_relation``): its rational relaxation
 is either infeasible, with a Farkas certificate, or scales to a relation,
 read as witnesses of a generator and its negative.  They write minus a
@@ -251,6 +252,11 @@ class NotMember:
 
 @dataclass(frozen=True)
 class UnknownMembership:
+    """Undecided after ``budget_spent`` branch-and-bound nodes.  With 0 the
+    search closed empty, so x is outside the cone, but no extreme trace is
+    negative on x, so no separating functional certifies NotMember; a
+    larger budget gives the same verdict."""
+
     budget_spent: int
 
 
@@ -620,15 +626,15 @@ def _decode_witness(gens, fams, point) -> MembershipWitness:
 
 
 def _face_reduction(k: K0Presentation, gens, x: Element):
-    """The generators that some representation of x can use, in order.
+    """The vertex generators that a representation of x can use, in order:
+    those on which no extreme trace that is zero on x is positive.
 
-    The caller runs this only when no extreme trace is negative on x, so x
-    lies in the rational cone of ``gens``, in the relative interior of its
-    smallest face F.  The traces are the functionals nonnegative on that
-    cone, and a trace that is zero on x is a sum of extreme traces that are
-    zero on x.  So a generator lies outside F exactly when some extreme
-    trace that is zero on x is positive on it, and is then dropped.  A
+    In any representation of x each term, family elements included, is
+    >= 0 under every trace, so a ray that is 0 on x is 0 on every term.  A
     trace vanishes on the relations, so its value on [v] is its value at v.
+    Without families the converse also holds: the rational cone of ``gens``
+    is dual to the traces, so the rays that are zero on x expose x's face,
+    and what is kept is exactly that face's generators.
     """
     lift = k.coker.lift(x)
     face = [phi for phi in k._rays if _dot(phi, lift) == 0]
@@ -731,18 +737,20 @@ def _cone_search(
 ) -> Member | _ProvenEmpty | UnknownMembership:
     """Branch-and-bound search for a decomposition of x into cone generators.
 
-    With families, each case of ``_split_cases`` is one ``_cone_program``,
-    searched in turn with the whole budget.  Without them the search is one
-    program over the generators of x's face (``_face_reduction``) that are
-    not units, taken modulo the lattice the units and the torsion moduli
-    span (``K0Presentation._lineality``, ``_modulo_lattice``).  The rest is
-    that lattice's combination of units, and a negative coefficient on a
-    unit is paid with its negation.  Those generators span a pointed cone,
-    so that search region is bounded and the search ends with a definite
-    answer given enough budget.
+    The vertex generators are first cut to those x's face can use
+    (``_face_reduction``).  With families, each case of ``_split_cases`` is
+    one ``_cone_program`` over them, searched in turn with the whole
+    budget.  Without them the search is one program over the face's
+    generators that are not units, taken modulo the lattice the units and
+    the torsion moduli span (``K0Presentation._lineality``,
+    ``_modulo_lattice``).  The rest is that lattice's combination of units,
+    and a negative coefficient on a unit is paid with its negation.  Those
+    generators span a pointed cone, so that search region is bounded and
+    the search ends with a definite answer given enough budget.
     """
     coker = k.coker
     gens, fams = _cone_columns(k)
+    gens = _face_reduction(k, gens, x)
     if fams:
         lattice = _torsion_lattice_columns(coker)
         for case in _split_cases(fams):
@@ -755,7 +763,7 @@ def _cone_search(
         return _ProvenEmpty()
 
     units, negations, snf = k._lineality
-    pointed = [g for g in _face_reduction(k, gens, x) if g not in units]
+    pointed = [g for g in gens if g not in units]
     program = _modulo_lattice(snf, _cone_program(coker, x, pointed, (), []))
     res = integer_feasibility(*program, budget=budget)
     if isinstance(res, IntUnknown):
@@ -779,9 +787,8 @@ def cone_membership(k: K0Presentation, x: Element, budget: int = DEFAULT_BUDGET)
 
     Member witnesses and NotMember functionals are re-verified exactly before
     being returned (a failed witness raises CertificateError); verdicts are
-    cached on the presentation, and certificates found for one query are
-    reused to settle later ones.  A cached Unknown is recomputed when a later
-    call offers a larger budget.
+    cached on the presentation, and the cache answers a repeated query.  A
+    cached Unknown is recomputed when a later call offers a larger budget.
     """
     k.coker._check(x)
     if budget < 1:
@@ -798,19 +805,6 @@ def cone_membership(k: K0Presentation, x: Element, budget: int = DEFAULT_BUDGET)
         raise CertificateError(f"membership witness does not evaluate to {x}")
     k._membership_cache[x] = (verdict, budget)
     return verdict
-
-
-def _member_by_extension(k: K0Presentation, x: Element):
-    """x is a member whenever x - [v] is a cached member."""
-    for v in k.graph.vertices:
-        dv = k.delta[v]
-        if dv.is_zero():
-            continue
-        cached = k._membership_cache.get(k.coker.subtract(x, dv))
-        if cached is None or not isinstance(cached[0], Member):
-            continue
-        return Member(witness=_combine([(1, cached[0].witness), (1, _single(v))]))
-    return None
 
 
 def _whole_group_witness(k: K0Presentation, x: Element) -> MembershipWitness:
@@ -835,9 +829,6 @@ def _decide_membership(k: K0Presentation, x: Element, budget: int):
         return Member(witness=MembershipWitness(base_counts=(), family_uses=()))
     if not k._rays:
         return Member(witness=_whole_group_witness(k, x))
-    extended = _member_by_extension(k, x)
-    if extended is not None:
-        return extended
     lift = k.coker.lift(x)
     for ray in k._rays:
         if _dot(ray, lift) < 0:
@@ -950,14 +941,14 @@ def order_properties(k: K0Presentation) -> OrderProperties:
     off the extreme traces with no membership search; neither flag is ever
     UNKNOWN.  ``pointed_witness`` is an x != 0 with x and -x in the cone
     when the cone is not pointed."""
-    if k.group_invariants() == (0, ()):
-        return OrderProperties(
-            cone_is_everything=ThreeValued.YES, cone_pointed=ThreeValued.YES
-        )
-    if not k._rays:
+    # the vertex classes generate the group, so v is None when it is 0,
+    # and then there is no ray either: a finite group has no nonzero trace
+    v = next((v for v in k.graph.vertices if not k.delta[v].is_zero()), None)
+    if v is None or not k._rays:
         # the rays are certified complete, so the only trace is 0 and the
         # cone is the whole group; x is the first nonzero vertex class
-        v = next(v for v in k.graph.vertices if not k.delta[v].is_zero())
+        if v is None:
+            return OrderProperties(ThreeValued.YES, ThreeValued.YES)
         minus = _whole_group_witness(k, k.coker.negate(k.delta[v]))
         return OrderProperties(
             cone_is_everything=ThreeValued.YES,
@@ -1166,11 +1157,13 @@ def compare_k0(
 ):
     """Search for an isomorphism of ordered groups (optionally unit-preserving).
 
-    Stage 1 compares group invariants, stage 2 enumerates group isomorphisms
-    under the budget, stage 3 checks cone preservation in both directions on
-    base generators and family elements with total parameter <= the verified
-    bound.  NotIsomorphic is only reported on a certified obstruction or a
-    complete exhaustion with every rejection certain.
+    The stages compare the group invariants, the numbers of extreme traces
+    and the order flags (``order_properties``), then enumerate group
+    isomorphisms under the budget and check each for cone preservation in
+    both directions on base generators and family elements with total
+    parameter <= the verified bound.  NotIsomorphic is only reported on a
+    certified obstruction or a complete exhaustion with every rejection
+    certain.
     """
     inv1 = k1.group_invariants()
     inv2 = k2.group_invariants()

@@ -21,6 +21,8 @@ from graphk0.ktheory import (
     NotIsomorphic,
     NotMember,
     ThreeValued,
+    UnknownMembership,
+    _dot,
     apply_iso,
     compare_k0,
     compute_k0,
@@ -33,6 +35,7 @@ from graphk0.ktheory import (
     verify_desingularization_consistency,
     witness_is_valid,
 )
+from graphk0.intfeas import IntInfeasible, IntUnknown, IntWitness
 from graphk0.linalg import CokerPresentation, Element, determinant
 from graphk0.lp import EQ, GE, Feasible, constraint, solve_lp
 from graphk0.reports import k0_to_json
@@ -501,6 +504,128 @@ class TestConeMembership:
                 assert {u for u, _ in minus.base_counts} <= {u for u, _ in units}
                 assert k.coker.add(e, evaluate_witness(k, minus)).is_zero()
         assert with_units >= 15 and infinite_units >= 5
+
+    def test_face_step_before_family_search(self, monkeypatch):
+        # every trace is >= 0 on every generator, family elements included,
+        # so a ray that is zero on x is zero on each term of a representation
+        # of x: no searched program may carry a vertex column on which such
+        # a ray is positive, and cutting those columns changes no verdict
+        true_program = graphk0.ktheory._cone_program
+        true_search = graphk0.ktheory.integer_feasibility
+        programs, searched = {}, []
+
+        def program(coker, x, gens, fams, lattice):
+            out = true_program(coker, x, gens, fams, lattice)
+            programs[id(out[1])] = gens
+            return out
+
+        def search(num_vars, equalities, inequalities, bounds, budget):
+            searched.append(programs[id(equalities)])
+            return true_search(num_vars, equalities, inequalities, bounds, budget=budget)
+
+        def unreduced(k, x, budget):
+            # the family search as it ran before the face step
+            gens, fams = graphk0.ktheory._cone_columns(k)
+            lattice = graphk0.ktheory._torsion_lattice_columns(k.coker)
+            for case in graphk0.ktheory._split_cases(fams):
+                res = true_search(*true_program(k.coker, x, gens, case, lattice), budget=budget)
+                if not isinstance(res, IntInfeasible):
+                    return type(res)
+            return IntInfeasible
+
+        monkeypatch.setattr(graphk0.ktheory, "_cone_program", program)
+        monkeypatch.setattr(graphk0.ktheory, "integer_feasibility", search)
+        rng = random.Random(31)
+        kinds = {Member: IntWitness, UnknownMembership: IntUnknown}
+        checked = cut = 0
+        for _ in range(120):
+            k = compute_k0(random_graph(rng, 5, inf_prob=0.3, edge_prob=0.35))
+            all_gens, fams = graphk0.ktheory._cone_columns(k)
+            if not fams or not k._rays:
+                continue
+            moves = [[int(u == v) for u in k.ambient_order] for v in k.graph.vertices]
+            for fam in k.cone.families:
+                for w, _ in fam.targets:
+                    moves.append(
+                        [int(u == fam.emitter) - int(u == w) for u in k.ambient_order]
+                    )
+            for _ in range(6):
+                vec = [0] * len(k.ambient_order)
+                for mv in moves:
+                    if rng.random() < 0.3:
+                        vec = [a + rng.randint(1, 3) * b for a, b in zip(vec, mv)]
+                x = k.coker.project(vec)
+                lift = k.coker.lift(x)
+                if x.is_zero() or any(_dot(h, lift) < 0 for h in k._rays):
+                    continue
+                face = [h for h in k._rays if _dot(h, lift) == 0]
+
+                def outside(v):
+                    return any(h[k.ambient_index(v)] for h in face)
+
+                k._membership_cache.clear()
+                searched.clear()
+                verdict = cone_membership(k, x, budget=2000)
+                assert searched
+                for gens in searched:
+                    assert not any(outside(v) for v, _ in gens), (k.graph.edges(), x)
+                cut += any(outside(v) for v, _ in all_gens)
+                expected = unreduced(k, x, 2000)
+                if isinstance(verdict, UnknownMembership) and not verdict.budget_spent:
+                    assert expected is IntInfeasible, (k.graph.edges(), x)
+                else:
+                    assert kinds[type(verdict)] is expected, (k.graph.edges(), x)
+                checked += 1
+        assert checked >= 120 and cut >= 50, (checked, cut)
+
+    def test_verdict_cache_is_the_only_reuse(self, monkeypatch):
+        searches = []
+        true_search = graphk0.ktheory.integer_feasibility
+        monkeypatch.setattr(
+            graphk0.ktheory,
+            "integer_feasibility",
+            lambda *args, **kwargs: searches.append(1) or true_search(*args, **kwargs),
+        )
+        rng = random.Random(47)
+        repeats = unknowns = 0
+        for _ in range(400):
+            k = compute_k0(random_graph(rng, 6, inf_prob=0.3, edge_prob=0.35))
+            gens, fams = graphk0.ktheory._cone_columns(k)
+            if not fams or not k._rays:
+                continue
+            x = k.coker.zero()
+            for v, e in gens:
+                if rng.random() < 0.5:
+                    x = k.coker.add(x, k.coker.scale(rng.randint(1, 3), e))
+            if x.is_zero():
+                continue
+            searches.clear()
+            first = cone_membership(k, x, budget=2)
+            if not searches:
+                continue
+            # a repeated query is answered by the cache, with no new search
+            calls = len(searches)
+            assert cone_membership(k, x, budget=2) is first
+            assert len(searches) == calls
+            repeats += 1
+            if isinstance(first, Member):
+                # a cached member settles no other query: x + [v] is searched
+                y = k.coker.add(x, gens[0][1])
+                if not y.is_zero():
+                    cone_membership(k, y, budget=2)
+                    assert len(searches) > calls
+                continue
+            assert first.budget_spent == 2, (k.graph.edges(), x)
+            # an Unknown stands for budgets up to the one it was found with,
+            # and is decided afresh with a larger one
+            assert cone_membership(k, x, budget=1) is first
+            assert len(searches) == calls
+            later = cone_membership(k, x, budget=4000)
+            assert len(searches) > calls
+            assert isinstance(later, Member), (k.graph.edges(), x)
+            assert cone_membership(k, x, budget=2) is later
+            unknowns += 1
+        assert repeats >= 60 and unknowns >= 5, (repeats, unknowns)
 
     def test_whole_group_membership(self):
         # seed-11 draws 97 and 375 have free rank 3 and 2 and no extreme
