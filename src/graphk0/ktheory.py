@@ -18,21 +18,22 @@ the strongly connected components and certifies that they span it.  Every
 reader of the dual uses those rays: the separating functional is the first
 one negative on the query, the face step keeps the generators on which
 every ray that is zero on the query vanishes, and the cone is the whole
-group exactly when there is none.  Then every query is a member, read off
-a preimage (``_whole_group_witness``).  A query that no cached verdict (the
-one reuse path: a repeat of the same query) or extreme trace settles goes
-to the face step and then to one search (``_cone_search``):
-``_cone_program`` lays out the cone's integer program over the face's
-vertex generators (counts bounded by their orders), each family's emitter
-and target counts with the capacity rows, then lattice columns; branch and
-bound solves it, and ``_decode_witness`` reads the point back as a
-witness.  Without families the units (the generators on which every ray
-vanishes) become lattice columns, once per presentation.  The same program with x = 0, one column forced to at least
-1 and no budget gives relations (``_relation``): its rational relaxation
-is either infeasible, with a Farkas certificate, or scales to a relation,
-read as witnesses of a generator and its negative.  They write minus a
-unit as a sum of units, and pointedness (``order_properties``) forces in
-each generator on which every ray vanishes.
+group exactly when there is none.  A query that no cached verdict (the one
+reuse path: a repeat of the same query) or extreme trace settles goes to
+the face step and then to one search (``_cone_search``): ``_cone_program``
+lays out the cone's integer program over the face's vertex generators
+(counts bounded by their orders), each family's emitter and target counts
+with the capacity rows, then lattice columns; branch and bound solves it,
+and ``_decode_witness`` reads the point back as a witness.  Without
+families or without rays, the units (the generators on which every ray
+vanishes) become lattice columns, once per presentation.  The same program
+with x = 0, some columns forced to at least 1 and no budget gives
+relations (``_relation``): its rational relaxation is either infeasible,
+with a Farkas certificate, or scales to a relation.  One relation with
+every unit in it pays every negative unit coefficient
+(``_units_witness``), and pointedness (``order_properties``) is the
+absence of units, or with families and rays forces in each generator on
+which every ray vanishes.
 
 ``cone_membership`` is the one gate for certificates: it re-checks every new
 witness before caching it and raises ``CertificateError`` if the check
@@ -148,28 +149,40 @@ class K0Presentation:
 
     @cached_property
     def _lineality(self):
-        """The units of a cone without families, a witness of minus
-        each, and a lattice basis for a search over the rest.
+        """The units of a cone without families or without extreme traces,
+        one relation that negates them all, and a lattice basis for a search
+        over the rest.
 
-        The cone is then generated by the vertex classes, so its rational
-        cone is closed and dual to the extreme traces, and a trace's value
-        on [v] is its value at v.  So [v] is a unit (-[v] is in the cone)
-        exactly when every ray vanishes at v, and then minus it is a
-        combination of units alone: every ray vanishes on -[v], and no ray
-        is negative on a generator.  Returns the units as ``(vertex,
-        class)``, their negations (``_negation`` over the units), and the
-        Smith normal form of the matrix whose columns are the quotient
-        coordinates of the units, then the torsion moduli
-        (``_torsion_lattice_columns``).  None of it depends on the query.
+        Without families the cone's rational cone is dual to the extreme
+        traces, and a trace's value on [v] is its value at v, so [v] is a
+        unit (-[v] is in the cone) exactly when every ray vanishes at v, and
+        then minus it is a combination of units alone.  Without rays every
+        nonzero class is a unit.  The relation is a ``_relation`` with every
+        unit column at least 1 in the first case of ``_split_cases`` that
+        has one: the sum of one relation per unit is one, in the case that
+        uses every family any of them uses.  Returns the units
+        as ``(vertex, class)``, the relation as a witness (None, with no LP
+        run, when there is no unit), and the Smith normal form of the matrix
+        whose columns are the quotient coordinates of the units, then the
+        torsion moduli (``_torsion_lattice_columns``).
         """
-        gens, _ = _cone_columns(self)
+        gens, fams = _cone_columns(self)
         rays = self._rays
         units = [(v, e) for v, e in gens if not any(h[self.ambient_index(v)] for h in rays)]
-        negations = [_negation(self.coker, units, (), i) for i in range(len(units))]
-        lattice = [_quotient_coords(e) for _, e in units] + _torsion_lattice_columns(self.coker)
+        torsion = _torsion_lattice_columns(self.coker)
+        relation = None
+        if units:
+            for case in _split_cases(fams):
+                point = _relation(self.coker, units, case, torsion, range(len(units)))
+                if point is not None:
+                    relation = _decode_witness(units, case, point)
+                    break
+            else:
+                raise CertificateError("no relation negates the units, yet no ray is positive")
+        lattice = [_quotient_coords(e) for _, e in units] + torsion
         dim = len(self.coker.torsion_moduli) + self.coker.free_rank
         snf = smith_normal_form([[col[r] for col in lattice] for r in range(dim)])
-        return units, negations, snf
+        return units, relation, snf
 
 
 def relation_matrix(g: Graph) -> tuple[Matrix, tuple[str, ...]]:
@@ -533,8 +546,9 @@ def _single(v: str) -> MembershipWitness:
 
 
 def _combine(terms) -> MembershipWitness:
-    """The witness of the sum of c * w over the pairs (c, w >= 0) in
-    ``terms``: base counts sorted by vertex, one use per emitter."""
+    """The witness of the sum of c * w over the pairs (c, w) in ``terms``,
+    whose summed counts are nonnegative: base counts sorted by vertex, one
+    use per emitter."""
     base: dict[str, int] = {}
     uses: dict[str, tuple[list[int], dict[str, int]]] = {}
     for c, w in terms:
@@ -641,9 +655,10 @@ def _face_reduction(k: K0Presentation, gens, x: Element):
     return [(v, e) for v, e in gens if not any(phi[k.ambient_index(v)] for phi in face)]
 
 
-def _relation(coker: CokerPresentation, gens, fams, lattice, col: int):
-    """A relation "sum of cone generators = 0" with column ``col`` at least
-    1, as an integer point of ``_cone_program`` with x = 0, or None.
+def _relation(coker: CokerPresentation, gens, fams, lattice, cols):
+    """A relation "sum of cone generators = 0" with every column in
+    ``cols`` at least 1, as an integer point of ``_cone_program`` with
+    x = 0, or None.
 
     The rational relaxation is solved (``solve_lp`` re-checks a Farkas
     certificate) and a feasible point is scaled by the lcm of its
@@ -655,7 +670,8 @@ def _relation(coker: CokerPresentation, gens, fams, lattice, col: int):
     )
     rows = [constraint(row, EQ, rhs) for row, rhs in equalities]
     rows += [constraint(row, LE, rhs) for row, rhs in inequalities]
-    bounds[col] = (1, None)
+    for col in cols:
+        bounds[col] = (1, None)
     res = solve_lp(num_vars, *relaxation(rows, bounds))
     if not isinstance(res, Feasible):
         return None
@@ -663,18 +679,16 @@ def _relation(coker: CokerPresentation, gens, fams, lattice, col: int):
     return [int(q * scale) for q in res.point]
 
 
-def _negation(coker: CokerPresentation, gens, fams, col: int) -> MembershipWitness:
-    """A witness of minus the generator ``gens[col]``: the rest of a
-    ``_relation`` in the first case of ``_split_cases(fams)`` that has one.
-    Raises ``CertificateError`` when no case has one."""
-    lattice = _torsion_lattice_columns(coker)
-    for case in _split_cases(fams):
-        point = _relation(coker, gens, case, lattice, col)
-        if point is not None:
-            point[col] -= 1
-            return _decode_witness(gens, case, point)
-    v = gens[col][0]
-    raise CertificateError(f"no relation puts -[{v}] in the cone, yet no ray is positive at {v}")
+def _units_witness(units, relation: MembershipWitness | None, coeffs) -> MembershipWitness:
+    """The witness of sum c_i [u_i] over the ``units`` and ``coeffs``: the
+    ``relation`` of ``K0Presentation._lineality`` t times, plus each c_i
+    [u_i].  A unit's count in the relation is some r_i >= 1, so the least t
+    that makes every count t * r_i + c_i nonnegative is the largest
+    ceil(-c_i / r_i) over the negative c_i."""
+    counts = dict(relation.base_counts) if relation else {}
+    t = max((-(c // counts[v]) for (v, _), c in zip(units, coeffs) if c < 0), default=0)
+    terms = [(c, _single(v)) for (v, _), c in zip(units, coeffs)]
+    return _combine([(t, relation), *terms] if t else terms)
 
 
 class _ProvenEmpty:
@@ -738,20 +752,23 @@ def _cone_search(
     """Branch-and-bound search for a decomposition of x into cone generators.
 
     The vertex generators are first cut to those x's face can use
-    (``_face_reduction``).  With families, each case of ``_split_cases`` is
-    one ``_cone_program`` over them, searched in turn with the whole
-    budget.  Without them the search is one program over the face's
-    generators that are not units, taken modulo the lattice the units and
-    the torsion moduli span (``K0Presentation._lineality``,
+    (``_face_reduction``).  With families and extreme traces, each case of
+    ``_split_cases`` is one ``_cone_program`` over them, searched in turn
+    with the whole budget.  Otherwise the search is one program over the
+    face's generators that are not units, taken modulo the lattice the
+    units and the torsion moduli span (``K0Presentation._lineality``,
     ``_modulo_lattice``).  The rest is that lattice's combination of units,
-    and a negative coefficient on a unit is paid with its negation.  Those
-    generators span a pointed cone, so that search region is bounded and
-    the search ends with a definite answer given enough budget.
+    each coefficient of a unit of finite order taken mod that order, and
+    ``_units_witness`` pays the negative ones with the units' relation.
+    Those generators span a pointed cone, so that search region is bounded
+    and the search ends with a definite answer given enough budget.  Without
+    extreme traces every nonzero class is a unit, so the program is empty
+    and x is read off the Smith normal form alone.
     """
     coker = k.coker
     gens, fams = _cone_columns(k)
     gens = _face_reduction(k, gens, x)
-    if fams:
+    if fams and k._rays:
         lattice = _torsion_lattice_columns(coker)
         for case in _split_cases(fams):
             program = _cone_program(coker, x, gens, case, lattice)
@@ -762,7 +779,7 @@ def _cone_search(
                 return UnknownMembership(budget_spent=res.nodes_explored)
         return _ProvenEmpty()
 
-    units, negations, snf = k._lineality
+    units, relation, snf = k._lineality
     pointed = [g for g in gens if g not in units]
     program = _modulo_lattice(snf, _cone_program(coker, x, pointed, (), []))
     res = integer_feasibility(*program, budget=budget)
@@ -775,11 +792,12 @@ def _cone_search(
         rest = [a - c * b for a, b in zip(rest, _quotient_coords(e))]
     # m @ (v @ w) == rest for w = (u @ rest) / diagonal of s
     w = [a // d for a, d in zip(mat_vec(snf.u, rest), snf.invariant_factors)]
-    terms = [(1, _decode_witness(pointed, (), res.point))]
-    for (v, _), row, minus in zip(units, snf.v, negations):
-        c = sum(a * b for a, b in zip(row, w))
-        terms.append((c, _single(v)) if c >= 0 else (-c, minus))
-    return Member(witness=_combine(terms))
+    coeffs = []
+    for (_, e), row in zip(units, snf.v):
+        c, order = _dot(row, w), coker.element_order(e)
+        coeffs.append(c if order is None else c % order)
+    terms = [_decode_witness(pointed, (), res.point), _units_witness(units, relation, coeffs)]
+    return Member(witness=_combine((1, t) for t in terms))
 
 
 def cone_membership(k: K0Presentation, x: Element, budget: int = DEFAULT_BUDGET):
@@ -807,28 +825,9 @@ def cone_membership(k: K0Presentation, x: Element, budget: int = DEFAULT_BUDGET)
     return verdict
 
 
-def _whole_group_witness(k: K0Presentation, x: Element) -> MembershipWitness:
-    """A witness of x when no extreme trace exists, so that the cone is the
-    whole group: x = sum a_v [v] for a = lift(x), with a_v taken mod the
-    order of [v] when that is finite, and a negative a_v paid with -a_v
-    witnesses of -[v] (``_negation``)."""
-    gens, fams = _cone_columns(k)
-    lift = k.coker.lift(x)
-    terms = []
-    for col, (v, e) in enumerate(gens):
-        c = lift[k.ambient_index(v)]
-        order = k.coker.element_order(e)
-        if order is not None:
-            c %= order
-        terms.append((c, _single(v)) if c >= 0 else (-c, _negation(k.coker, gens, fams, col)))
-    return _combine(terms)
-
-
 def _decide_membership(k: K0Presentation, x: Element, budget: int):
     if x.is_zero():
         return Member(witness=MembershipWitness(base_counts=(), family_uses=()))
-    if not k._rays:
-        return Member(witness=_whole_group_witness(k, x))
     lift = k.coker.lift(x)
     for ray in k._rays:
         if _dot(ray, lift) < 0:
@@ -851,7 +850,6 @@ def _decide_membership(k: K0Presentation, x: Element, budget: int):
 class ThreeValued(Enum):
     YES = "yes"
     NO = "no"
-    UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
@@ -875,7 +873,8 @@ def _opposite_pair(k: K0Presentation, plus, minus) -> Element:
 
 
 def _cone_pointed(k: K0Presentation) -> tuple[ThreeValued, Element | None]:
-    """Whether the cone is pointed, and if not an x != 0 with x and -x in it.
+    """Whether a cone with families and extreme traces is pointed, and if
+    not an x != 0 with x and -x in it.
 
     Every trace is >= 0 on every generator, so in a relation "sum of
     generators = 0" each term is 0 under every extreme ray.  The candidates
@@ -926,7 +925,7 @@ def _cone_pointed(k: K0Presentation) -> tuple[ThreeValued, Element | None]:
             spans[("family", emitter)] = (col, col + 1 + len(targets))
             col += 1 + len(targets)
         for lo, hi in (spans[key] for key in candidates if key in spans):
-            point = _relation(k.coker, gens, case, lattice, lo)
+            point = _relation(k.coker, gens, case, lattice, (lo,))
             if point is None:
                 continue
             part = [c if lo <= j < hi else 0 for j, c in enumerate(point)]
@@ -938,30 +937,28 @@ def _cone_pointed(k: K0Presentation) -> tuple[ThreeValued, Element | None]:
 
 def order_properties(k: K0Presentation) -> OrderProperties:
     """Whether the cone is the whole group and whether it is pointed, read
-    off the extreme traces with no membership search; neither flag is ever
-    UNKNOWN.  ``pointed_witness`` is an x != 0 with x and -x in the cone
-    when the cone is not pointed."""
-    # the vertex classes generate the group, so v is None when it is 0,
-    # and then there is no ray either: a finite group has no nonzero trace
-    v = next((v for v in k.graph.vertices if not k.delta[v].is_zero()), None)
-    if v is None or not k._rays:
-        # the rays are certified complete, so the only trace is 0 and the
-        # cone is the whole group; x is the first nonzero vertex class
-        if v is None:
-            return OrderProperties(ThreeValued.YES, ThreeValued.YES)
-        minus = _whole_group_witness(k, k.coker.negate(k.delta[v]))
-        return OrderProperties(
-            cone_is_everything=ThreeValued.YES,
-            cone_pointed=ThreeValued.NO,
-            pointed_witness=_opposite_pair(k, _single(v), minus),
-        )
-    # an extreme trace h_b is 1 on [b], so -[b] is outside the cone
-    pointed, witness = _cone_pointed(k)
-    return OrderProperties(
-        cone_is_everything=ThreeValued.NO,
-        cone_pointed=pointed,
-        pointed_witness=witness,
-    )
+    off the extreme traces with no membership search.  ``pointed_witness``
+    is an x != 0 with x and -x in the cone when the cone is not pointed.
+
+    The cone is the whole group exactly when there is no extreme trace.
+    With families and extreme traces ``_cone_pointed`` decides pointedness;
+    otherwise the cone is pointed exactly when it has no unit
+    (``K0Presentation._lineality``), and x is the first unit."""
+    # the zero group has no ray, answered without the LP that certifies it
+    if k.group_invariants() == (0, ()):
+        return OrderProperties(ThreeValued.YES, ThreeValued.YES)
+    # an extreme trace h_b is 1 on [b], so -[b] is outside the cone; with
+    # none, the rays are certified complete, so the only trace is 0
+    everything = ThreeValued.NO if k._rays else ThreeValued.YES
+    _, fams = _cone_columns(k)
+    if fams and k._rays:
+        return OrderProperties(everything, *_cone_pointed(k))
+    units, relation, _ = k._lineality
+    if not units:
+        return OrderProperties(everything, ThreeValued.YES)
+    minus = _units_witness(units, relation, [-1] + [0] * (len(units) - 1))
+    x = _opposite_pair(k, _single(units[0][0]), minus)
+    return OrderProperties(everything, ThreeValued.NO, x)
 
 
 # ---------------------------------------------------------------------------
@@ -1183,7 +1180,7 @@ def compare_k0(
         ("cone-is-everything", op1.cone_is_everything, op2.cone_is_everything),
         ("pointedness", op1.cone_pointed, op2.cone_pointed),
     ):
-        if {a, b} == {ThreeValued.YES, ThreeValued.NO}:
+        if a is not b:
             return NotIsomorphic(reason=f"certified {name} flags differ")
 
     nfree, moduli = inv1

@@ -342,9 +342,9 @@ class TestConeMembership:
     def test_corrupted_units_raise_without_asserts(self):
         # rays that vanish at a vertex they are positive at make [v] look
         # like a unit; an empty ray list makes every class look like one.
-        # The negation of [v] then has no relation behind it, and the units
-        # of a search, a whole-group witness and the whole-group pointedness
-        # witness raise, under `python -O` too
+        # Then no relation negates the units, and a search with rays, one
+        # without and the whole-group pointedness witness raise, under
+        # `python -O` too
         script = textwrap.dedent(
             """
             import graphk0.ktheory as kt
@@ -480,6 +480,24 @@ class TestConeMembership:
             gens = [(v, k.delta[v]) for v in k.graph.vertices if not k.delta[v].is_zero()]
             if not k._rays:
                 continue
+            # one LP per presentation with units gives the relation, none without
+            lp_calls.clear()
+            units, relation, _ = k._lineality
+            assert len(lp_calls) == bool(units)
+            assert units == screen(k, gens), k.graph.edges()
+            with_units += bool(units)
+            infinite_units += any(k.coker.element_order(e) is None for _, e in units)
+            if units:
+                # every unit at least once, nothing else, and the sum is 0
+                assert witness_is_valid(k, relation) and not relation.family_uses
+                assert {u for u, _ in relation.base_counts} == {u for u, _ in units}
+                assert all(c >= 1 for _, c in relation.base_counts)
+                assert evaluate_witness(k, relation).is_zero()
+            for i, (v, e) in enumerate(units):
+                coeffs = [-int(j == i) for j in range(len(units))]
+                minus = graphk0.ktheory._units_witness(units, relation, coeffs)
+                assert witness_is_valid(k, minus)
+                assert evaluate_witness(k, minus) == k.coker.negate(e)
             for cold in range(2):
                 # a sum of generators, asked with nothing cached that settles it
                 x = k.coker.zero()
@@ -492,17 +510,7 @@ class TestConeMembership:
                 searches.clear()
                 assert isinstance(cone_membership(k, x), Member)
                 assert len(searches) == 1
-            # the units and their negations were found by the first query
-            assert not lp_calls
-            units, negations, _ = k._lineality
-            assert units == screen(k, gens), k.graph.edges()
-            with_units += bool(units)
-            infinite_units += any(k.coker.element_order(e) is None for _, e in units)
-            for (v, e), minus in zip(units, negations):
-                # the relation [v] + minus = 0 has n_v >= 1 and uses units alone
-                assert witness_is_valid(k, minus) and not minus.family_uses
-                assert {u for u, _ in minus.base_counts} <= {u for u, _ in units}
-                assert k.coker.add(e, evaluate_witness(k, minus)).is_zero()
+                assert not lp_calls
         assert with_units >= 15 and infinite_units >= 5
 
     def test_face_step_before_family_search(self, monkeypatch):
@@ -631,9 +639,18 @@ class TestConeMembership:
         # seed-11 draws 97 and 375 have free rank 3 and 2 and no extreme
         # trace, so the cone is the whole group; the branch and bound that
         # answered -[v] before stalled there for about 40 s at the default
-        # budget and reported Unknown
+        # budget and reported Unknown.  Minus a class is t copies of the one
+        # unit relation plus coefficients read off the Smith normal form; a
+        # witness read off a preimage, each negative entry paid with a
+        # relation of its own, took 649 summands for -[v0] of draw 97 and
+        # 11,070 over both draws
+        def summands(w):
+            uses = sum(u.count + sum(c for _, c in u.target_counts) for u in w.family_uses)
+            return sum(c for _, c in w.base_counts) + uses
+
         rng = random.Random(11)
         draws = [random_graph(rng, 6, inf_prob=0.3 if i % 2 else 0.0) for i in range(400)]
+        sizes = {}
         for i in (97, 375):
             k = compute_k0(draws[i])
             assert not k._rays and k.coker.free_rank
@@ -642,6 +659,9 @@ class TestConeMembership:
                 verdict = cone_membership(k, x)
                 assert isinstance(verdict, Member), (i, v)
                 assert evaluate_witness(k, verdict.witness) == x
+                sizes[i, v] = summands(verdict.witness)
+        assert sizes[97, "v0"] <= 60, sizes
+        assert sum(sizes.values()) <= 2000, sizes
 
     def test_budget_validation(self):
         k = compute_k0(toeplitz())
@@ -794,6 +814,25 @@ class TestOrderProperties:
         assert props.cone_is_everything is ThreeValued.YES
         assert props.cone_pointed is ThreeValued.NO
         assert props.pointed_witness is not None
+
+    def test_zero_group_runs_no_lp(self, monkeypatch):
+        # the zero group is answered before the extreme traces are found,
+        # whose completeness check is an LP even when there is no ray
+        calls = []
+        monkeypatch.setattr(
+            graphk0.ktheory,
+            "solve_lp",
+            lambda *args, **kwargs: calls.append(1) or solve_lp(*args, **kwargs),
+        )
+        zero_groups = [loops(2), Graph(["a", "b"], {("a", "a"): 2, ("a", "b"): 1, ("b", "b"): 2})]
+        for g in zero_groups:
+            k = compute_k0(g)
+            assert k.group_invariants() == (0, ())
+            props = order_properties(k)
+            assert (props.cone_is_everything, props.cone_pointed) == (ThreeValued.YES,) * 2
+        assert not calls
+        k = compute_k0(zero_groups[0])
+        assert k._rays == [] and calls
 
     @pytest.mark.parametrize(
         "edges",
