@@ -57,12 +57,11 @@ def relaxation(
 def integer_feasibility(
     num_vars: int,
     equalities: Sequence[tuple[Sequence[int], int]],
-    inequalities: Sequence[tuple[Sequence[int], int]] = (),
     bounds: Sequence[Bound] | None = None,
     budget: int = 100000,
 ) -> IntResult:
-    """Find an integer point satisfying the equalities, <=-inequalities and
-    per-variable (lower, upper) bounds; None means unbounded on that side."""
+    """Find an integer point satisfying the equalities and per-variable
+    (lower, upper) bounds; None means unbounded on that side."""
     if budget < 1:
         raise ValueError("budget must be positive")
     if bounds is None:
@@ -80,7 +79,6 @@ def integer_feasibility(
             return IntInfeasible()
 
     base_cons = [constraint(coeffs, EQ, rhs) for coeffs, rhs in equalities]
-    base_cons += [constraint(coeffs, LE, rhs) for coeffs, rhs in inequalities]
     stack: list[list[Bound]] = [list(bounds)]
     nodes = 0
     while stack:

@@ -8,32 +8,30 @@ finite batch of target classes" (kept intensional via per-target capacities).
 
 Membership in the cone is decided three-valued: Member carries a witness,
 NotMember a rational separating functional on ambient coordinates, and
-Unknown the spent search budget, 0 when the search closed empty but no
-functional separates.  The functionals nonnegative on the cone
-are the unnormalised graph traces (Tomforde, arXiv math/0204095), so the
-cone's dual is described once, by ``trace_cone`` over the vertices in
-declaration order, and ``nonnegative_on_cone`` checks a point against its
-rows.  That cone is simplicial: ``trace_rays`` reads its extreme rays off
-the strongly connected components and certifies that they span it.  Every
-reader of the dual uses those rays: the separating functional is the first
-one negative on the query, the face step keeps the generators on which
-every ray that is zero on the query vanishes, and the cone is the whole
-group exactly when there is none.  A query that no cached verdict (the one
-reuse path: a repeat of the same query) or extreme trace settles goes to
-the face step and then to one search (``_cone_search``): ``_cone_program``
-lays out the cone's integer program over the face's vertex generators
-(counts bounded by their orders), each family's emitter and target counts
-with the capacity rows, then lattice columns; branch and bound solves it,
-and ``_decode_witness`` reads the point back as a witness.  Without
-families or without rays, the units (the generators on which every ray
-vanishes) become lattice columns, once per presentation.  The same program
-with x = 0, some columns forced to at least 1 and no budget gives
-relations (``_relation``): its rational relaxation is either infeasible,
-with a Farkas certificate, or scales to a relation.  One relation with
-every unit in it pays every negative unit coefficient
-(``_units_witness``), and pointedness (``order_properties``) is the
-absence of units, or with families and rays forces in each generator on
-which every ray vanishes.
+Unknown the spent search budget, 0 when every case of the search was
+excluded or closed empty but no functional separates.  The functionals
+nonnegative on the cone are the unnormalised graph traces (Tomforde, arXiv
+math/0204095), so the cone's dual is described once, by ``trace_cone`` over
+the vertices in declaration order, and ``nonnegative_on_cone`` checks a
+point against its rows.  That cone is simplicial: ``trace_rays`` reads its
+extreme rays off the strongly connected components and certifies that they
+span it.  The separating functional is the first extreme trace negative on
+the query, and the cone is the whole group exactly when there is none.
+
+A query that no cached verdict (the one reuse path: a repeat of the same
+query) or extreme trace settles goes to one search (``_cone_search``) over
+the cases of ``K0Presentation._cases``.  A case fixes which families with
+an uncapped target are used; its columns are the vertex classes, each
+present family's full batch of capped targets and minus each uncapped
+target of a used family, and its dual is the trace cone of a graph, the
+one with the out-edges of every unused such emitter removed.  Read off that
+graph's extreme traces, once per case, are the case's separation, its face
+step and its units (the columns on which every ray vanishes), with one
+relation (``_relation``) that negates them all and a Smith normal form of
+their lattice.  The search runs over the rest of the face, which spans a
+pointed cone, modulo that lattice, so it is bounded; ``_decode_witness``
+reads the counts back as a witness.  Pointedness (``order_properties``)
+is read off the same units and relations.
 
 ``cone_membership`` is the one gate for certificates: it re-checks every new
 witness before caching it and raises ``CertificateError`` if the check
@@ -66,7 +64,7 @@ from .graphs import (
     desingularize_with_tails,
     emitter_edge_listing,
 )
-from .intfeas import IntInfeasible, IntUnknown, IntWitness, integer_feasibility, relaxation
+from .intfeas import IntInfeasible, IntUnknown, integer_feasibility, relaxation
 from .linalg import (
     CertificateError,
     CokerPresentation,
@@ -148,41 +146,22 @@ class K0Presentation:
         return [_to_ambient(self, h) for h in trace_rays(self.graph)]
 
     @cached_property
-    def _lineality(self):
-        """The units of a cone without families or without extreme traces,
-        one relation that negates them all, and a lattice basis for a search
-        over the rest.
+    def _cases(self) -> list[_Case]:
+        """The cases of the membership search (``_Case``), one per set of
+        used split families in the order of ``_split_cases``.
 
-        Without families the cone's rational cone is dual to the extreme
-        traces, and a trace's value on [v] is its value at v, so [v] is a
-        unit (-[v] is in the cone) exactly when every ray vanishes at v, and
-        then minus it is a combination of units alone.  Without rays every
-        nonzero class is a unit.  The relation is a ``_relation`` with every
-        unit column at least 1 in the first case of ``_split_cases`` that
-        has one: the sum of one relation per unit is one, in the case that
-        uses every family any of them uses.  Returns the units
-        as ``(vertex, class)``, the relation as a witness (None, with no LP
-        run, when there is no unit), and the Smith normal form of the matrix
-        whose columns are the quotient coordinates of the units, then the
-        torsion moduli (``_torsion_lattice_columns``).
-        """
-        gens, fams = _cone_columns(self)
-        rays = self._rays
-        units = [(v, e) for v, e in gens if not any(h[self.ambient_index(v)] for h in rays)]
-        torsion = _torsion_lattice_columns(self.coker)
-        relation = None
-        if units:
-            for case in _split_cases(fams):
-                point = _relation(self.coker, units, case, torsion, range(len(units)))
-                if point is not None:
-                    relation = _decode_witness(units, case, point)
-                    break
-            else:
-                raise CertificateError("no relation negates the units, yet no ray is positive")
-        lattice = [_quotient_coords(e) for _, e in units] + torsion
-        dim = len(self.coker.torsion_moduli) + self.coker.free_rank
-        snf = smith_normal_form([[col[r] for col in lattice] for r in range(dim)])
-        return units, relation, snf
+        Without extreme traces the cone is the whole group, and only the
+        first case whose units have a relation is kept: its units are the
+        vertex classes, which generate the group, so it answers every
+        query."""
+        vertices, families = _generators(self)
+        cases = (_Case(self, vertices, families, used) for used in _split_cases(families))
+        if self._rays:
+            return list(cases)
+        for case in cases:
+            if case.relation is not None:
+                return [case]
+        raise CertificateError("no relation negates the units of any case")
 
 
 def relation_matrix(g: Graph) -> tuple[Matrix, tuple[str, ...]]:
@@ -265,8 +244,9 @@ class NotMember:
 
 @dataclass(frozen=True)
 class UnknownMembership:
-    """Undecided after ``budget_spent`` branch-and-bound nodes.  With 0 the
-    search closed empty, so x is outside the cone, but no extreme trace is
+    """Undecided after ``budget_spent`` branch-and-bound nodes.  With 0
+    every case of the search closed empty or was excluded by one of its
+    rays, so x is outside the cone, but no extreme trace of the graph is
     negative on x, so no separating functional certifies NotMember; a
     larger budget gives the same verdict."""
 
@@ -540,35 +520,6 @@ def functional_certifies(
     return _dot(phi, k.coker.lift(x)) < 0
 
 
-def _single(v: str) -> MembershipWitness:
-    """The witness of the vertex class [v]."""
-    return MembershipWitness(base_counts=((v, 1),), family_uses=())
-
-
-def _combine(terms) -> MembershipWitness:
-    """The witness of the sum of c * w over the pairs (c, w) in ``terms``,
-    whose summed counts are nonnegative: base counts sorted by vertex, one
-    use per emitter."""
-    base: dict[str, int] = {}
-    uses: dict[str, tuple[list[int], dict[str, int]]] = {}
-    for c, w in terms:
-        for v, n in w.base_counts:
-            base[v] = base.get(v, 0) + c * n
-        for use in w.family_uses:
-            count, targets = uses.setdefault(use.emitter, ([0], {}))
-            count[0] += c * use.count
-            for t, n in use.target_counts:
-                targets[t] = targets.get(t, 0) + c * n
-    return MembershipWitness(
-        base_counts=tuple(sorted((v, n) for v, n in base.items() if n)),
-        family_uses=tuple(
-            FamilyUse(e, count, tuple((t, n) for t, n in targets.items() if n))
-            for e, ([count], targets) in uses.items()
-            if count
-        ),
-    )
-
-
 def _quotient_coords(e: Element) -> list[int]:
     return [*e.torsion, *e.free]
 
@@ -582,159 +533,245 @@ def _torsion_lattice_columns(coker: CokerPresentation) -> list[list[int]]:
     ]
 
 
-def _cone_program(coker: CokerPresentation, x: Element, gens, fams, lattice):
-    """The integer program "x is a sum of cone generators plus a lattice
-    combination", laid out as the arguments of ``integer_feasibility``.
+@dataclass(frozen=True)
+class _Column:
+    """A column of a case: ``element`` is the class of sum n [w] over the
+    ``(w, n)`` in ``terms``.  A vertex column is [v] (``emitter`` None); a
+    family's columns are its batch [e] - sum cap [w] over its capped
+    targets, and -[u] for each uncapped target u."""
 
-    Rows are the quotient coordinates (torsion, then free).  Columns are one
-    count per ``(vertex, class)`` in ``gens``, below the class's order; then
-    for each ``((emitter, class, targets), lower)`` in ``fams`` the emitter
-    count t, at least ``lower``, followed by one count m per
-    ``(vertex, capacity, class)`` target, with the row m - cap * t <= 0 when
-    the capacity is finite; last one free coefficient per lattice column.
+    emitter: str | None
+    terms: tuple[tuple[str, int], ...]
+    element: Element
+
+
+def _generators(k: K0Presentation):
+    """The columns every case draws on: one per nonzero vertex class, and
+    for each family its batch [e] - sum cap [w] over its nonzero-class
+    capped targets, with a column -[u] for each nonzero-class uncapped
+    target u.  Zero-class targets add nothing to any family element."""
+    coker = k.coker
+    vertices = [
+        _Column(None, ((v, 1),), k.delta[v]) for v in k.graph.vertices if not k.delta[v].is_zero()
+    ]
+    families = []
+    for fam in k.cone.families:
+        e = fam.emitter
+        batch, terms, targets = k.delta[e], [(e, 1)], []
+        for w, cap in fam.targets:
+            if k.delta[w].is_zero():
+                continue
+            if cap is None:
+                targets.append(_Column(e, ((w, -1),), coker.negate(k.delta[w])))
+            else:
+                batch = coker.subtract(batch, coker.scale(cap, k.delta[w]))
+                terms.append((w, -cap))
+        families.append((_Column(e, tuple(terms), batch), targets))
+    return vertices, families
+
+
+def _split_cases(families):
+    """The set of used families of each case: a family with an uncapped
+    target (a split family) is either unused or used at least once, and
+    every other family is present with any count."""
+    split = [batch.emitter for batch, targets in families if targets]
+    for mask in range(1 << len(split)):
+        yield {e for b, e in enumerate(split) if mask >> b & 1}
+
+
+class _Case:
+    """The case of the cone in which the split families in ``used`` are
+    used at least once.
+
+    A use of a family with count t >= 1 and target counts m_w (at most
+    cap * t on a capped target) is t batches plus sum (cap * t - m_w) [w]
+    minus the uncapped targets.  So the case's cone elements are the
+    ``shift``, one batch per used family (their ``offset`` among the
+    columns), plus a nonnegative combination of its ``columns``: the
+    nonzero vertex classes, the batch of each present family (used, or not
+    split, with a nonzero class), and -[u] for each uncapped target u of a
+    used family.  A functional is >= 0 on these columns exactly when it is
+    a trace of the graph with the out-edges of every unused split emitter
+    removed: that emitter becomes a sink, and the regular vertices, the
+    group and the classes stay the same.  So the case's ``rays`` are that
+    graph's extreme traces, and its ``units``, the columns on which every
+    ray vanishes, are those whose negation is in the columns' rational
+    cone.  The rest of the case is built on first use.
+
+    Without extreme traces of the graph every element is in the cone, and
+    no column is searched (``pointed``): the units are the vertex classes,
+    and their ``relation`` is at least 1 on the used batches too, so its
+    copies alone make each -[u] column valid, and the case has no shift.
     """
-    cols: list[list[int]] = []
+
+    def __init__(self, k: K0Presentation, vertices, families, used) -> None:
+        self._k = k
+        split = {batch.emitter for batch, targets in families if targets}
+        self._dropped = split - used
+        self.columns = list(vertices)
+        self._used = []
+        for batch, targets in families:
+            if batch.emitter in used:
+                self._used.append(len(self.columns))
+                self.columns += [batch, *targets]
+            elif not targets and not batch.element.is_zero():
+                self.columns.append(batch)
+        self.offset = self._used if k._rays else []
+        self.shift = k.coker.zero()
+        for j in self.offset:
+            self.shift = k.coker.add(self.shift, self.columns[j].element)
+
+    @cached_property
+    def rays(self) -> list[tuple[int, ...]]:
+        k = self._k
+        if not (k._rays and self._dropped):
+            return k._rays
+        g = k.graph
+        sub = Graph(g.vertices, {(v, w): m for v, w, m in g.edges() if v not in self._dropped})
+        return [_to_ambient(k, h) for h in trace_rays(sub)]
+
+    @cached_property
+    def values(self) -> list[tuple[int, ...]]:
+        """Each ray's values on the columns."""
+        index = self._k.ambient_index
+        return [
+            tuple(sum(n * h[index(w)] for w, n in col.terms) for col in self.columns)
+            for h in self.rays
+        ]
+
+    @cached_property
+    def units(self) -> list[int]:
+        if not self._k._rays:
+            return [j for j, col in enumerate(self.columns) if col.emitter is None]
+        return [j for j in range(len(self.columns)) if not any(row[j] for row in self.values)]
+
+    @cached_property
+    def pointed(self) -> list[int]:
+        if not self._k._rays:
+            return []
+        units = set(self.units)
+        return [j for j in range(len(self.columns)) if j not in units]
+
+    @cached_property
+    def relation(self) -> list[int] | None:
+        """Counts per column of a relation (``_relation``) that is at least 1
+        on every unit; no LP runs without units.  With extreme traces of the
+        graph it lies on the units, and since every ray vanishes on each of
+        them there is one, so a failed LP raises ``CertificateError``.
+        Without, every column may enter it, it is at least 1 on the used
+        batches too, and it is None when there is none."""
+        k = self._k
+        entering = self.units if k._rays else range(len(self.columns))
+        forced = {*self.units, *self._used}
+        relation = [0] * len(self.columns)
+        if self.units:
+            classes = [self.columns[j].element for j in entering]
+            point = _relation(k.coker, classes, [int(j in forced) for j in entering])
+            if point is None:
+                if k._rays:
+                    raise CertificateError("no relation negates the units of a case")
+                return None
+            for j, r in zip(entering, point):
+                relation[j] = r
+        return relation
+
+    @cached_property
+    def snf(self) -> SmithForm:
+        """The Smith normal form of the lattice spanned by the units and the
+        torsion moduli (``_torsion_lattice_columns``)."""
+        coker = self._k.coker
+        lattice = [_quotient_coords(self.columns[j].element) for j in self.units]
+        lattice += _torsion_lattice_columns(coker)
+        dim = len(coker.torsion_moduli) + coker.free_rank
+        return smith_normal_form([[col[r] for col in lattice] for r in range(dim)])
+
+    def face(self, lift) -> list[int] | None:
+        """The pointed columns that a representation of y, x minus the
+        shift with ambient preimage ``lift``, can use, or None when a ray is
+        negative on y.  Every column is >= 0 under every ray, so a ray that
+        is zero on y is zero on each term of a representation; since the
+        rays span the dual of the columns' rational cone, the columns kept
+        are exactly those of y's face."""
+        at = [_dot(h, lift) for h in self.rays]
+        if any(a < 0 for a in at):
+            return None
+        face = [row for row, a in zip(self.values, at) if a == 0]
+        return [j for j in self.pointed if not any(row[j] for row in face)]
+
+
+def _cone_program(coker: CokerPresentation, x: Element, classes):
+    """The integer program "x is a sum of the ``classes``", laid out as the
+    arguments of ``integer_feasibility``: one row per quotient coordinate
+    (torsion, then free), and one count per class, below the class's
+    order."""
+    cols = [_quotient_coords(e) for e in classes]
     bounds: list[tuple[int | None, int | None]] = []
-    caps = []
-    for _, e in gens:
+    for e in classes:
         order = coker.element_order(e)
-        cols.append(_quotient_coords(e))
         bounds.append((0, order - 1 if order is not None else None))
-    for (_, de, targets), lower in fams:
-        t = len(cols)
-        cols.append(_quotient_coords(de))
-        bounds.append((lower, None))
-        for _, cap, dw in targets:
-            if cap is not None:
-                caps.append((len(cols), t, cap))
-            cols.append([-c for c in _quotient_coords(dw)])
-            bounds.append((0, None))
-    cols += lattice
-    bounds += [(None, None)] * len(lattice)
     equalities = [([col[r] for col in cols], rhs) for r, rhs in enumerate(_quotient_coords(x))]
-    inequalities = []
-    for m, t, cap in caps:
-        row = [0] * len(cols)
-        row[m], row[t] = 1, -cap
-        inequalities.append((row, 0))
-    return len(cols), equalities, inequalities, bounds
+    return len(cols), equalities, bounds
 
 
-def _decode_witness(gens, fams, point) -> MembershipWitness:
-    """Read a point of ``_cone_program`` as a witness; the lattice
-    coefficients at its end are not part of it."""
-    uses = []
-    pos = len(gens)
-    for (emitter, _, targets), _ in fams:
-        count = point[pos]
-        target_counts = tuple(
-            (w, c) for (w, _, _), c in zip(targets, point[pos + 1 :]) if c
-        )
-        pos += 1 + len(targets)
-        if count or target_counts:
-            uses.append(FamilyUse(emitter=emitter, count=count, target_counts=target_counts))
-    return MembershipWitness(
-        base_counts=tuple((v, c) for (v, _), c in zip(gens, point) if c),
-        family_uses=tuple(uses),
-    )
+def _decode_witness(k: K0Presentation, columns, counts) -> MembershipWitness:
+    """The witness of the sum of ``counts[j]`` times column j: base counts
+    sorted by vertex, one use per family with a positive count, its target
+    counts in the order of its targets."""
+    base: dict[str, int] = {}
+    uses: dict[tuple[str, str | None], int] = {}
+    for col, c in zip(columns, counts):
+        for w, n in col.terms if c else ():
+            if col.emitter is None:
+                base[w] = c
+            else:
+                # the emitter's term counts the uses, the others the targets
+                key = (col.emitter, None if n > 0 else w)
+                uses[key] = uses.get(key, 0) + abs(n) * c
+    family_uses = []
+    for fam in k.cone.families:
+        e = fam.emitter
+        if uses.get((e, None)):
+            targets = tuple((w, uses[e, w]) for w, _ in fam.targets if uses.get((e, w)))
+            family_uses.append(FamilyUse(e, uses[e, None], targets))
+    return MembershipWitness(tuple(sorted(base.items())), tuple(family_uses))
 
 
-def _face_reduction(k: K0Presentation, gens, x: Element):
-    """The vertex generators that a representation of x can use, in order:
-    those on which no extreme trace that is zero on x is positive.
+def _relation(coker: CokerPresentation, classes, lower):
+    """Counts n_i >= ``lower[i]`` with sum n_i * ``classes[i]`` = 0, or None.
 
-    In any representation of x each term, family elements included, is
-    >= 0 under every trace, so a ray that is 0 on x is 0 on every term.  A
-    trace vanishes on the relations, so its value on [v] is its value at v.
-    Without families the converse also holds: the rational cone of ``gens``
-    is dual to the traces, so the rays that are zero on x expose x's face,
-    and what is kept is exactly that face's generators.
+    The torsion coordinates hold modulo their moduli, through one free
+    multiplier per ``_torsion_lattice_columns`` column.  The rational
+    relaxation is solved (``solve_lp`` re-checks a Farkas certificate) and
+    a feasible point is scaled by the lcm of its denominators, multipliers
+    included, so the relation holds in the torsion coordinates as well.
     """
-    lift = k.coker.lift(x)
-    face = [phi for phi in k._rays if _dot(phi, lift) == 0]
-    return [(v, e) for v, e in gens if not any(phi[k.ambient_index(v)] for phi in face)]
-
-
-def _relation(coker: CokerPresentation, gens, fams, lattice, cols):
-    """A relation "sum of cone generators = 0" with every column in
-    ``cols`` at least 1, as an integer point of ``_cone_program`` with
-    x = 0, or None.
-
-    The rational relaxation is solved (``solve_lp`` re-checks a Farkas
-    certificate) and a feasible point is scaled by the lcm of its
-    denominators.  The lattice coefficients scale to integers too, so the
-    relation holds in the torsion coordinates as well.
-    """
-    num_vars, equalities, inequalities, bounds = _cone_program(
-        coker, coker.zero(), gens, fams, lattice
-    )
-    rows = [constraint(row, EQ, rhs) for row, rhs in equalities]
-    rows += [constraint(row, LE, rhs) for row, rhs in inequalities]
-    for col in cols:
-        bounds[col] = (1, None)
-    res = solve_lp(num_vars, *relaxation(rows, bounds))
+    torsion = _torsion_lattice_columns(coker)
+    cols = [_quotient_coords(e) for e in classes] + torsion
+    dim = len(coker.torsion_moduli) + coker.free_rank
+    rows = [constraint([col[r] for col in cols], EQ, 0) for r in range(dim)]
+    bounds = [(lo, None) for lo in lower] + [(None, None)] * len(torsion)
+    res = solve_lp(len(cols), *relaxation(rows, bounds))
     if not isinstance(res, Feasible):
         return None
     scale = lcm(*(q.denominator for q in res.point))
-    return [int(q * scale) for q in res.point]
-
-
-def _units_witness(units, relation: MembershipWitness | None, coeffs) -> MembershipWitness:
-    """The witness of sum c_i [u_i] over the ``units`` and ``coeffs``: the
-    ``relation`` of ``K0Presentation._lineality`` t times, plus each c_i
-    [u_i].  A unit's count in the relation is some r_i >= 1, so the least t
-    that makes every count t * r_i + c_i nonnegative is the largest
-    ceil(-c_i / r_i) over the negative c_i."""
-    counts = dict(relation.base_counts) if relation else {}
-    t = max((-(c // counts[v]) for (v, _), c in zip(units, coeffs) if c < 0), default=0)
-    terms = [(c, _single(v)) for (v, _), c in zip(units, coeffs)]
-    return _combine([(t, relation), *terms] if t else terms)
+    return [int(q * scale) for q in res.point[: len(classes)]]
 
 
 class _ProvenEmpty:
-    """Every search tree closed empty, so x has no decomposition into cone
-    generators."""
-
-
-def _cone_columns(k: K0Presentation):
-    """The generators and families of ``_cone_program``: the nonzero vertex
-    classes as ``(vertex, class)``, and each family as ``(emitter, class,
-    targets)`` with its nonzero-class targets as ``(vertex, capacity,
-    class)``.  Families whose emitter and targets all have class zero are
-    dropped: their columns would be zero, and a zero column never enters a
-    basis under Bland's rule and is never branched on."""
-    gens = [(v, k.delta[v]) for v in k.graph.vertices if not k.delta[v].is_zero()]
-    fams = []
-    for fam in k.cone.families:
-        de = k.delta[fam.emitter]
-        targets = [(w, cap, k.delta[w]) for w, cap in fam.targets if not k.delta[w].is_zero()]
-        if targets or not de.is_zero():
-            fams.append((fam.emitter, de, targets))
-    return gens, fams
-
-
-def _split_cases(fams):
-    """The ``fams`` arguments of ``_cone_program``, one per case: a family
-    with an uncapped target is either unused or used at least once (lower
-    bound 1), and every other family is present with lower bound 0."""
-    split = [
-        i for i, (_, _, targets) in enumerate(fams) if any(cap is None for _, cap, _ in targets)
-    ]
-    for mask in range(1 << len(split)):
-        used = {split[b] for b in range(len(split)) if mask >> b & 1}
-        yield [(fam, int(i in used)) for i, fam in enumerate(fams) if i in used or i not in split]
+    """Every case was excluded by one of its rays or closed empty, so x has
+    no decomposition into cone generators."""
 
 
 def _modulo_lattice(snf: SmithForm, program):
-    """``program``, a ``_cone_program`` without lattice columns, with its
-    equalities asked only modulo the lattice spanned by the columns of the
-    m that ``snf`` diagonalizes (u @ m @ v == s).  A residue r lies in that
-    lattice exactly when each (u @ r)_i is a multiple of s's diagonal entry
-    d_i (0 beyond the rank).  So the rows are combined by u; a row with
-    d_i == 1 holds at every integer point and is dropped, and a row with
-    d_i > 1 gets a free column d_i, so that no coefficient the other
-    variables determine is branched on."""
-    num_vars, equalities, inequalities, bounds = program
+    """``program``, a ``_cone_program``, with its equalities asked only
+    modulo the lattice spanned by the columns of the m that ``snf``
+    diagonalizes (u @ m @ v == s).  A residue r lies in that lattice
+    exactly when each (u @ r)_i is a multiple of s's diagonal entry d_i (0
+    beyond the rank).  So the rows are combined by u; a row with d_i == 1
+    holds at every integer point and is dropped, and a row with d_i > 1
+    gets a free column d_i, so that no coefficient the other variables
+    determine is branched on."""
+    num_vars, equalities, bounds = program
     factors = snf.invariant_factors + (0,) * (len(snf.u) - snf.rank)
     free = [i for i, d in enumerate(factors) if d > 1]
     combined = mat_mul(snf.u, [[*row, rhs] for row, rhs in equalities])
@@ -743,61 +780,58 @@ def _modulo_lattice(snf: SmithForm, program):
         for i, (row, d) in enumerate(zip(combined, factors))
         if d != 1
     ]
-    return num_vars + len(free), rows, inequalities, bounds + [(None, None)] * len(free)
+    return num_vars + len(free), rows, bounds + [(None, None)] * len(free)
 
 
 def _cone_search(
     k: K0Presentation, x: Element, budget: int
 ) -> Member | _ProvenEmpty | UnknownMembership:
-    """Branch-and-bound search for a decomposition of x into cone generators.
+    """Branch-and-bound search for a decomposition of x into cone generators,
+    one case of ``K0Presentation._cases`` after another.
 
-    The vertex generators are first cut to those x's face can use
-    (``_face_reduction``).  With families and extreme traces, each case of
-    ``_split_cases`` is one ``_cone_program`` over them, searched in turn
-    with the whole budget.  Otherwise the search is one program over the
-    face's generators that are not units, taken modulo the lattice the
-    units and the torsion moduli span (``K0Presentation._lineality``,
-    ``_modulo_lattice``).  The rest is that lattice's combination of units,
-    each coefficient of a unit of finite order taken mod that order, and
-    ``_units_witness`` pays the negative ones with the units' relation.
-    Those generators span a pointed cone, so that search region is bounded
-    and the search ends with a definite answer given enough budget.  Without
-    extreme traces every nonzero class is a unit, so the program is empty
-    and x is read off the Smith normal form alone.
+    In a case, y = x minus its shift must be a combination of its columns.
+    A case is skipped when one of its rays is negative on y, and otherwise
+    only the columns of y's face are kept (``_Case.face``).  The search
+    runs over the kept columns that are not units, each case with the
+    whole budget, and asks the equalities only modulo the lattice that the
+    units and the torsion moduli span (``_modulo_lattice``).  The rest is
+    that lattice's combination of units, each coefficient of a unit of
+    finite order taken mod that order; the negative ones are paid with t
+    copies of the case's relation, for the least t that leaves every count
+    nonnegative.  The searched columns span a pointed cone, so the search
+    region is bounded and the search ends with a definite answer given
+    enough budget.  Without extreme traces no column is searched, and x is
+    read off the Smith normal form alone.
     """
     coker = k.coker
-    gens, fams = _cone_columns(k)
-    gens = _face_reduction(k, gens, x)
-    if fams and k._rays:
-        lattice = _torsion_lattice_columns(coker)
-        for case in _split_cases(fams):
-            program = _cone_program(coker, x, gens, case, lattice)
-            res = integer_feasibility(*program, budget=budget)
-            if isinstance(res, IntWitness):
-                return Member(witness=_decode_witness(gens, case, res.point))
-            if isinstance(res, IntUnknown):
-                return UnknownMembership(budget_spent=res.nodes_explored)
-        return _ProvenEmpty()
-
-    units, relation, snf = k._lineality
-    pointed = [g for g in gens if g not in units]
-    program = _modulo_lattice(snf, _cone_program(coker, x, pointed, (), []))
-    res = integer_feasibility(*program, budget=budget)
-    if isinstance(res, IntUnknown):
-        return UnknownMembership(budget_spent=res.nodes_explored)
-    if isinstance(res, IntInfeasible):
-        return _ProvenEmpty()
-    rest = _quotient_coords(x)
-    for c, (_, e) in zip(res.point, pointed):
-        rest = [a - c * b for a, b in zip(rest, _quotient_coords(e))]
-    # m @ (v @ w) == rest for w = (u @ rest) / diagonal of s
-    w = [a // d for a, d in zip(mat_vec(snf.u, rest), snf.invariant_factors)]
-    coeffs = []
-    for (_, e), row in zip(units, snf.v):
-        c, order = _dot(row, w), coker.element_order(e)
-        coeffs.append(c if order is None else c % order)
-    terms = [_decode_witness(pointed, (), res.point), _units_witness(units, relation, coeffs)]
-    return Member(witness=_combine((1, t) for t in terms))
+    for case in k._cases:
+        rest = coker.subtract(x, case.shift)
+        kept = case.face(coker.lift(rest))
+        if kept is None:
+            continue
+        classes = [case.columns[j].element for j in kept]
+        program = _modulo_lattice(case.snf, _cone_program(coker, rest, classes))
+        res = integer_feasibility(*program, budget=budget)
+        if isinstance(res, IntUnknown):
+            return UnknownMembership(budget_spent=res.nodes_explored)
+        if isinstance(res, IntInfeasible):
+            continue
+        counts = [0] * len(case.columns)
+        left = _quotient_coords(rest)
+        for j, c, e in zip(kept, res.point, classes):
+            counts[j] = c
+            left = [a - c * b for a, b in zip(left, _quotient_coords(e))]
+        # m @ (v @ w) == left for w = (u @ left) / diagonal of s
+        w = [a // d for a, d in zip(mat_vec(case.snf.u, left), case.snf.invariant_factors)]
+        for j, row in zip(case.units, case.snf.v):
+            c, order = _dot(row, w), coker.element_order(case.columns[j].element)
+            counts[j] = c if order is None else c % order
+        t = max([0] + [-(counts[j] // case.relation[j]) for j in case.units])
+        counts = [c + t * r for c, r in zip(counts, case.relation)]
+        for j in case.offset:
+            counts[j] += 1
+        return Member(witness=_decode_witness(k, case.columns, counts))
+    return _ProvenEmpty()
 
 
 def cone_membership(k: K0Presentation, x: Element, budget: int = DEFAULT_BUDGET):
@@ -872,93 +906,41 @@ def _opposite_pair(k: K0Presentation, plus, minus) -> Element:
     return x
 
 
-def _cone_pointed(k: K0Presentation) -> tuple[ThreeValued, Element | None]:
-    """Whether a cone with families and extreme traces is pointed, and if
-    not an x != 0 with x and -x in it.
-
-    Every trace is >= 0 on every generator, so in a relation "sum of
-    generators = 0" each term is 0 under every extreme ray.  The candidates
-    are the nonzero vertex classes, and the full family elements
-    [e] - sum cap * [w] over the capped targets, on which every ray
-    vanishes; one of finite order d settles it, as -g = (d - 1) g.
-
-    If x != 0 and -x are in the cone, some nonzero generator g of x has
-    -g = (x - g) + (-x) in the cone: g plus a representation of -g is a
-    point of the rational ``_cone_program`` with x = 0 and g's column at
-    least 1, in one case of ``_split_cases``.  In such a point a family
-    has m_w = cap * t where a ray is positive on [w].  Once the case's
-    vertex programs, which run first, are infeasible, it has that on every
-    target and no uncapped one, since a lower m_w or an uncapped target
-    would turn into a point of the program of [w].  So the part of a
-    feasible point at its candidate is nonzero, and the rest represents
-    minus it.  When every program is infeasible (``solve_lp`` re-checks
-    each Farkas certificate) the cone is pointed.
-    """
-    gens, fams = _cone_columns(k)
-    full = {e: [(w, cap) for w, cap, _ in targets if cap is not None] for e, _, targets in fams}
-
-    def single(key, c):
-        """The witness of c times the candidate ``key``."""
-        kind, name = key
-        if kind == "vertex":
-            return MembershipWitness(((name, c),), ())
-        use = FamilyUse(name, c, tuple((w, c * n) for w, n in full[name]))
-        return MembershipWitness((), (use,))
-
-    candidates = []
-    for key in [("vertex", v) for v, _ in gens] + [("family", e) for e in full]:
-        x = evaluate_witness(k, single(key, 1))
-        order = k.coker.element_order(x)
-        if order is None:
-            lift = k.coker.lift(x)
-            if not any(_dot(h, lift) for h in k._rays):
-                candidates.append(key)
-        elif order > 1:
-            return ThreeValued.NO, _opposite_pair(k, single(key, 1), single(key, order - 1))
-    if not candidates:
-        return ThreeValued.YES, None
-    lattice = _torsion_lattice_columns(k.coker)
-    for case in _split_cases(fams):
-        spans = {("vertex", v): (i, i + 1) for i, (v, _) in enumerate(gens)}
-        col = len(gens)
-        for (emitter, _, targets), _ in case:
-            spans[("family", emitter)] = (col, col + 1 + len(targets))
-            col += 1 + len(targets)
-        for lo, hi in (spans[key] for key in candidates if key in spans):
-            point = _relation(k.coker, gens, case, lattice, (lo,))
-            if point is None:
-                continue
-            part = [c if lo <= j < hi else 0 for j, c in enumerate(point)]
-            rest = [0 if lo <= j < hi else c for j, c in enumerate(point)]
-            plus, minus = (_decode_witness(gens, case, p) for p in (part, rest))
-            return ThreeValued.NO, _opposite_pair(k, plus, minus)
-    return ThreeValued.YES, None
-
-
 def order_properties(k: K0Presentation) -> OrderProperties:
     """Whether the cone is the whole group and whether it is pointed, read
-    off the extreme traces with no membership search.  ``pointed_witness``
-    is an x != 0 with x and -x in the cone when the cone is not pointed.
+    off the cases of ``K0Presentation._cases`` with no membership search.
+    ``pointed_witness`` is an x != 0 with x and -x in the cone when the cone
+    is not pointed.
 
-    The cone is the whole group exactly when there is no extreme trace.
-    With families and extreme traces ``_cone_pointed`` decides pointedness;
-    otherwise the cone is pointed exactly when it has no unit
-    (``K0Presentation._lineality``), and x is the first unit."""
+    The cone is the whole group exactly when there is no extreme trace.  It
+    is not pointed exactly when some case has every batch of its offset
+    among its units, and a unit g that is a nonzero vertex class or batch.
+    Then x = g, and -x is twice the case's relation minus g: the relation
+    is at least 1 on g and on every used batch, so each count stays
+    nonnegative and every used family is used.  Conversely,
+    representations of x != 0 and -x in two cases add up to a relation in
+    the case that uses the families of both, shift included; every ray of
+    that case is >= 0 on each term, so each term is a unit, and a nonzero
+    term of x, or [u] for a term -[u], is a g.  Without families there is
+    one case, and the cone is pointed exactly when it has no unit."""
     # the zero group has no ray, answered without the LP that certifies it
     if k.group_invariants() == (0, ()):
         return OrderProperties(ThreeValued.YES, ThreeValued.YES)
     # an extreme trace h_b is 1 on [b], so -[b] is outside the cone; with
     # none, the rays are certified complete, so the only trace is 0
     everything = ThreeValued.NO if k._rays else ThreeValued.YES
-    _, fams = _cone_columns(k)
-    if fams and k._rays:
-        return OrderProperties(everything, *_cone_pointed(k))
-    units, relation, _ = k._lineality
-    if not units:
-        return OrderProperties(everything, ThreeValued.YES)
-    minus = _units_witness(units, relation, [-1] + [0] * (len(units) - 1))
-    x = _opposite_pair(k, _single(units[0][0]), minus)
-    return OrderProperties(everything, ThreeValued.NO, x)
+    for case in k._cases:
+        if not set(case.offset) <= set(case.units):
+            continue
+        for g in case.units:
+            col = case.columns[g]
+            # a column -[u] is no cone element on its own
+            if col.terms[0][1] > 0 and not col.element.is_zero():
+                minus = [2 * r - (j == g) for j, r in enumerate(case.relation)]
+                plus = _decode_witness(k, [col], [1])
+                x = _opposite_pair(k, plus, _decode_witness(k, case.columns, minus))
+                return OrderProperties(everything, ThreeValued.NO, x)
+    return OrderProperties(everything, ThreeValued.YES)
 
 
 # ---------------------------------------------------------------------------

@@ -340,7 +340,8 @@ def emit_report(result, format: str = HUMAN) -> str:
     """Render a computation result in the requested format.
 
     Accepts graphs, K0 presentations, membership and comparison verdicts,
-    consistency reports, graph traces (or NoTrace), and trace reports.
+    consistency reports, and graph traces (or NoTrace); any other type
+    raises ``TypeError``.
     """
     if format not in (HUMAN, JSON):
         raise ValueError(f"unknown format {format!r}")

@@ -90,38 +90,25 @@ class TestFreeVariables:
         x, k = res.point
         assert 3 * x - 5 * k == 1 and x >= 0
 
-    def test_inequalities(self):
-        res = integer_feasibility(
-            2,
-            [([1, 1], 4)],
-            inequalities=[([1, -2], 0)],
-            bounds=[(0, None), (0, 3)],
-            budget=1000,
-        )
-        assert isinstance(res, IntWitness)
-        x, y = res.point
-        assert x + y == 4 and x <= 2 * y and y <= 3
-
 
 class TestWitnessRecheck:
     """An integral relaxation point is re-checked against the whole program
     before it is returned; a point that breaks it raises."""
 
-    # (bounds, inequalities, the point the relaxation claims)
+    # (bounds, the point the relaxation claims)
     BROKEN = (
-        ([(0, 4)], [], (5,)),  # above the upper bound
-        ([(2, None)], [], (1,)),  # below a nonzero lower bound
-        ([(0, None)], [], (-1,)),  # negative where the bound is 0
-        ([(None, None)], [([1], 3)], (4,)),  # breaks an inequality
+        ([(0, 4)], (5,)),  # above the upper bound
+        ([(2, None)], (1,)),  # below a nonzero lower bound
+        ([(0, None)], (-1,)),  # negative where the bound is 0
     )
 
-    @pytest.mark.parametrize("bounds, inequalities, point", BROKEN)
-    def test_bad_point_raises(self, monkeypatch, bounds, inequalities, point):
+    @pytest.mark.parametrize("bounds, point", BROKEN)
+    def test_bad_point_raises(self, monkeypatch, bounds, point):
         monkeypatch.setattr(
             graphk0.intfeas, "solve_lp", lambda *args, **kw: Feasible(point=tuple(map(Fraction, point)))
         )
         with pytest.raises(CertificateError):
-            integer_feasibility(1, [], inequalities=inequalities, bounds=bounds)
+            integer_feasibility(1, [], bounds=bounds)
 
     def test_bad_point_raises_without_asserts(self):
         script = textwrap.dedent(

@@ -35,7 +35,7 @@ from graphk0.ktheory import (
     verify_desingularization_consistency,
     witness_is_valid,
 )
-from graphk0.intfeas import IntInfeasible, IntUnknown, IntWitness
+from graphk0.intfeas import IntInfeasible, IntUnknown, IntWitness, integer_feasibility
 from graphk0.linalg import CokerPresentation, Element, determinant
 from graphk0.lp import EQ, GE, Feasible, constraint, solve_lp
 from graphk0.reports import k0_to_json
@@ -89,6 +89,63 @@ def brute_force_cone(k, max_summands=12):
         if not frontier:
             break
     return reachable
+
+
+def capacity_search(k, x, budget):
+    """The result kind of the family search that the cases replaced: for
+    each choice of the families with an uncapped target used (emitter count
+    at least 1) or not, in turn, one integer program over the nonzero
+    vertex classes, each present family's emitter count and target counts
+    with m_w + s_w = cap * t for a slack s_w >= 0 on each capped target,
+    and one free multiplier per torsion modulus; the first that is not
+    infeasible decides."""
+    coker = k.coker
+    dim = len(coker.torsion_moduli) + coker.free_rank
+
+    def coords(e):
+        return [*e.torsion, *e.free]
+
+    gens = [k.delta[v] for v in k.graph.vertices if not k.delta[v].is_zero()]
+    fams = []
+    for fam in k.cone.families:
+        targets = [(w, cap) for w, cap in fam.targets if not k.delta[w].is_zero()]
+        if targets or not k.delta[fam.emitter].is_zero():
+            fams.append((fam.emitter, targets))
+    split = [e for e, targets in fams if any(cap is None for _, cap in targets)]
+    for mask in range(1 << len(split)):
+        used = {e for b, e in enumerate(split) if mask >> b & 1}
+        cols = [coords(e) for e in gens]
+        bounds = []
+        for e in gens:
+            order = coker.element_order(e)
+            bounds.append((0, None if order is None else order - 1))
+        caps = []
+        for e, targets in fams:
+            if e in split and e not in used:
+                continue
+            t = len(cols)
+            cols.append(coords(k.delta[e]))
+            bounds.append((int(e in used), None))
+            for w, cap in targets:
+                if cap is not None:
+                    caps.append((len(cols), t, cap))
+                cols.append([-c for c in coords(k.delta[w])])
+                bounds.append((0, None))
+        for i, d in enumerate(coker.torsion_moduli):
+            cols.append([-d if r == i else 0 for r in range(dim)])
+            bounds.append((None, None))
+        rows = [
+            ([col[r] for col in cols] + [0] * len(caps), rhs) for r, rhs in enumerate(coords(x))
+        ]
+        for i, (m, t, cap) in enumerate(caps):
+            row = [0] * (len(cols) + len(caps))
+            row[m], row[t], row[len(cols) + i] = 1, -cap, 1
+            rows.append((row, 0))
+        bounds += [(0, None)] * len(caps)
+        res = integer_feasibility(len(cols) + len(caps), rows, bounds=bounds, budget=budget)
+        if not isinstance(res, IntInfeasible):
+            return type(res)
+    return IntInfeasible
 
 
 class TestComputeK0:
@@ -433,16 +490,23 @@ class TestConeMembership:
             gens = [(v, k.delta[v]) for v in k.graph.vertices if not k.delta[v].is_zero()]
             if k.coker.free_rank == 0:
                 continue
+            # without families there is one case, the graph's own, whose
+            # extreme traces are found, and certified, once per presentation
+            (case,) = k._cases
             for _ in range(4):
                 # x in the cone, so in the relative interior of some face
                 x = k.coker.zero()
                 for _, e in gens:
                     if rng.random() < 0.4:
                         x = k.coker.add(x, k.coker.scale(rng.randint(1, 3), e))
-                k._rays  # the extreme traces are found, and certified, once per presentation
                 calls.clear()
-                face = graphk0.ktheory._face_reduction(k, gens, x)
+                kept = case.face(k.coker.lift(x))
                 assert not calls
+                face = [
+                    (col.terms[0][0], col.element)
+                    for j, col in enumerate(case.columns)
+                    if j in kept or j in case.units
+                ]
                 assert face == restart_loop(k, gens, x)
                 proper += 0 < len(face) < len(gens)
         assert proper >= 50
@@ -480,22 +544,26 @@ class TestConeMembership:
             gens = [(v, k.delta[v]) for v in k.graph.vertices if not k.delta[v].is_zero()]
             if not k._rays:
                 continue
-            # one LP per presentation with units gives the relation, none without
+            # one LP per presentation with units gives the relation, none
+            # without; there is one case, the graph's own
             lp_calls.clear()
-            units, relation, _ = k._lineality
+            (case,) = k._cases
+            case.relation  # built on first use
+            units = [(case.columns[j].terms[0][0], case.columns[j].element) for j in case.units]
             assert len(lp_calls) == bool(units)
             assert units == screen(k, gens), k.graph.edges()
             with_units += bool(units)
             infinite_units += any(k.coker.element_order(e) is None for _, e in units)
+            decode = graphk0.ktheory._decode_witness
             if units:
                 # every unit at least once, nothing else, and the sum is 0
+                relation = decode(k, case.columns, case.relation)
                 assert witness_is_valid(k, relation) and not relation.family_uses
                 assert {u for u, _ in relation.base_counts} == {u for u, _ in units}
                 assert all(c >= 1 for _, c in relation.base_counts)
                 assert evaluate_witness(k, relation).is_zero()
-            for i, (v, e) in enumerate(units):
-                coeffs = [-int(j == i) for j in range(len(units))]
-                minus = graphk0.ktheory._units_witness(units, relation, coeffs)
+            for j, (v, e) in zip(case.units, units):
+                minus = decode(k, case.columns, [r - (i == j) for i, r in enumerate(case.relation)])
                 assert witness_is_valid(k, minus)
                 assert evaluate_witness(k, minus) == k.coker.negate(e)
             for cold in range(2):
@@ -514,42 +582,32 @@ class TestConeMembership:
         assert with_units >= 15 and infinite_units >= 5
 
     def test_face_step_before_family_search(self, monkeypatch):
-        # every trace is >= 0 on every generator, family elements included,
-        # so a ray that is zero on x is zero on each term of a representation
-        # of x: no searched program may carry a vertex column on which such
-        # a ray is positive, and cutting those columns changes no verdict
+        # every column of a case is >= 0 under every ray of the case, so a
+        # ray that is zero on x minus the case's shift is zero on each term
+        # of a representation: no searched program may carry a column on
+        # which such a ray is positive.  Against the family search the
+        # cases replaced, whose capacity rows m_w <= cap * t leave its
+        # region unbounded, only its Unknown(budget) may turn into Member
+        true_face = graphk0.ktheory._Case.face
         true_program = graphk0.ktheory._cone_program
-        true_search = graphk0.ktheory.integer_feasibility
-        programs, searched = {}, []
+        faces, searched = [], []
 
-        def program(coker, x, gens, fams, lattice):
-            out = true_program(coker, x, gens, fams, lattice)
-            programs[id(out[1])] = gens
-            return out
+        def face(case, lift):
+            kept = true_face(case, lift)
+            faces.append((case, lift, kept))
+            return kept
 
-        def search(num_vars, equalities, inequalities, bounds, budget):
-            searched.append(programs[id(equalities)])
-            return true_search(num_vars, equalities, inequalities, bounds, budget=budget)
+        def program(coker, x, classes):
+            searched.append((*faces[-1], x, classes))
+            return true_program(coker, x, classes)
 
-        def unreduced(k, x, budget):
-            # the family search as it ran before the face step
-            gens, fams = graphk0.ktheory._cone_columns(k)
-            lattice = graphk0.ktheory._torsion_lattice_columns(k.coker)
-            for case in graphk0.ktheory._split_cases(fams):
-                res = true_search(*true_program(k.coker, x, gens, case, lattice), budget=budget)
-                if not isinstance(res, IntInfeasible):
-                    return type(res)
-            return IntInfeasible
-
+        monkeypatch.setattr(graphk0.ktheory._Case, "face", face)
         monkeypatch.setattr(graphk0.ktheory, "_cone_program", program)
-        monkeypatch.setattr(graphk0.ktheory, "integer_feasibility", search)
         rng = random.Random(31)
-        kinds = {Member: IntWitness, UnknownMembership: IntUnknown}
-        checked = cut = 0
+        checked = programs = cut = 0
         for _ in range(120):
             k = compute_k0(random_graph(rng, 5, inf_prob=0.3, edge_prob=0.35))
-            all_gens, fams = graphk0.ktheory._cone_columns(k)
-            if not fams or not k._rays:
+            if not k.cone.families or not k._rays:
                 continue
             moves = [[int(u == v) for u in k.ambient_order] for v in k.graph.vertices]
             for fam in k.cone.families:
@@ -566,25 +624,70 @@ class TestConeMembership:
                 lift = k.coker.lift(x)
                 if x.is_zero() or any(_dot(h, lift) < 0 for h in k._rays):
                     continue
-                face = [h for h in k._rays if _dot(h, lift) == 0]
-
-                def outside(v):
-                    return any(h[k.ambient_index(v)] for h in face)
-
                 k._membership_cache.clear()
                 searched.clear()
                 verdict = cone_membership(k, x, budget=2000)
-                assert searched
-                for gens in searched:
-                    assert not any(outside(v) for v, _ in gens), (k.graph.edges(), x)
-                cut += any(outside(v) for v, _ in all_gens)
-                expected = unreduced(k, x, 2000)
-                if isinstance(verdict, UnknownMembership) and not verdict.budget_spent:
-                    assert expected is IntInfeasible, (k.graph.edges(), x)
+                for case, lift, kept, y, classes in searched:
+                    assert k.coker.project(lift) == y == k.coker.subtract(x, case.shift)
+                    assert classes == [case.columns[j].element for j in kept]
+                    zero = [h for h in case.rays if _dot(h, lift) == 0]
+                    for j in kept:
+                        terms = case.columns[j].terms
+                        assert not any(
+                            sum(n * h[k.ambient_index(w)] for w, n in terms) for h in zero
+                        ), (k.graph.edges(), x)
+                    programs += 1
+                    cut += len(kept) < len(case.pointed)
+                expected = capacity_search(k, x, 2000)
+                if isinstance(verdict, Member):
+                    assert expected in (IntWitness, IntUnknown), (k.graph.edges(), x)
+                elif verdict.budget_spent:
+                    assert expected is IntUnknown, (k.graph.edges(), x)
                 else:
-                    assert kinds[type(verdict)] is expected, (k.graph.edges(), x)
+                    assert expected is IntInfeasible, (k.graph.edges(), x)
                 checked += 1
-        assert checked >= 120 and cut >= 50, (checked, cut)
+        assert checked >= 120 and programs >= 100 and cut >= 50, (checked, programs, cut)
+
+    def test_family_member_beyond_capacity_rows(self):
+        # the capacity-row search dived without end on this member: it
+        # returned Unknown(2000) after 0.65 s and Unknown(20000) after 6.8 s.
+        # Each case's search runs over a pointed cone, so it is bounded
+        g = Graph(
+            [f"v{i}" for i in range(5)],
+            {
+                ("v0", "v3"): 5, ("v0", "v4"): 3, ("v1", "v0"): 4, ("v2", "v3"): 5,
+                ("v2", "v4"): INF, ("v4", "v1"): 2, ("v4", "v4"): 2,
+            },
+        )
+        k = compute_k0(g)
+        x = k.coker.project([{"v2": 2, "v4": 2, "v3": -3}.get(v, 0) for v in k.ambient_order])
+        verdict = cone_membership(k, x, budget=2000)
+        assert isinstance(verdict, Member)
+        assert evaluate_witness(k, verdict.witness) == x
+
+    def test_unseparable_query_excluded_case_by_case(self, monkeypatch):
+        # outside the cone, but no extreme trace of the graph is negative on
+        # it: each case has a ray that excludes it, so no search runs and
+        # the verdict is Unknown(0)
+        searches = []
+        true_search = graphk0.ktheory.integer_feasibility
+        monkeypatch.setattr(
+            graphk0.ktheory,
+            "integer_feasibility",
+            lambda *args, **kwargs: searches.append(1) or true_search(*args, **kwargs),
+        )
+        g = Graph(
+            [f"v{i}" for i in range(6)],
+            {
+                ("v1", "v0"): INF, ("v1", "v5"): 2, ("v2", "v4"): 3, ("v3", "v5"): 3,
+                ("v5", "v2"): 2, ("v5", "v3"): 2,
+            },
+        )
+        k = compute_k0(g)
+        assert k.group_invariants() == (3, ())
+        verdict = cone_membership(k, Element(torsion=(), free=(-1, 0, -1)), budget=2000)
+        assert verdict == UnknownMembership(budget_spent=0)
+        assert not searches
 
     def test_verdict_cache_is_the_only_reuse(self, monkeypatch):
         searches = []
@@ -598,8 +701,8 @@ class TestConeMembership:
         repeats = unknowns = 0
         for _ in range(400):
             k = compute_k0(random_graph(rng, 6, inf_prob=0.3, edge_prob=0.35))
-            gens, fams = graphk0.ktheory._cone_columns(k)
-            if not fams or not k._rays:
+            gens = [(v, k.delta[v]) for v in k.graph.vertices if not k.delta[v].is_zero()]
+            if not k.cone.families or not k._rays:
                 continue
             x = k.coker.zero()
             for v, e in gens:
@@ -608,30 +711,28 @@ class TestConeMembership:
             if x.is_zero():
                 continue
             searches.clear()
-            first = cone_membership(k, x, budget=2)
+            first = cone_membership(k, x, budget=1)
             if not searches:
                 continue
-            # a repeated query is answered by the cache, with no new search
+            # a repeated query is answered by the cache, with no new search;
+            # an Unknown stands for budgets up to the one it was found with
             calls = len(searches)
-            assert cone_membership(k, x, budget=2) is first
+            assert cone_membership(k, x, budget=1) is first
             assert len(searches) == calls
             repeats += 1
             if isinstance(first, Member):
                 # a cached member settles no other query: x + [v] is searched
                 y = k.coker.add(x, gens[0][1])
                 if not y.is_zero():
-                    cone_membership(k, y, budget=2)
+                    cone_membership(k, y, budget=1)
                     assert len(searches) > calls
                 continue
-            assert first.budget_spent == 2, (k.graph.edges(), x)
-            # an Unknown stands for budgets up to the one it was found with,
-            # and is decided afresh with a larger one
-            assert cone_membership(k, x, budget=1) is first
-            assert len(searches) == calls
+            assert first.budget_spent == 1, (k.graph.edges(), x)
+            # an Unknown is decided afresh with a larger budget
             later = cone_membership(k, x, budget=4000)
             assert len(searches) > calls
             assert isinstance(later, Member), (k.graph.edges(), x)
-            assert cone_membership(k, x, budget=2) is later
+            assert cone_membership(k, x, budget=1) is later
             unknowns += 1
         assert repeats >= 60 and unknowns >= 5, (repeats, unknowns)
 

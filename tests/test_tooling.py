@@ -114,18 +114,30 @@ def test_graph_walks_are_iterative():
 
 
 def test_no_unreferenced_private_helpers():
-    # a top-level _name function or class that nothing else in the package
-    # names is dead code, such as a helper whose last caller was deleted
+    # a top-level _name function or class, or a _name method or cached
+    # property of a class, that nothing else in the package names is dead
+    # code, such as a helper whose last caller was deleted
+    def private(node):
+        name = node.name
+        return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+    definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     defined, used = {}, set()
     for path in sorted(Path(graphk0.__file__).parent.glob("*.py")):
         for stmt in ast.parse(path.read_text(), filename=str(path)).body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if stmt.name.startswith("_"):
-                    defined[stmt.name] = path.name
-            # names inside a definition count only for the other definitions
-            names = {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)}
-            names |= {n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)}
-            names |= {a.name for n in ast.walk(stmt) if isinstance(n, ast.ImportFrom) for a in n.names}
-            used |= names - {getattr(stmt, "name", None)}
+            parts = [stmt]
+            if isinstance(stmt, ast.ClassDef):
+                parts = [*stmt.bases, *stmt.keywords, *stmt.decorator_list, *stmt.body]
+            for node in parts:
+                if isinstance(node, definitions) and private(node):
+                    defined[node.name] = path.name
+                # names inside a definition count only for the other
+                # definitions, and those inside a class not for the class
+                names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+                names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+                names |= {
+                    a.name for n in ast.walk(node) if isinstance(n, ast.ImportFrom) for a in n.names
+                }
+                used |= names - {getattr(stmt, "name", None), getattr(node, "name", None)}
     orphans = sorted(f"{path}:{name}" for name, path in defined.items() if name not in used)
     assert not orphans, orphans
