@@ -4,6 +4,13 @@ The JSON schema is versioned through a top-level "schema_version" field and
 documented in docs/report-schema.md.  Integers outside the 53-bit safe range
 are emitted as decimal strings so generic JSON parsers round-trip them
 without loss; rationals are always "p/q" strings.
+
+Every JSON text, the output of each ``--json`` subcommand included, comes
+from ``emit_json``.  Its text is byte for byte ``json.dumps(payload,
+indent=2)``; tests/test_reports.py checks that on every payload kind built
+here and on random payloads, and tests/test_cli.py on every subcommand.  It
+walks the containers itself because, given an indent, CPython's ``json``
+runs its pure-Python encoder.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .graphs import Graph, GraphPredicates, INF
 from .ktheory import (
@@ -39,6 +47,11 @@ def _num(n: int):
     return n if -_SAFE_INT <= n <= _SAFE_INT else str(n)
 
 
+def _nums(ns) -> list:
+    """``[_num(n) for n in ns]`` in one comprehension."""
+    return [n if -_SAFE_INT <= n <= _SAFE_INT else str(n) for n in ns]
+
+
 def _rat(q) -> str:
     q = Fraction(q)
     return f"{q.numerator}/{q.denominator}"
@@ -49,7 +62,7 @@ def _mult(m):
 
 
 def element_to_json(e: Element) -> dict:
-    return {"torsion": [_num(x) for x in e.torsion], "free": [_num(x) for x in e.free]}
+    return {"torsion": _nums(e.torsion), "free": _nums(e.free)}
 
 
 def element_from_json(data: dict, torsion_len: int, free_len: int) -> Element:
@@ -97,7 +110,7 @@ def k0_to_json(k: K0Presentation) -> dict:
         "schema_version": SCHEMA_VERSION,
         "kind": "k0",
         "free_rank": k.coker.free_rank,
-        "torsion": [_num(d) for d in k.coker.torsion_moduli],
+        "torsion": _nums(k.coker.torsion_moduli),
         "delta": {v: element_to_json(k.delta[v]) for v in k.graph.vertices},
         "order_unit": element_to_json(k.order_unit),
         "cone": {
@@ -191,9 +204,9 @@ def comparison_to_json(verdict) -> dict:
         out["reason"] = verdict.reason
     elif isinstance(verdict, IsomorphicCandidate):
         out["verdict"] = "isomorphic_candidate"
-        out["free_map"] = [[_num(x) for x in row] for row in verdict.iso.free_map]
-        out["torsion_map"] = [[_num(x) for x in row] for row in verdict.iso.torsion_map]
-        out["mixed_map"] = [[_num(x) for x in row] for row in verdict.iso.mixed_map]
+        out["free_map"] = [_nums(row) for row in verdict.iso.free_map]
+        out["torsion_map"] = [_nums(row) for row in verdict.iso.torsion_map]
+        out["mixed_map"] = [_nums(row) for row in verdict.iso.mixed_map]
         out["verified_bound"] = verdict.verified_bound
     elif isinstance(verdict, UnknownComparison):
         out["verdict"] = "unknown"
@@ -333,7 +346,66 @@ def consistency_human(report: ConsistencyReport) -> str:
 
 
 def emit_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=False)
+    """The text of ``json.dumps(payload, indent=2)``.
+
+    Dicts with ``str`` keys, lists and tuples are walked here, strings go to
+    json's C string encoder and exact ints to ``int.__repr__``; anything
+    else (a float, a dict with a non-``str`` key, an int or str subclass, an
+    unknown type) is handed to ``json.dumps``, so its text or its
+    ``TypeError`` is json's own.  A container that holds itself raises
+    ``RecursionError`` here where ``json.dumps`` raises ``ValueError``.
+    """
+    return _encode(payload, "\n")
+
+
+_INT_ONLY = {int}
+
+
+def _encode(o, newline: str) -> str:
+    """``o`` as JSON, its nested lines starting with ``newline``."""
+    t = type(o)
+    if t is str:
+        return _json_str(o)
+    if t is int:
+        return int.__repr__(o)
+    if t is dict:
+        if not o:
+            return "{}"
+        inner = newline + "  "
+        parts = []
+        for k, v in o.items():
+            if type(k) is not str:
+                return _json_fallback(o, newline)
+            t = type(v)
+            if t is str:
+                parts.append(_json_str(k) + ": " + _json_str(v))
+            elif t is int:
+                parts.append(_json_str(k) + ": " + int.__repr__(v))
+            else:
+                parts.append(_json_str(k) + ": " + _encode(v, inner))
+        return "{" + inner + ("," + inner).join(parts) + newline + "}"
+    if t is list or t is tuple:
+        if not o:
+            return "[]"
+        inner = newline + "  "
+        # exact ints only: int.__repr__(True) is "1", where JSON wants "true"
+        if set(map(type, o)) == _INT_ONLY:
+            items = map(int.__repr__, o)
+        else:
+            items = [_encode(x, inner) for x in o]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    return _json_fallback(o, newline)
+
+
+def _json_fallback(o, newline: str) -> str:
+    # a JSON string holds no raw newline, so every "\n" starts a nested line
+    return json.dumps(o, indent=2).replace("\n", newline)
 
 
 def emit_report(result, format: str = HUMAN) -> str:

@@ -238,3 +238,44 @@ class TestBigIntegers:
         assert payload["torsion"] == [str(n - 1)]
         # round-trips through a generic JSON parser without loss
         assert int(payload["torsion"][0]) == n - 1
+
+
+class TestJsonText:
+    def test_json_output_is_json_dumps_text(self, corpus, capsys):
+        # every --json subcommand prints exactly json.dumps(payload, indent=2):
+        # a None or a bool written in Python's spelling has the length of its
+        # JSON spelling but is not JSON, and o2.graph has no trace, so its
+        # trace count is null
+        names = ["o2.graph", "o3.graph", "toeplitz.graph", "oinf.graph", "m2.graph", "m3.graph"]
+        runs = []
+        for name in names:
+            path = corpus / name
+            runs += [
+                ("k0", path),
+                ("predicates", path),
+                ("traces", path),
+                ("traces", path, "--extremes"),
+                ("consistency", path, "--depth", 2),
+                ("desing", path, "--depth", 1),
+            ]
+            k = json.loads(invoke(capsys, "k0", path, "--json")[1])
+            for t, f in ((1, 1), (0, -1)):
+                element = {"torsion": [t] * len(k["torsion"]), "free": [f] * k["free_rank"]}
+                runs.append(("member", path, "--element", json.dumps(element)))
+            runs += [("compare", path, corpus / other) for other in names]
+            runs.append(("compare", path, corpus / "toeplitz.graph", "--unit"))
+        seen = set()
+        for argv in runs:
+            code, out, err = invoke(capsys, *argv, "--json")
+            assert code in (0, 1) and not err, argv
+            payload = json.loads(out)
+            assert out == json.dumps(payload, indent=2) + "\n", argv
+            seen.add((payload["kind"], payload.get("verdict")))
+            if argv[0] == "traces" and argv[1].name == "o2.graph":
+                assert payload["tracial_state_report"]["trace_count"] is None
+        assert seen >= {
+            ("membership", "member"),
+            ("membership", "not_member"),
+            ("comparison", "not_isomorphic"),
+            ("comparison", "isomorphic_candidate"),
+        }

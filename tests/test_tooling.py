@@ -141,3 +141,25 @@ def test_no_unreferenced_private_helpers():
                 used |= names - {getattr(stmt, "name", None), getattr(node, "name", None)}
     orphans = sorted(f"{path}:{name}" for name, path in defined.items() if name not in used)
     assert not orphans, orphans
+
+
+def test_json_text_comes_from_one_emitter():
+    # reports.emit_json writes the text of json.dumps(payload, indent=2)
+    # without json's pure-Python encoder; a module calling json.dump or
+    # json.dumps itself would be a second, untested path to JSON text
+    dumpers = {"dump", "dumps"}
+    found = []
+    for path in sorted(Path(graphk0.__file__).parent.glob("*.py")):
+        if path.name == "reports.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                found += [f"{path.name}:{node.lineno}" for a in node.names if a.name in dumpers]
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr in dumpers
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "json"
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
