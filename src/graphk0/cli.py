@@ -10,6 +10,7 @@ or usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -60,7 +61,14 @@ def _load_graph(path: str):
         raise _UsageError(f"{path}:{err.line}:{err.column}: {err.message}") from None
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every ``run`` call, built on the first one.
+
+    It keeps no state between calls: each ``parse_args`` makes a fresh
+    namespace, and help text is laid out for the terminal width when it is
+    printed.  It is not built at import, so importing the module stays cheap.
+    """
     parser = argparse.ArgumentParser(
         prog="graphk0",
         description="Ordered K0-groups of graph algebras, in exact arithmetic.",
@@ -146,9 +154,7 @@ def _dispatch(args) -> int:
             data = json.loads(args.element)
             if not isinstance(data, dict):
                 raise ValueError("element must be a JSON object")
-            x = element_from_json(
-                data, len(k.coker.torsion_moduli), k.coker.free_rank
-            )
+            x = element_from_json(data, k.coker.torsion_moduli, k.coker.free_rank)
         except (ValueError, TypeError, RecursionError) as err:
             raise _UsageError(f"bad --element: {err}") from None
         verdict = cone_membership(k, x, budget=args.budget)

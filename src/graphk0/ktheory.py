@@ -841,8 +841,13 @@ def cone_membership(k: K0Presentation, x: Element, budget: int = DEFAULT_BUDGET)
     being returned (a failed witness raises CertificateError); verdicts are
     cached on the presentation, and the cache answers a repeated query.  A
     cached Unknown is recomputed when a later call offers a larger budget.
+    Each torsion entry of x must lie in ``[0, d)`` for its modulus d, as
+    ``CokerPresentation`` writes them; otherwise ValueError.
     """
     k.coker._check(x)
+    moduli = k.coker.torsion_moduli
+    if not all(0 <= r < d for r, d in zip(x.torsion, moduli)):
+        raise ValueError(f"torsion entries {x.torsion} are not reduced modulo {moduli}")
     if budget < 1:
         raise ValueError("budget must be positive")
     cached = k._membership_cache.get(x)

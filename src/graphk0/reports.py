@@ -65,10 +65,11 @@ def element_to_json(e: Element) -> dict:
     return {"torsion": _nums(e.torsion), "free": _nums(e.free)}
 
 
-def element_from_json(data: dict, torsion_len: int, free_len: int) -> Element:
+def element_from_json(data: dict, torsion_moduli: tuple[int, ...], free_len: int) -> Element:
     """Read back what ``element_to_json`` writes: each entry a JSON integer
     or a decimal-integer string, and no key but ``torsion`` and ``free``;
-    anything else raises ValueError."""
+    anything else raises ValueError.  Torsion entries are read modulo their
+    moduli."""
 
     def ints(values):
         if not isinstance(values, list):
@@ -84,6 +85,7 @@ def element_from_json(data: dict, torsion_len: int, free_len: int) -> Element:
     unknown = sorted(set(data) - {"torsion", "free"})
     if unknown:
         raise ValueError(f"unknown key {unknown[0]!r}")
+    torsion_len = len(torsion_moduli)
     torsion = ints(data.get("torsion", [0] * torsion_len))
     free = ints(data.get("free", [0] * free_len))
     if len(torsion) != torsion_len or len(free) != free_len:
@@ -91,6 +93,7 @@ def element_from_json(data: dict, torsion_len: int, free_len: int) -> Element:
             f"element shape ({len(torsion)} torsion, {len(free)} free) does not "
             f"match the presentation ({torsion_len} torsion, {free_len} free)"
         )
+    torsion = tuple(r % d for r, d in zip(torsion, torsion_moduli))
     return Element(torsion=torsion, free=free)
 
 
@@ -173,16 +176,21 @@ def trace_to_json(t: GraphTrace) -> dict:
     return {v: _rat(q) for v, q in t.values}
 
 
-def traces_to_json(result, extremes, report: TraceReport) -> dict:
-    out = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "traces",
-        "traces": [trace_to_json(t) for t in (extremes if extremes is not None else [])],
-    }
-    if extremes is None:
-        out["traces"] = [] if isinstance(result, NoTrace) else [trace_to_json(result)]
+def _traces_payload(result, extremes) -> dict:
+    """A traces report without its tracial-state part: the extreme traces
+    when given, else ``result``, and the certificate of a ``NoTrace``."""
+    if extremes is not None:
+        traces = [trace_to_json(t) for t in extremes]
+    else:
+        traces = [] if isinstance(result, NoTrace) else [trace_to_json(result)]
+    out = {"schema_version": SCHEMA_VERSION, "kind": "traces", "traces": traces}
     if isinstance(result, NoTrace):
         out["no_trace_certificate"] = [_rat(q) for q in result.certificate.multipliers]
+    return out
+
+
+def traces_to_json(result, extremes, report: TraceReport) -> dict:
+    out = _traces_payload(result, extremes)
     if report.trace_count is None:
         count = None
     elif report.trace_count is INF:
@@ -433,16 +441,7 @@ def emit_report(result, format: str = HUMAN) -> str:
         return emit_json(consistency_to_json(result)) if as_json else consistency_human(result)
     if isinstance(result, (GraphTrace, NoTrace)):
         if as_json:
-            payload = {
-                "schema_version": SCHEMA_VERSION,
-                "kind": "traces",
-                "traces": [] if isinstance(result, NoTrace) else [trace_to_json(result)],
-            }
-            if isinstance(result, NoTrace):
-                payload["no_trace_certificate"] = [
-                    _rat(q) for q in result.certificate.multipliers
-                ]
-            return emit_json(payload)
+            return emit_json(_traces_payload(result, None))
         if isinstance(result, NoTrace):
             return "no graph trace of norm 1"
         return "graph trace: " + ", ".join(f"{v}={_rat(q)}" for v, q in result.values)

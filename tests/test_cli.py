@@ -1,4 +1,6 @@
+import argparse
 import json
+import random
 
 import pytest
 
@@ -228,6 +230,82 @@ class TestReports:
         assert first == second
 
 
+class TestRepeatedRuns:
+    # run builds its parser once per process, so no call, failing ones
+    # included, may change what a later call prints
+
+    def calls(self, corpus):
+        o3, m2, oinf = corpus / "o3.graph", corpus / "m2.graph", corpus / "oinf.graph"
+        ok = [
+            argv + extra
+            for extra in ((), ("--json",))
+            for argv in (
+                ("k0", o3),
+                ("predicates", m2),
+                ("member", o3, "--element", '{"torsion":[1]}'),
+                ("traces", m2),
+                ("traces", m2, "--extremes"),
+                ("desing", oinf, "--depth", 1),
+                ("compare", m2, corpus / "m3.graph"),
+                ("consistency", oinf, "--depth", 2),
+            )
+        ]
+        failing = [
+            (),
+            ("k0", o3, "--nope"),
+            ("member", o3),
+            ("member", o3, "--element", '{"free":[]}', "--budget", 0),
+            ("member", o3, "--element", "{bad"),
+        ]
+        return ok, failing, [("--help",), ("member", "--help")]
+
+    def test_same_output_every_time(self, corpus, capsys):
+        ok, failing, helps = self.calls(corpus)
+        calls = ok + failing + helps
+        first = {argv: invoke(capsys, *argv) for argv in calls}
+        assert all(first[argv][0] == 0 and not first[argv][2] for argv in ok)
+        assert all(first[argv][0] == 2 and first[argv][2] for argv in failing)
+        for argv in helps:
+            code, out, err = first[argv]
+            assert (code, err) == (0, "") and out.startswith("usage: graphk0")
+        rng = random.Random(3)
+        for _ in range(2):
+            rng.shuffle(calls)
+            for argv in calls:
+                assert invoke(capsys, *argv) == first[argv], argv
+
+    def test_parser_built_once(self, corpus, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self.prog)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        graphk0.cli._build_parser.cache_clear()
+        try:
+            ok, failing, helps = self.calls(corpus)
+            for argv in (ok + failing + helps) * 2:
+                invoke(capsys, *argv)
+        finally:
+            graphk0.cli._build_parser.cache_clear()
+        # the root parser and one per subcommand, each once
+        assert built.count("graphk0") == 1
+        assert len(built) == len(set(built)) == 8
+
+    def test_help_follows_terminal_width(self, capsys, monkeypatch):
+        # help is laid out when printed, so a cached parser still follows
+        # the width of the terminal
+        texts = {}
+        for width in (40, 120, 40, 120):
+            monkeypatch.setenv("COLUMNS", str(width))
+            code, out, _ = invoke(capsys, "member", "--help")
+            assert code == 0
+            assert texts.setdefault(width, out) == out
+        assert texts[40] != texts[120]
+
+
 class TestBigIntegers:
     def test_big_ints_as_strings(self, tmp_path, capsys):
         n = 2**60
@@ -259,7 +337,8 @@ class TestJsonText:
                 ("desing", path, "--depth", 1),
             ]
             k = json.loads(invoke(capsys, "k0", path, "--json")[1])
-            for t, f in ((1, 1), (0, -1)):
+            # -1, 3 and -3: torsion entries outside [0, d), read modulo d
+            for t, f in ((1, 1), (0, -1), (-1, 0), (3, 1), (-3, -1)):
                 element = {"torsion": [t] * len(k["torsion"]), "free": [f] * k["free_rank"]}
                 runs.append(("member", path, "--element", json.dumps(element)))
             runs += [("compare", path, corpus / other) for other in names]
@@ -279,3 +358,14 @@ class TestJsonText:
             ("comparison", "not_isomorphic"),
             ("comparison", "isomorphic_candidate"),
         }
+
+    def test_torsion_entries_read_modulo_moduli(self, corpus, capsys):
+        # o3.graph has K0 = Z/2: -1, 3 and -3 are the class 1
+        path = corpus / "o3.graph"
+        for extra in ((), ("--json",)):
+            expected = invoke(capsys, "member", path, "--element", '{"torsion":[1]}', *extra)
+            assert expected[0] == 0 and not expected[2]
+            for t in (-1, 3, -3, "-3"):
+                element = json.dumps({"torsion": [t]})
+                got = invoke(capsys, "member", path, "--element", element, *extra)
+                assert got == expected, (t, extra)

@@ -774,6 +774,15 @@ class TestConeMembership:
         with pytest.raises(ValueError):
             cone_membership(k, Element(torsion=(1,), free=(0,)))
 
+    def test_unreduced_torsion_is_value_error(self):
+        # Z/4: an entry outside [0, 4) is refused before any search or
+        # witness re-check, and nothing is cached
+        k = compute_k0(loops(5))
+        for r in (-1, 4, -4, 7):
+            with pytest.raises(ValueError, match="not reduced"):
+                cone_membership(k, Element(torsion=(r,), free=()))
+        assert not k._membership_cache
+
     def test_finite_group_everything_member(self):
         k = compute_k0(loops(5))
         for r in range(4):

@@ -94,16 +94,21 @@ class TestEmitReport:
 
 class TestElementFromJson:
     def test_defaults(self):
-        e = element_from_json({}, 1, 2)
+        e = element_from_json({}, (3,), 2)
         assert e == Element(torsion=(0,), free=(0, 0))
 
     def test_strings_accepted(self):
-        e = element_from_json({"free": ["9007199254740993"]}, 0, 1)
+        e = element_from_json({"free": ["9007199254740993"]}, (), 1)
         assert e.free == (9007199254740993,)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            element_from_json({"free": [1, 2]}, 0, 1)
+            element_from_json({"free": [1, 2]}, (), 1)
+
+    def test_torsion_read_modulo_moduli(self):
+        for torsion, reduced in (([-1, 7], (1, 1)), ([3, -6], (1, 0)), (["-3", "12"], (1, 0))):
+            e = element_from_json({"torsion": torsion}, (2, 6), 0)
+            assert e == Element(torsion=reduced, free=()), torsion
 
 
 def report_payloads():
@@ -214,6 +219,27 @@ class TestEmitJson:
             ("comparison", "unknown"),
             ("consistency", None),
         }
+
+    def test_emit_report_traces_is_traces_to_json_without_report(self):
+        # one builder for both shapes: only traces_to_json adds the
+        # tracial-state report
+        graphs = (
+            Graph(["v"], {("v", "v"): 2}),
+            Graph(["v"], {("v", "v"): 3}),
+            toeplitz(),
+            Graph(["v"], {("v", "v"): INF}),
+            Graph(["a", "b"], {("a", "b"): 1}),
+            Graph(["a", "b", "c"], {("a", "b"): 1, ("b", "c"): 1}),
+            Graph(["a", "b"], {}),
+        )
+        kinds = set()
+        for g in graphs:
+            result = find_graph_trace(g)
+            payload = traces_to_json(result, None, tracial_state_report(g))
+            del payload["tracial_state_report"]
+            assert emit_report(result, JSON) == emit_json(payload), g
+            kinds.add(type(result).__name__)
+        assert kinds == {"GraphTrace", "NoTrace"}
 
     def test_emit_report_payloads(self):
         for result in (no_trace(Graph(["v"], {("v", "v"): 2})), find_graph_trace(toeplitz())):

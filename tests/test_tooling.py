@@ -11,6 +11,18 @@ from graphk0.linalg import smith_normal_form
 from test_linalg import random_relation_matrix
 
 
+def _python(*args) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with this checkout's graphk0 on its path."""
+    src = os.path.dirname(os.path.dirname(graphk0.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
 def test_no_assert_statements_in_library():
     # soundness checks must survive `python -O`, which strips assert statements
     found = []
@@ -35,14 +47,7 @@ def test_smith_form_unchanged_without_asserts():
         print(__debug__, (snf.u, snf.s, snf.v, snf.u_inv, snf.rank, snf.invariant_factors))
         """
     )
-    src = os.path.dirname(os.path.dirname(graphk0.__file__))
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-    )
+    proc = _python("-O", "-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"False {fields!r}\n"
 
@@ -79,16 +84,38 @@ def test_bench_names_resolve_after_import():
         print(missing)
         """
     )
-    src = os.path.dirname(os.path.dirname(graphk0.__file__))
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-    )
+    proc = _python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_import_builds_no_parser():
+    # the CLI builds its argparse parser on the first run call, not at
+    # import: the benchmark's set-up and every one-shot process import
+    # graphk0.cli, and a parser hoisted to module level would add its build
+    # time to both
+    script = textwrap.dedent(
+        """
+        import argparse
+
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        argparse.ArgumentParser.__init__ = counted
+        import graphk0.cli
+
+        on_import = list(built)
+        graphk0.cli._build_parser()
+        print(on_import, built[0])
+        """
+    )
+    proc = _python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[] graphk0\n"
 
 
 def test_graph_walks_are_iterative():
