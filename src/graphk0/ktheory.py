@@ -1,7 +1,9 @@
 """The ordered K0 group of a graph algebra.
 
 The group is the cokernel of the vertex relation matrix (one column per
-regular vertex), presented with explicit torsion moduli and free rank.  The
+regular vertex), presented with explicit torsion moduli and free rank; the
+Smith normal form is taken after the regular vertices on no cycle are
+eliminated (``compute_k0``).  The
 positive cone is the monoid generated by the vertex classes together with,
 for every infinite emitter, the family of differences "emitter class minus a
 finite batch of target classes" (kept intensional via per-target capacities).
@@ -112,7 +114,6 @@ class K0Presentation:
         delta: dict[str, Element],
         cone: ConeSpec,
         order_unit: Element,
-        relation_matrix: Matrix,
     ) -> None:
         self.graph = graph
         self.coker = coker
@@ -120,7 +121,6 @@ class K0Presentation:
         self.delta = delta
         self.cone = cone
         self.order_unit = order_unit
-        self.relation_matrix = relation_matrix
         self._ambient_index = {v: i for i, v in enumerate(ambient_order)}
         self._membership_cache: dict[Element, tuple[object, int]] = {}
 
@@ -132,6 +132,12 @@ class K0Presentation:
 
     def ambient_index(self, v: str) -> int:
         return self._ambient_index[v]
+
+    @cached_property
+    def relation_matrix(self) -> Matrix:
+        """``relation_matrix`` of the graph, over ``ambient_order``; built on
+        first use, since ``compute_k0`` reduces it before the cokernel."""
+        return relation_matrix(self.graph)[0]
 
     def group_invariants(self) -> tuple[int, tuple[int, ...]]:
         return self.coker.group_invariants()
@@ -181,14 +187,73 @@ def relation_matrix(g: Graph) -> tuple[Matrix, tuple[str, ...]]:
 
 
 def compute_k0(g: Graph) -> K0Presentation:
-    """Ordered K0 presentation of an arbitrary finitely presented graph."""
-    mat, order = relation_matrix(g)
-    coker = cokernel(mat)
-    pos = {v: i for i, v in enumerate(order)}
-    delta = {v: coker.basis_class(pos[v]) for v in g.vertices}
-    unit = coker.project([1] * len(order))
+    """Ordered K0 presentation of an arbitrary finitely presented graph.
+
+    The cokernel of ``relation_matrix(g)`` is taken on a smaller matrix.  A
+    regular vertex on no cycle has the pivot -1 in its own column, and its
+    relation [v] = sum_w A(v, w) [w] only defines [v] (the K0 shadow of
+    collapsing regular vertices: Bates-Pask, Ergodic Theory Dynam. Systems
+    24, 2004).  So those vertices are eliminated, downstream first (Tarjan
+    numbers a component after every component it reaches).  The others,
+    the kept vertices (on a cycle, or singular), are taken in declaration
+    order; an eliminated v expands to E_v = sum_w A(v, w) E_w over them,
+    with E_w = e_w for a kept w.  The reduced matrix has one row per kept
+    vertex and one column per regular vertex u on a cycle, sum_w A(u, w)
+    E_w - e_u.  A kept vertex's class is read off its cokernel, an
+    eliminated v's class is sum_w A(v, w) [w], again downstream first, and
+    the presentation over the ambient order keeps the reduced section on
+    the kept vertices (``CokerPresentation.extended``)."""
+    names = g.vertices
+    bd = block_decomposition(g)
+    order = bd.regular + bd.singular
+    index = {v: i for i, v in enumerate(names)}
+    regular = [index[v] for v in bd.regular]
+    singular = {index[v] for v in bd.singular}
+    adj = _weighted_adjacency(g)
+    comp = _components(adj)
+    cyclic = [any(comp[w] == comp[v] for w, _ in out) for v, out in enumerate(adj)]
+    kept = [v for v in range(len(names)) if cyclic[v] or v in singular]
+    row = {v: r for r, v in enumerate(kept)}
+    eliminated = sorted((v for v in regular if not cyclic[v]), key=comp.__getitem__)
+    # a regular vertex has only finite multiplicities
+    edges = {v: [(index[w], m) for w, m in g.out_edges(names[v])] for v in regular}
+
+    expansion = {v: {r: 1} for v, r in row.items()}
+    for v in eliminated:
+        e: dict[int, int] = {}
+        for w, m in edges[v]:
+            for r, c in expansion[w].items():
+                e[r] = e.get(r, 0) + m * c
+        expansion[v] = e
+    columns = [u for u in regular if cyclic[u]]
+    mat = [[0] * len(columns) for _ in kept]
+    for c, u in enumerate(columns):
+        for w, m in edges[u]:
+            for r, x in expansion[w].items():
+                mat[r][c] += m * x
+        mat[row[u]][c] -= 1
+    reduced = cokernel(mat)
+
+    classes: list[Element | None] = [None] * len(names)
+    coords: dict[int, list[int]] = {}
+    for v, e in zip(kept, reduced.basis_classes()):
+        classes[v] = e
+        coords[v] = [*e.torsion, *e.free]
+    moduli = reduced.torsion_moduli
+    t = len(moduli)
+    for v in eliminated:
+        (w, m), *rest = edges[v]
+        acc = [m * b for b in coords[w]]
+        for w, m in rest:
+            acc = [a + m * b for a, b in zip(acc, coords[w])]
+        coords[v] = acc
+        torsion = tuple(a % d for a, d in zip(acc, moduli))
+        classes[v] = Element(torsion=torsion, free=tuple(acc[t:]))
+
+    pos = {index[v]: i for i, v in enumerate(order)}
+    coker = reduced.extended([classes[index[v]] for v in order], [pos[v] for v in kept])
     families = []
-    for v in g.vertices:
+    for v in bd.singular:
         if classify_vertex(g, v) is VertexClass.INFINITE_EMITTER:
             targets = tuple(
                 (w, None if m is INF else m) for w, m in g.out_edges(v)
@@ -199,10 +264,9 @@ def compute_k0(g: Graph) -> K0Presentation:
         graph=g,
         coker=coker,
         ambient_order=order,
-        delta=delta,
+        delta=dict(zip(names, classes)),
         cone=cone,
-        order_unit=unit,
-        relation_matrix=mat,
+        order_unit=coker.project([1] * len(order)),
     )
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
 Matrix = list[list[int]]
 
@@ -293,10 +294,12 @@ class CokerPresentation:
     The group is presented as a direct sum of cyclic factors Z/d_i (moduli
     >= 2; factors equal to 1 are dropped) and a free part Z^f, together with
     an explicit projection from ambient integer vectors and a deterministic
-    section (``lift``) going the other way.  The projection is given by rows
-    of the left transform U of a Smith normal form, so the class of the j-th
-    ambient basis vector is column j of U, its torsion rows reduced mod their
-    moduli; ``basis_class`` reads it off without a matrix product.
+    section (``lift``) going the other way.  Only those two maps are kept:
+    the ``projection``, a (t+f) x m matrix whose column j is the class of
+    the j-th ambient basis vector (torsion rows, then free rows; a torsion
+    row is read modulo its modulus), and the ``section``, an m x (t+f)
+    matrix with projection @ section the identity.  ``basis_class`` reads a
+    class off its column without a matrix product.
     """
 
     def __init__(
@@ -304,18 +307,14 @@ class CokerPresentation:
         ambient_dim: int,
         torsion_moduli: tuple[int, ...],
         free_rank: int,
-        torsion_rows: tuple[int, ...],
-        free_rows: tuple[int, ...],
-        u: Matrix,
-        u_inv: Matrix,
+        projection: Matrix,
+        section: Matrix,
     ) -> None:
         self.ambient_dim = ambient_dim
         self.torsion_moduli = torsion_moduli
         self.free_rank = free_rank
-        self._torsion_rows = torsion_rows
-        self._free_rows = free_rows
-        self._u = u
-        self._u_inv = u_inv
+        self._projection = projection
+        self._section = section
 
     def group_invariants(self) -> tuple[int, tuple[int, ...]]:
         return self.free_rank, self.torsion_moduli
@@ -325,14 +324,10 @@ class CokerPresentation:
             raise ValueError(
                 f"ambient vector of length {len(x)}, expected {self.ambient_dim}"
             )
-        torsion = tuple(
-            sum(self._u[i][j] * x[j] for j in range(self.ambient_dim)) % d
-            for i, d in zip(self._torsion_rows, self.torsion_moduli)
-        )
-        free = tuple(
-            sum(self._u[i][j] * x[j] for j in range(self.ambient_dim))
-            for i in self._free_rows
-        )
+        rows = self._projection
+        t = len(self.torsion_moduli)
+        torsion = tuple(sum(map(mul, row, x)) % d for row, d in zip(rows, self.torsion_moduli))
+        free = tuple(sum(map(mul, row, x)) for row in rows[t:])
         return Element(torsion=torsion, free=free)
 
     def basis_class(self, j: int) -> Element:
@@ -340,20 +335,42 @@ class CokerPresentation:
         ``project`` of that vector."""
         if not 0 <= j < self.ambient_dim:
             raise ValueError(f"basis index {j} outside 0..{self.ambient_dim - 1}")
-        u = self._u
-        torsion = tuple(u[i][j] % d for i, d in zip(self._torsion_rows, self.torsion_moduli))
-        free = tuple(u[i][j] for i in self._free_rows)
+        rows = self._projection
+        t = len(self.torsion_moduli)
+        torsion = tuple(row[j] % d for row, d in zip(rows, self.torsion_moduli))
+        free = tuple(row[j] for row in rows[t:])
         return Element(torsion=torsion, free=free)
 
     def lift(self, e: Element) -> list[int]:
         """A deterministic ambient preimage of ``e`` (least nonnegative residues)."""
         self._check(e)
-        y = [0] * self.ambient_dim
-        for i, r in zip(self._torsion_rows, e.torsion):
-            y[i] = r
-        for i, val in zip(self._free_rows, e.free):
-            y[i] = val
-        return mat_vec(self._u_inv, y)
+        return mat_vec(self._section, [*e.torsion, *e.free])
+
+    def basis_classes(self) -> list[Element]:
+        """``basis_class`` of every ambient basis vector, in one pass."""
+        moduli = self.torsion_moduli
+        t = len(moduli)
+        columns = zip(*self._projection) if self._projection else [()] * self.ambient_dim
+        return [
+            Element(torsion=tuple(x % d for x, d in zip(col, moduli)), free=col[t:])
+            for col in columns
+        ]
+
+    def extended(self, classes: list[Element], positions: list[int]) -> CokerPresentation:
+        """The same group as a quotient of Z^m, m = len(classes), given the
+        class of each ambient basis vector.  This presentation's i-th basis
+        vector must be ambient basis vector ``positions[i]``, with class
+        ``classes[positions[i]] == basis_class(i)``.  The section is this
+        one's, its rows placed on ``positions`` and zero elsewhere, so
+        ``project`` of a ``lift`` is still the identity."""
+        width = len(self.torsion_moduli) + self.free_rank
+        projection = [list(row) for row in zip(*((*c.torsion, *c.free) for c in classes))]
+        section = [[0] * width for _ in classes]
+        for i, p in enumerate(positions):
+            section[p] = self._section[i]
+        return CokerPresentation(
+            len(classes), self.torsion_moduli, self.free_rank, projection, section
+        )
 
     def zero(self) -> Element:
         return Element(torsion=(0,) * len(self.torsion_moduli), free=(0,) * self.free_rank)
@@ -396,30 +413,29 @@ class CokerPresentation:
 
 
 def cokernel(a: Matrix) -> CokerPresentation:
-    """Present Z^m / im(a) where ``a`` maps Z^n -> Z^m by columns."""
+    """Present Z^m / im(a) where ``a`` maps Z^n -> Z^m by columns.
+
+    The projection is the torsion and free rows of the left transform U of
+    a Smith normal form, and the section the matching columns of U^-1."""
     rows, _cols = matrix_dims(a)
     snf = smith_normal_form(a)
-    # the Smith form is fresh, so its transforms are reoriented in place
-    u = snf.u
-    u_inv = snf.u_inv
-    torsion_rows = tuple(i for i in range(snf.rank) if snf.s[i][i] >= 2)
-    moduli = tuple(snf.s[i][i] for i in torsion_rows)
-    free_rows = tuple(range(snf.rank, rows))
+    coordinates = [i for i in range(snf.rank) if snf.s[i][i] >= 2]
+    moduli = tuple(snf.s[i][i] for i in coordinates)
+    coordinates += range(snf.rank, rows)
+    projection = [snf.u[i] for i in coordinates]
+    section = [[r[i] for i in coordinates] for r in snf.u_inv]
     # orient free coordinates so the leading coefficient of each row is positive
-    for i in free_rows:
-        lead = next((x for x in u[i] if x), 0)
-        if lead < 0:
-            u[i] = [-x for x in u[i]]
-            for r in u_inv:
-                r[i] = -r[i]
+    for c in range(len(moduli), len(coordinates)):
+        if next((x for x in projection[c] if x), 0) < 0:
+            projection[c] = [-x for x in projection[c]]
+            for r in section:
+                r[c] = -r[c]
     return CokerPresentation(
         ambient_dim=rows,
         torsion_moduli=moduli,
         free_rank=rows - snf.rank,
-        torsion_rows=torsion_rows,
-        free_rows=free_rows,
-        u=u,
-        u_inv=u_inv,
+        projection=projection,
+        section=section,
     )
 
 

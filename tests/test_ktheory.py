@@ -3,12 +3,14 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 from fractions import Fraction
 from itertools import islice, product
 
 import pytest
 
 import graphk0.ktheory
+import graphk0.linalg
 
 from graphk0.graphs import INF, Graph, predicates
 from graphk0.ktheory import (
@@ -36,7 +38,7 @@ from graphk0.ktheory import (
     witness_is_valid,
 )
 from graphk0.intfeas import IntInfeasible, IntUnknown, IntWitness, integer_feasibility
-from graphk0.linalg import CokerPresentation, Element, determinant
+from graphk0.linalg import CokerPresentation, Element, cokernel, determinant
 from graphk0.lp import EQ, GE, Feasible, constraint, solve_lp
 from graphk0.reports import k0_to_json
 
@@ -223,8 +225,9 @@ class TestComputeK0:
                     assert k.delta[v] == k.coker.project(unit)
 
     def test_no_projection_per_vertex(self, monkeypatch):
-        # the classes are read off U; one projection per vertex is O(n^3),
-        # so the order unit is the one projection, of the all-ones vector
+        # the classes are read off the reduced cokernel and the eliminated
+        # vertices' out-edges; one projection per vertex is O(n^3), so the
+        # order unit is the one projection, of the all-ones vector
         graphs = [toeplitz(), infinite_loop(), loops(4)]
         rng = random.Random(47)
         graphs += [random_graph(rng, 8, inf_prob=0.1) for _ in range(10)]
@@ -266,6 +269,159 @@ class TestComputeK0:
             assert k1.delta == k2.delta
             assert k1.order_unit == k2.order_unit
             assert not k2.cone.families
+
+
+def reaches_itself(g, v):
+    """True when a path of length at least one leads from v back to v."""
+    seen, stack = set(), [w for w, _ in g.out_edges(v)]
+    while stack:
+        w = stack.pop()
+        if w == v:
+            return True
+        if w not in seen:
+            seen.add(w)
+            stack += [x for x, _ in g.out_edges(w)]
+    return False
+
+
+def eliminated_and_kept(g):
+    """The regular vertices on no cycle, and the other vertices, each in
+    declaration order, found by plain reachability."""
+    eliminated, kept = [], []
+    for v in g.vertices:
+        out = g.out_edges(v)
+        regular = out and all(m is not INF for _, m in out)
+        (eliminated if regular and not reaches_itself(g, v) else kept).append(v)
+    return eliminated, kept
+
+
+def baseline_draw(rng, n, deg):
+    """Vertex i draws randrange(0, deg + 1) edges to uniform targets, each
+    of multiplicity randrange(1, 4); repeated draws of a pair add up."""
+    names = [f"v{i}" for i in range(n)]
+    mult = {}
+    for src in names:
+        for _ in range(rng.randrange(0, deg + 1)):
+            key = (src, rng.choice(names))
+            mult[key] = mult.get(key, 0) + rng.randrange(1, 4)
+    return Graph(names, mult)
+
+
+class TestReducedCokernel:
+    """``compute_k0`` eliminates the regular vertices on no cycle before the
+    Smith normal form; the result must present the same group as the
+    cokernel of the whole relation matrix."""
+
+    def check_against_full(self, g, rng):
+        k = compute_k0(g)
+        mat, order = relation_matrix(g)
+        assert order == k.ambient_order
+        assert mat == k.relation_matrix
+        full = cokernel(mat)
+        assert k.group_invariants() == full.group_invariants()
+        for col in zip(*mat):
+            assert k.coker.project(list(col)).is_zero()
+        for _ in range(5):
+            x = [rng.randint(-5, 5) for _ in order]
+            e = k.coker.project(x)
+            lift = k.coker.lift(e)
+            assert k.coker.project(lift) == e
+            # x - lift is in the kernel of the reduced projection, so it
+            # must be a combination of the full matrix's columns
+            assert full.project(lift) == full.project(x)
+        eliminated, _ = eliminated_and_kept(g)
+        for v in eliminated:
+            total = k.coker.zero()
+            for w, m in g.out_edges(v):
+                total = k.coker.add(total, k.coker.scale(m, k.delta[w]))
+            assert total == k.delta[v]
+        return k
+
+    def test_random_graphs(self):
+        rng = random.Random(2101)
+        for inf_prob in (0.0, 0.2):
+            for _ in range(60):
+                self.check_against_full(random_graph(rng, 8, inf_prob=inf_prob), rng)
+
+    def test_baseline_draws(self):
+        rng = random.Random(2102)
+        for _ in range(3):
+            g = baseline_draw(rng, 150, 3)
+            assert eliminated_and_kept(g)[0]
+            self.check_against_full(g, rng)
+
+    def test_dag(self):
+        # every regular vertex is eliminated, and K0 is Z^sinks
+        rng = random.Random(2103)
+        for _ in range(20):
+            n = rng.randint(2, 12)
+            names = [f"v{i}" for i in range(n)]
+            mult = {
+                (names[i], names[j]): rng.randint(1, 3)
+                for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4
+            }
+            g = Graph(names, mult)
+            eliminated, kept = eliminated_and_kept(g)
+            assert all(not g.out_edges(v) for v in kept)
+            k = self.check_against_full(g, rng)
+            assert k.group_invariants() == (len(kept), ())
+
+    def test_nothing_eliminable(self):
+        rng = random.Random(2104)
+        cycle = Graph(["a", "b", "c", "s"], {("a", "b"): 2, ("b", "c"): 1, ("c", "a"): 1, ("c", "s"): 3})
+        for g in (loops(3), toeplitz(), infinite_loop(), cycle):
+            assert not eliminated_and_kept(g)[0]
+            self.check_against_full(g, rng)
+
+    def test_emitters_downstream_of_eliminated_vertices(self):
+        rng = random.Random(2105)
+        g = Graph(
+            ["a", "b", "e", "x", "y"],
+            {("a", "b"): 2, ("a", "x"): 1, ("b", "e"): 3, ("b", "y"): 1,
+             ("e", "x"): INF, ("e", "y"): 2, ("x", "x"): 2, ("y", "e"): 1},
+        )
+        assert eliminated_and_kept(g)[0] == ["a", "b"]
+        k = self.check_against_full(g, rng)
+        assert isinstance(cone_membership(k, k.delta["a"]), Member)
+        report = verify_desingularization_consistency(g, 3)
+        assert report.groups_match and report.generator_correspondence_ok and report.cone_prefix_ok
+
+    def test_deep_chain_growth(self):
+        # 300 regular vertices on a path of multiplicity-3 edges into a sink:
+        # the head's expansion is 3^300 [sink], a 476-bit coefficient
+        names = [f"c{i}" for i in range(300)] + ["sink"]
+        g = Graph(names, {(a, b): 3 for a, b in zip(names, names[1:])})
+        start = time.perf_counter()
+        k = compute_k0(g)
+        elapsed = time.perf_counter() - start
+        assert k.group_invariants() == (1, ())
+        assert k.delta["sink"] == Element(torsion=(), free=(1,))
+        assert k.delta["c0"] == Element(torsion=(), free=(3**300,))
+        assert elapsed < 1.0
+
+    def test_snf_sees_the_reduced_matrix(self, monkeypatch):
+        # a count, not a timing: one Smith normal form, of a matrix with a
+        # row per kept vertex and a column per regular vertex on a cycle
+        true_snf = graphk0.linalg.smith_normal_form
+        shapes = []
+
+        def spy(a):
+            shapes.append((len(a), len(a[0]) if a else 0))
+            return true_snf(a)
+
+        monkeypatch.setattr(graphk0.linalg, "smith_normal_form", spy)
+        rng = random.Random(2106)
+        graphs = [baseline_draw(rng, 150, 3) for _ in range(2)]
+        graphs += [random_graph(rng, 8, inf_prob=p) for p in (0.0, 0.2) for _ in range(20)]
+        for g in graphs:
+            shapes.clear()
+            k = compute_k0(g)
+            _, kept = eliminated_and_kept(g)
+            cycle_regular = [
+                v for v in kept if g.out_edges(v) and all(m is not INF for _, m in g.out_edges(v))
+            ]
+            assert shapes == [(len(kept), len(cycle_regular))]
+            assert "relation_matrix" not in vars(k)
 
 
 class TestConeMembership:
@@ -685,7 +841,9 @@ class TestConeMembership:
         )
         k = compute_k0(g)
         assert k.group_invariants() == (3, ())
-        verdict = cone_membership(k, Element(torsion=(), free=(-1, 0, -1)), budget=2000)
+        # -[v0] + [v4] + [v5], the benchmark's named fault query
+        x = k.coker.project([{"v0": -1, "v4": 1, "v5": 1}.get(v, 0) for v in k.ambient_order])
+        verdict = cone_membership(k, x, budget=2000)
         assert verdict == UnknownMembership(budget_spent=0)
         assert not searches
 

@@ -270,6 +270,7 @@ class TestCokernel:
             for j in range(rows):
                 basis = [1 if i == j else 0 for i in range(rows)]
                 assert p.basis_class(j) == p.project(basis)
+            assert p.basis_classes() == [p.basis_class(j) for j in range(rows)]
             # projection is surjective onto the presentation and additive
             x = [rng.randint(-9, 9) for _ in range(rows)]
             y = [rng.randint(-9, 9) for _ in range(rows)]
