@@ -4,7 +4,10 @@ in N ∪ {∞}.
 Vertices are named tokens whose declaration order is remembered and canonical.
 Parallel edges are stored as multiplicities; an infinite multiplicity marks an
 infinite emitter.  Graphs are immutable after construction and every operation
-here is a pure function, so concurrent read-only use is safe.
+here is a pure function.  The one cached value, a graph's ``structure`` (the
+vertex kinds, the strongly connected components and the edges inside them),
+is built on first use and stored on the graph; two threads that build it at
+once store equal values, so concurrent read-only use is safe without a lock.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ Mult = "int | Infinity"
 class Graph:
     """Finite vertex list plus a (source, target) -> multiplicity table."""
 
-    __slots__ = ("_vertices", "_index", "_mult", "_out")
+    __slots__ = ("_vertices", "_index", "_mult", "_out", "_structure")
 
     def __init__(self, vertices: Iterable[str], multiplicities: Mapping[tuple[str, str], object]):
         vs = tuple(vertices)
@@ -70,6 +73,7 @@ class Graph:
         for v in vs:
             out[v].sort(key=lambda pair: index[pair[0]])
         self._out = out
+        self._structure = None
 
     @property
     def vertices(self) -> tuple[str, ...]:
@@ -116,9 +120,45 @@ class VertexClass(Enum):
     INFINITE_EMITTER = "infinite-emitter"
 
 
-def classify_vertex(g: Graph, v: str) -> VertexClass:
-    """Sink (no outgoing edges), infinite emitter, or regular."""
-    out = g.out_edges(v)
+@dataclass(frozen=True)
+class GraphStructure:
+    """A graph's edges read once, by vertex index in declaration order.
+
+    ``kinds`` holds each vertex's class and ``out`` its out-edges as
+    (target, multiplicity) pairs, targets in declaration order.  ``comp``
+    holds the strongly connected component of each vertex, a component
+    numbered after every component it reaches (downstream first), and
+    ``inner`` the out-edges inside the vertex's own component as (target,
+    weight) pairs: weight 2 for a multiplicity of two or more (or infinite),
+    else 1.  A vertex lies on a cycle exactly when its inner list is
+    nonempty."""
+
+    kinds: tuple[VertexClass, ...]
+    out: tuple[tuple[tuple[int, object], ...], ...]
+    comp: tuple[int, ...]
+    inner: tuple[tuple[tuple[int, int], ...], ...]
+
+
+def structure(g: Graph) -> GraphStructure:
+    """The ``GraphStructure`` of ``g``, built on first use and kept on ``g``."""
+    s = g._structure
+    if s is None:
+        index = g._index
+        out = tuple(tuple((index[w], m) for w, m in g._out[v]) for v in g.vertices)
+        comp = tuple(_components(out))
+        s = g._structure = GraphStructure(
+            kinds=tuple(map(_kind, out)),
+            out=out,
+            comp=comp,
+            inner=tuple(
+                tuple((w, 2 if m is INF or m >= 2 else 1) for w, m in edges if comp[w] == comp[v])
+                for v, edges in enumerate(out)
+            ),
+        )
+    return s
+
+
+def _kind(out) -> VertexClass:
     if not out:
         return VertexClass.SINK
     if any(m is INF for _, m in out):
@@ -126,8 +166,10 @@ def classify_vertex(g: Graph, v: str) -> VertexClass:
     return VertexClass.REGULAR
 
 
-def is_singular(g: Graph, v: str) -> bool:
-    return classify_vertex(g, v) is not VertexClass.REGULAR
+def classify_vertex(g: Graph, v: str) -> VertexClass:
+    """Sink (no outgoing edges), infinite emitter, or regular, read off
+    ``structure(g)``."""
+    return structure(g).kinds[g.index(v)]
 
 
 @dataclass(frozen=True)
@@ -140,14 +182,11 @@ class BlockDecomposition:
 
 
 def block_decomposition(g: Graph) -> BlockDecomposition:
-    regular = []
-    singular = []
-    for v in g.vertices:
-        if classify_vertex(g, v) is VertexClass.REGULAR:
-            regular.append(v)
-        else:
-            singular.append(v)
-    return BlockDecomposition(regular=tuple(regular), singular=tuple(singular))
+    kinds = structure(g).kinds
+    return BlockDecomposition(
+        regular=tuple(v for v, k in zip(g.vertices, kinds) if k is VertexClass.REGULAR),
+        singular=tuple(v for v, k in zip(g.vertices, kinds) if k is not VertexClass.REGULAR),
+    )
 
 
 @dataclass(frozen=True)
@@ -159,19 +198,11 @@ class GraphPredicates:
     singular_vertices: tuple[str, ...]
 
 
-def _weighted_adjacency(g: Graph) -> list[list[tuple[int, int]]]:
-    """Out-edges by vertex index as (target index, weight) pairs: weight 2 for
-    a multiplicity of two or more (or infinite), else 1."""
-    index = g._index
-    return [
-        [(index[w], 2 if m is INF or m >= 2 else 1) for w, m in g._out[v]]
-        for v in g.vertices
-    ]
-
-
-def _components(adj: list[list[tuple[int, int]]]) -> list[int]:
-    """Strongly connected component id of each vertex: Tarjan's algorithm
-    (SIAM J. Comput. 1, 1972) with an explicit stack instead of recursion."""
+def _components(adj) -> list[int]:
+    """Strongly connected component id of each vertex, given its out-edges
+    as (target, _) pairs: Tarjan's algorithm (SIAM J. Comput. 1, 1972) with
+    an explicit stack instead of recursion.  A component is completed, and
+    numbered, after every component it reaches."""
     n = len(adj)
     order = [-1] * n
     low = [0] * n
@@ -216,24 +247,16 @@ def _components(adj: list[list[tuple[int, int]]]) -> list[int]:
     return comp
 
 
-def has_directed_cycle(g: Graph) -> bool:
-    """True iff some edge joins two vertices of one strongly connected
-    component: a component of two or more vertices, or a vertex's edge to
-    itself."""
-    adj = _weighted_adjacency(g)
-    comp = _components(adj)
-    return any(comp[v] == comp[w] for v, out in enumerate(adj) for w, _ in out)
-
-
 def predicates(g: Graph) -> GraphPredicates:
-    row_finite = all(classify_vertex(g, v) is not VertexClass.INFINITE_EMITTER for v in g.vertices)
-    loop = has_directed_cycle(g)
+    s = structure(g)
+    # a cycle is an edge inside one strongly connected component
+    loop = any(s.inner)
     return GraphPredicates(
-        row_finite=row_finite,
+        row_finite=VertexClass.INFINITE_EMITTER not in s.kinds,
         has_loop=loop,
         is_af=not loop,
         unital=True,
-        singular_vertices=tuple(v for v in g.vertices if is_singular(g, v)),
+        singular_vertices=block_decomposition(g).singular,
     )
 
 
@@ -244,14 +267,13 @@ def simple_loop_census(g: Graph) -> dict[str, int]:
     more").
 
     Every simple cycle through a vertex lies inside its strongly connected
-    component, so each vertex is walked only on edges inside its own
-    component (the first step of Johnson's circuit enumeration, SIAM J.
-    Comput. 4, 1975); a vertex on no cycle costs no walk.  This is not the
-    return-path reading of Condition (K), whose intermediate vertices may
-    repeat: the two disagree on ``v->w, w->v, v->v`` (ROADMAP item 1)."""
-    adj = _weighted_adjacency(g)
-    comp = _components(adj)
-    inner = [[(w, k) for w, k in out if comp[w] == comp[v]] for v, out in enumerate(adj)]
+    component, so each vertex is walked only on the inner edges of
+    ``structure(g)`` (the first step of Johnson's circuit enumeration, SIAM
+    J. Comput. 4, 1975); a vertex on no cycle costs no walk.  This is not
+    the return-path reading of Condition (K), whose intermediate vertices
+    may repeat: the two disagree on ``v->w, w->v, v->v`` (see the ROADMAP
+    item on the return-path predicate)."""
+    inner = structure(g).inner
     return {v: _cycles_through(inner, base) for base, v in enumerate(g.vertices)}
 
 
@@ -335,16 +357,15 @@ def desingularize_with_tails(
     if depth < 1:
         raise ValueError("depth must be at least 1")
     selected = []
+    rewired = set()
     for v in g.vertices:
         cls = classify_vertex(g, v)
         if cls is VertexClass.SINK and sinks:
             selected.append(v)
         elif cls is VertexClass.INFINITE_EMITTER and infinite_emitters:
             selected.append(v)
+            rewired.add(v)
 
-    rewired = {
-        v for v in selected if classify_vertex(g, v) is VertexClass.INFINITE_EMITTER
-    }
     vertices = list(g.vertices)
     existing = set(vertices)
     mult: dict[tuple[str, str], object] = {}

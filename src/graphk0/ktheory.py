@@ -41,7 +41,7 @@ fails, and a separating functional that fails ``functional_certifies``
 raises it too, as does a ray list that fails the re-check of
 ``trace_rays``.  These checks are plain code, so they also run under
 ``python -O``.  Comparison of two presentations compares the group
-invariants, the number of extreme traces and the order flags, then
+invariants, the number of extreme traces and pointedness, then
 enumerates group isomorphisms under a budget and checks cone preservation
 through the membership machinery.
 """
@@ -59,12 +59,10 @@ from .graphs import (
     Graph,
     INF,
     VertexClass,
-    _components,
-    _weighted_adjacency,
     block_decomposition,
-    classify_vertex,
     desingularize_with_tails,
     emitter_edge_listing,
+    structure,
 )
 from .intfeas import IntInfeasible, IntUnknown, integer_feasibility, relaxation
 from .linalg import (
@@ -204,31 +202,27 @@ def compute_k0(g: Graph) -> K0Presentation:
     the presentation over the ambient order keeps the reduced section on
     the kept vertices (``CokerPresentation.extended``)."""
     names = g.vertices
-    bd = block_decomposition(g)
-    order = bd.regular + bd.singular
-    index = {v: i for i, v in enumerate(names)}
-    regular = [index[v] for v in bd.regular]
-    singular = {index[v] for v in bd.singular}
-    adj = _weighted_adjacency(g)
-    comp = _components(adj)
-    cyclic = [any(comp[w] == comp[v] for w, _ in out) for v, out in enumerate(adj)]
-    kept = [v for v in range(len(names)) if cyclic[v] or v in singular]
+    s = structure(g)
+    out, inner = s.out, s.inner
+    regular = [v for v, k in enumerate(s.kinds) if k is VertexClass.REGULAR]
+    singular = [v for v, k in enumerate(s.kinds) if k is not VertexClass.REGULAR]
+    order = regular + singular
+    kept = [v for v in range(len(names)) if inner[v] or s.kinds[v] is not VertexClass.REGULAR]
     row = {v: r for r, v in enumerate(kept)}
-    eliminated = sorted((v for v in regular if not cyclic[v]), key=comp.__getitem__)
-    # a regular vertex has only finite multiplicities
-    edges = {v: [(index[w], m) for w, m in g.out_edges(names[v])] for v in regular}
+    eliminated = sorted((v for v in regular if not inner[v]), key=s.comp.__getitem__)
 
+    # a regular vertex has only finite multiplicities
     expansion = {v: {r: 1} for v, r in row.items()}
     for v in eliminated:
         e: dict[int, int] = {}
-        for w, m in edges[v]:
+        for w, m in out[v]:
             for r, c in expansion[w].items():
                 e[r] = e.get(r, 0) + m * c
         expansion[v] = e
-    columns = [u for u in regular if cyclic[u]]
+    columns = [u for u in regular if inner[u]]
     mat = [[0] * len(columns) for _ in kept]
     for c, u in enumerate(columns):
-        for w, m in edges[u]:
+        for w, m in out[u]:
             for r, x in expansion[w].items():
                 mat[r][c] += m * x
         mat[row[u]][c] -= 1
@@ -242,7 +236,7 @@ def compute_k0(g: Graph) -> K0Presentation:
     moduli = reduced.torsion_moduli
     t = len(moduli)
     for v in eliminated:
-        (w, m), *rest = edges[v]
+        (w, m), *rest = out[v]
         acc = [m * b for b in coords[w]]
         for w, m in rest:
             acc = [a + m * b for a, b in zip(acc, coords[w])]
@@ -250,22 +244,19 @@ def compute_k0(g: Graph) -> K0Presentation:
         torsion = tuple(a % d for a, d in zip(acc, moduli))
         classes[v] = Element(torsion=torsion, free=tuple(acc[t:]))
 
-    pos = {index[v]: i for i, v in enumerate(order)}
-    coker = reduced.extended([classes[index[v]] for v in order], [pos[v] for v in kept])
-    families = []
-    for v in bd.singular:
-        if classify_vertex(g, v) is VertexClass.INFINITE_EMITTER:
-            targets = tuple(
-                (w, None if m is INF else m) for w, m in g.out_edges(v)
-            )
-            families.append(Family(emitter=v, targets=targets))
-    cone = ConeSpec(families=tuple(families))
+    pos = {v: i for i, v in enumerate(order)}
+    coker = reduced.extended([classes[v] for v in order], [pos[v] for v in kept])
+    families = tuple(
+        Family(names[v], tuple((names[w], None if m is INF else m) for w, m in out[v]))
+        for v in singular
+        if s.kinds[v] is VertexClass.INFINITE_EMITTER
+    )
     return K0Presentation(
         graph=g,
         coker=coker,
-        ambient_order=order,
+        ambient_order=tuple(names[v] for v in order),
         delta=dict(zip(names, classes)),
-        cone=cone,
+        cone=ConeSpec(families=families),
         order_unit=coker.project([1] * len(order)),
     )
 
@@ -380,40 +371,39 @@ def trace_cone(g: Graph) -> TracePolytope:
     infinitely often, and t(e) >= sum m t(w) over each emitter's finite
     edges.  These are the functionals nonnegative on the positive cone."""
     names = g.vertices
-    idx = {v: i for i, v in enumerate(names)}
+    s = structure(g)
     n = len(names)
     equalities: list[tuple[tuple[int, ...], int]] = []
     inequalities: list[tuple[tuple[int, ...], int]] = []
-    forced: set[str] = set()
+    forced: set[int] = set()
 
-    for v in names:
-        cls = classify_vertex(g, v)
-        if cls is VertexClass.REGULAR:
+    for v, (kind, out) in enumerate(zip(s.kinds, s.out)):
+        if kind is VertexClass.REGULAR:
             row = [0] * n
-            row[idx[v]] += 1
-            for w, m in g.out_edges(v):
-                row[idx[w]] -= m
+            row[v] += 1
+            for w, m in out:
+                row[w] -= m
             equalities.append((tuple(row), 0))
-        elif cls is VertexClass.INFINITE_EMITTER:
+        elif kind is VertexClass.INFINITE_EMITTER:
             row = [0] * n
-            row[idx[v]] -= 1
-            for w, m in g.out_edges(v):
+            row[v] -= 1
+            for w, m in out:
                 if m is INF:
                     forced.add(w)
                 else:
-                    row[idx[w]] += m
+                    row[w] += m
             inequalities.append((tuple(row), 0))
 
-    for w in sorted(forced, key=idx.get):
+    for w in sorted(forced):
         row = [0] * n
-        row[idx[w]] = 1
+        row[w] = 1
         equalities.append((tuple(row), 0))
 
     return TracePolytope(
         variables=names,
         equalities=tuple(equalities),
         inequalities=tuple(inequalities),
-        forced_zero=frozenset(forced),
+        forced_zero=frozenset(names[w] for w in forced),
     )
 
 
@@ -451,25 +441,23 @@ def trace_rays(g: Graph) -> list[tuple[int, ...]]:
 def _component_rays(g: Graph, cone: TracePolytope):
     """The coefficient row c_b of each boundary element, in the order of
     their first vertices, the vertex indices of Z, and the rays h_b."""
-    names = g.vertices
-    idx = {v: i for i, v in enumerate(names)}
-    n = len(names)
-    adj = _weighted_adjacency(g)
-    comp = _components(adj)
-    inner = [[k for w, k in out if comp[w] == comp[v]] for v, out in enumerate(adj)]
+    s = structure(g)
+    n = len(s.out)
+    comp, inner = s.comp, s.inner
     cyclic = {comp[v] for v in range(n) if inner[v]}
-    unit = cyclic - {comp[v] for v in range(n) if inner[v] != [1]}
-    seeds = [idx[w] for w in cone.forced_zero]
+    # a unit cycle has one inner edge of weight 1 at each vertex
+    unit = cyclic - {comp[v] for v in range(n) if len(inner[v]) != 1 or inner[v][0][1] != 1}
+    seeds = [g.index(w) for w in cone.forced_zero]
     seeds += [v for v in range(n) if comp[v] in cyclic - unit]
-    seeds += [w for v in range(n) if comp[v] in unit for w, _ in adj[v] if comp[w] != comp[v]]
+    seeds += [w for v in range(n) if comp[v] in unit for w, _ in s.out[v] if comp[w] != comp[v]]
     zero = set(seeds)
     while seeds:
-        for w, _ in adj[seeds.pop()]:
+        for w, _ in s.out[seeds.pop()]:
             if w not in zero:
                 zero.add(w)
                 seeds.append(w)
 
-    edges = [[(idx[w], m) for w, m in g.out_edges(v) if m is not INF] for v in names]
+    edges = [[(w, m) for w, m in out if m is not INF] for out in s.out]
     coefficients: list[tuple[int, ...]] = []
     members: list[set[int]] = []
     seen: set[int] = set()
@@ -480,7 +468,7 @@ def _component_rays(g: Graph, cone: TracePolytope):
         if comp[v] in cyclic:
             seen.add(comp[v])
             members.append({w for w in range(n) if comp[w] == comp[v]})
-        elif classify_vertex(g, names[v]) is not VertexClass.REGULAR:
+        elif s.kinds[v] is not VertexClass.REGULAR:
             members.append({v})
             for w, m in edges[v]:
                 row[w] -= m
@@ -561,8 +549,7 @@ def _to_declaration(k: K0Presentation, phi) -> list:
 
 def _to_ambient(k: K0Presentation, values) -> tuple:
     """A vertex-order vector reordered to ambient order."""
-    pos = {v: i for i, v in enumerate(k.graph.vertices)}
-    return tuple(values[pos[v]] for v in k.ambient_order)
+    return tuple(values[k.graph.index(v)] for v in k.ambient_order)
 
 
 def nonnegative_on_cone(k: K0Presentation, phi: tuple[Fraction, ...]) -> bool:
@@ -1206,7 +1193,7 @@ def compare_k0(
     """Search for an isomorphism of ordered groups (optionally unit-preserving).
 
     The stages compare the group invariants, the numbers of extreme traces
-    and the order flags (``order_properties``), then enumerate group
+    and pointedness (``order_properties``), then enumerate group
     isomorphisms under the budget and check each for cone preservation in
     both directions on base generators and family elements with total
     parameter <= the verified bound.  NotIsomorphic is only reported on a
@@ -1225,14 +1212,10 @@ def compare_k0(
         return NotIsomorphic(
             reason=f"extreme trace counts differ: {len(k1._rays)} vs {len(k2._rays)}"
         )
-    op1 = order_properties(k1)
-    op2 = order_properties(k2)
-    for name, a, b in (
-        ("cone-is-everything", op1.cone_is_everything, op2.cone_is_everything),
-        ("pointedness", op1.cone_pointed, op2.cone_pointed),
-    ):
-        if a is not b:
-            return NotIsomorphic(reason=f"certified {name} flags differ")
+    # the cone is the whole group exactly when there is no extreme trace, so
+    # of the order flags only pointedness is left to compare
+    if order_properties(k1).cone_pointed is not order_properties(k2).cone_pointed:
+        return NotIsomorphic(reason="certified pointedness flags differ")
 
     nfree, moduli = inv1
     gens1 = _cone_generator_elements(k1, VERIFIED_BOUND)
@@ -1300,11 +1283,7 @@ def verify_desingularization_consistency(g: Graph, depth: int) -> ConsistencyRep
 
     groups_match = k1.group_invariants() == k2.group_invariants()
 
-    listings = {
-        v: emitter_edge_listing(g, v, depth)
-        for v in g.vertices
-        if classify_vertex(g, v) is VertexClass.INFINITE_EMITTER
-    }
+    listings = {f.emitter: emitter_edge_listing(g, f.emitter, depth) for f in k1.cone.families}
 
     m1 = len(k1.ambient_order)
 

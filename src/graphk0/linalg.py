@@ -298,8 +298,8 @@ class CokerPresentation:
     the ``projection``, a (t+f) x m matrix whose column j is the class of
     the j-th ambient basis vector (torsion rows, then free rows; a torsion
     row is read modulo its modulus), and the ``section``, an m x (t+f)
-    matrix with projection @ section the identity.  ``basis_class`` reads a
-    class off its column without a matrix product.
+    matrix with projection @ section the identity.  ``basis_classes`` reads
+    the classes off its columns without a matrix product.
     """
 
     def __init__(
@@ -330,24 +330,14 @@ class CokerPresentation:
         free = tuple(sum(map(mul, row, x)) for row in rows[t:])
         return Element(torsion=torsion, free=free)
 
-    def basis_class(self, j: int) -> Element:
-        """The class of the j-th ambient basis vector, equal to
-        ``project`` of that vector."""
-        if not 0 <= j < self.ambient_dim:
-            raise ValueError(f"basis index {j} outside 0..{self.ambient_dim - 1}")
-        rows = self._projection
-        t = len(self.torsion_moduli)
-        torsion = tuple(row[j] % d for row, d in zip(rows, self.torsion_moduli))
-        free = tuple(row[j] for row in rows[t:])
-        return Element(torsion=torsion, free=free)
-
     def lift(self, e: Element) -> list[int]:
         """A deterministic ambient preimage of ``e`` (least nonnegative residues)."""
         self._check(e)
         return mat_vec(self._section, [*e.torsion, *e.free])
 
     def basis_classes(self) -> list[Element]:
-        """``basis_class`` of every ambient basis vector, in one pass."""
+        """The class of every ambient basis vector, equal to ``project`` of
+        that vector, in one pass."""
         moduli = self.torsion_moduli
         t = len(moduli)
         columns = zip(*self._projection) if self._projection else [()] * self.ambient_dim
@@ -360,7 +350,7 @@ class CokerPresentation:
         """The same group as a quotient of Z^m, m = len(classes), given the
         class of each ambient basis vector.  This presentation's i-th basis
         vector must be ambient basis vector ``positions[i]``, with class
-        ``classes[positions[i]] == basis_class(i)``.  The section is this
+        ``classes[positions[i]] == basis_classes()[i]``.  The section is this
         one's, its rows placed on ``positions`` and zero elsewhere, so
         ``project`` of a ``lift`` is still the identity."""
         width = len(self.torsion_moduli) + self.free_rank

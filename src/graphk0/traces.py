@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .graphs import Graph, INF
+from .graphs import Graph, INF, satisfies_condition_k
 from .ktheory import K0Presentation, TracePolytope, nonnegative_on_cone, trace_cone, trace_rays
 from .linalg import CertificateError, Element
 from .lp import FarkasCertificate, Infeasible, check_point, solve_lp
@@ -168,8 +168,6 @@ def tracial_state_report(g: Graph) -> TraceReport:
     norm-one graph traces; otherwise the computed set still matches the
     states on K0, and the report says so.
     """
-    from .graphs import satisfies_condition_k
-
     condition_k = satisfies_condition_k(g)
     return TraceReport(
         condition_k=condition_k,

@@ -4,6 +4,7 @@ from itertools import permutations
 
 import pytest
 
+from graphk0 import graphs
 from graphk0.graphs import (
     INF,
     Graph,
@@ -16,7 +17,9 @@ from graphk0.graphs import (
     predicates,
     satisfies_condition_k,
     simple_loop_census,
+    structure,
 )
+from graphk0.ktheory import compute_k0, trace_cone, trace_rays
 
 
 def two_loop():
@@ -157,6 +160,106 @@ class TestGraphModel:
                     assert any(m is INF for _, m in out)
                 else:
                     assert out and all(m is not INF for _, m in out)
+
+
+def reachable(g):
+    """Independent oracle: the vertices each vertex reaches along one or
+    more edges."""
+    result = {}
+    for v in g.vertices:
+        seen, stack = set(), [w for w, _ in g.out_edges(v)]
+        while stack:
+            w = stack.pop()
+            if w not in seen:
+                seen.add(w)
+                stack += [x for x, _ in g.out_edges(w)]
+        result[v] = seen
+    return result
+
+
+class TestGraphStructure:
+    @staticmethod
+    def check_edges(g):
+        """Kinds and out-edges against their definitions; every edge v->w
+        runs downstream or inside one component.  Returns the structure."""
+        s = structure(g)
+        index = {v: i for i, v in enumerate(g.vertices)}
+        for v in g.vertices:
+            i, out = index[v], g.out_edges(v)
+            assert s.out[i] == tuple((index[w], m) for w, m in out)
+            if not out:
+                assert s.kinds[i] is VertexClass.SINK
+            elif any(m is INF for _, m in out):
+                assert s.kinds[i] is VertexClass.INFINITE_EMITTER
+            else:
+                assert s.kinds[i] is VertexClass.REGULAR
+            for j, _ in s.out[i]:
+                assert s.comp[j] <= s.comp[i]
+        return s
+
+    def test_against_reachability(self):
+        rng = random.Random(2206)
+        for inf_prob in (0.0, 0.3):
+            for _ in range(150):
+                edge_prob = rng.random() * 0.5
+                g = random_graph(rng, max_vertices=7, inf_prob=inf_prob, edge_prob=edge_prob)
+                s = self.check_edges(g)
+                reach = reachable(g)
+                index = {v: i for i, v in enumerate(g.vertices)}
+                for v in g.vertices:
+                    for u in g.vertices:
+                        same = u == v or (u in reach[v] and v in reach[u])
+                        assert (s.comp[index[u]] == s.comp[index[v]]) == same, g.edges()
+                    # an edge v->w stays in v's component exactly when w reaches v
+                    inner = [
+                        (index[w], 2 if m is INF or m >= 2 else 1)
+                        for w, m in g.out_edges(v)
+                        if v in reach[w]
+                    ]
+                    assert s.inner[index[v]] == tuple(inner), g.edges()
+
+    def test_long_chain_and_cycle(self):
+        n = 20000
+        names = [f"v{i}" for i in range(n)]
+        chain = Graph(names, {(names[i], names[i + 1]): 1 for i in range(n - 1)})
+        s = self.check_edges(chain)
+        assert all(s.comp[i + 1] < s.comp[i] for i in range(n - 1))
+        assert not any(s.inner)
+        assert s.kinds[-1] is VertexClass.SINK
+        cycle = Graph(names, {(v, names[(i + 1) % n]): 1 for i, v in enumerate(names)})
+        s = self.check_edges(cycle)
+        assert len(set(s.comp)) == 1
+        assert s.inner == tuple((((i + 1) % n, 1),) for i in range(n))
+
+    def test_built_once_per_graph(self, monkeypatch):
+        calls = []
+        components = graphs._components
+
+        def spy(adj):
+            calls.append(len(adj))
+            return components(adj)
+
+        monkeypatch.setattr(graphs, "_components", spy)
+        g = Graph(
+            ["a", "b", "c", "e", "s"],
+            {
+                ("a", "b"): 1,
+                ("b", "a"): 1,
+                ("b", "c"): 2,
+                ("c", "c"): 1,
+                ("e", "a"): INF,
+                ("e", "s"): 1,
+            },
+        )
+        compute_k0(g)
+        trace_rays(g)
+        trace_cone(g)
+        predicates(g)
+        simple_loop_census(g)
+        satisfies_condition_k(g)
+        block_decomposition(g)
+        classify_vertex(g, "e")
+        assert calls == [5]
 
 
 class TestBlockDecomposition:

@@ -267,10 +267,8 @@ class TestCokernel:
             for j in range(cols):
                 col = [a[i][j] for i in range(rows)]
                 assert p.project(col).is_zero()
-            for j in range(rows):
-                basis = [1 if i == j else 0 for i in range(rows)]
-                assert p.basis_class(j) == p.project(basis)
-            assert p.basis_classes() == [p.basis_class(j) for j in range(rows)]
+            basis = [[int(i == j) for i in range(rows)] for j in range(rows)]
+            assert p.basis_classes() == [p.project(e) for e in basis]
             # projection is surjective onto the presentation and additive
             x = [rng.randint(-9, 9) for _ in range(rows)]
             y = [rng.randint(-9, 9) for _ in range(rows)]
@@ -299,11 +297,9 @@ class TestCokernel:
 
     def test_dimension_mismatch(self):
         p = cokernel([[2]])
-        with pytest.raises(ValueError):
-            p.project([1, 2])
-        for j in (-1, 1):
+        for x in ([], [1, 2]):
             with pytest.raises(ValueError):
-                p.basis_class(j)
+                p.project(x)
 
 
 class TestSolveDiophantine:

@@ -190,3 +190,19 @@ def test_json_text_comes_from_one_emitter():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_components_come_from_one_structure():
+    # graphs.structure runs the one Tarjan pass per graph and caches what
+    # every consumer reads; a module naming _components itself would be a
+    # second pass over the same graph
+    found = []
+    for path in sorted(Path(graphk0.__file__).parent.glob("*.py")):
+        if path.name == "graphs.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else []
+            names.append(getattr(node, "id", None) or getattr(node, "attr", None))
+            if "_components" in names:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
