@@ -17,8 +17,10 @@ math/0204095), so the cone's dual is described once, by ``trace_cone`` over
 the vertices in declaration order, and ``nonnegative_on_cone`` checks a
 point against its rows.  That cone is simplicial: ``trace_rays`` reads its
 extreme rays off the strongly connected components and certifies that they
-span it.  The separating functional is the first extreme trace negative on
-the query, and the cone is the whole group exactly when there is none.
+span it, the last step by a Farkas certificate built from walks round the
+cycles (``_completeness``), so finding them solves no LP.  The separating
+functional is the first extreme trace negative on the query, and the cone
+is the whole group exactly when there is none.
 
 A query that no cached verdict (the one reuse path: a repeat of the same
 query) or extreme trace settles goes to one search (``_cone_search``) over
@@ -78,7 +80,18 @@ from .linalg import (
     smith_normal_form,
     solve_diophantine,
 )
-from .lp import EQ, GE, LE, Constraint, Feasible, check_point, constraint, solve_lp
+from .lp import (
+    EQ,
+    GE,
+    LE,
+    Constraint,
+    FarkasCertificate,
+    Feasible,
+    check_point,
+    constraint,
+    solve_lp,
+    verify_farkas,
+)
 
 DEFAULT_BUDGET = 100000
 
@@ -428,14 +441,29 @@ def trace_rays(g: Graph) -> list[tuple[int, ...]]:
     1 when b = b' and 0 otherwise, the rows of the cone as equalities, Z and
     the c_b can be solved by substitution for a zero vector, and no trace is
     positive on Z or on the slack of an emitter that is not a boundary
-    element (an infeasible LP, whose Farkas certificate ``solve_lp``
-    re-checks).  Then t - sum c_b(t) * h_b satisfies all of those rows for
-    every trace t, so it is zero.
+    element.  The last is a Farkas certificate built from walks
+    (``_completeness``) and checked by ``verify_farkas``; no LP is solved.
+    Then t - sum c_b(t) * h_b satisfies all of those rows for every trace
+    t, so it is zero.
     """
+    return _cone_rays(g)[1]
+
+
+def _cone_rays(g: Graph) -> tuple[TracePolytope, list[tuple[int, ...]]]:
+    """``trace_cone(g)`` and ``trace_rays(g)``, the cone built once."""
     cone = trace_cone(g)
     coefficients, zero, rays = _component_rays(g, cone)
-    _check_rays(cone, coefficients, zero, rays)
-    return rays
+    _check_rays(g, cone, coefficients, zero, rays)
+    return cone, rays
+
+
+def _cycle_components(s) -> tuple[set[int], set[int]]:
+    """The components with a cycle, and among them the unit cycles: one
+    inner edge of weight 1 at each vertex."""
+    n = len(s.out)
+    comp, inner = s.comp, s.inner
+    cyclic = {comp[v] for v in range(n) if inner[v]}
+    return cyclic, cyclic - {comp[v] for v in range(n) if len(inner[v]) != 1 or inner[v][0][1] != 1}
 
 
 def _component_rays(g: Graph, cone: TracePolytope):
@@ -443,10 +471,8 @@ def _component_rays(g: Graph, cone: TracePolytope):
     their first vertices, the vertex indices of Z, and the rays h_b."""
     s = structure(g)
     n = len(s.out)
-    comp, inner = s.comp, s.inner
-    cyclic = {comp[v] for v in range(n) if inner[v]}
-    # a unit cycle has one inner edge of weight 1 at each vertex
-    unit = cyclic - {comp[v] for v in range(n) if len(inner[v]) != 1 or inner[v][0][1] != 1}
+    comp = s.comp
+    cyclic, unit = _cycle_components(s)
     seeds = [g.index(w) for w in cone.forced_zero]
     seeds += [v for v in range(n) if comp[v] in cyclic - unit]
     seeds += [w for v in range(n) if comp[v] in unit for w, _ in s.out[v] if comp[w] != comp[v]]
@@ -515,7 +541,7 @@ def _solvable_by_substitution(n: int, rows) -> bool:
     return solved == n
 
 
-def _check_rays(cone: TracePolytope, coefficients, zero, rays) -> None:
+def _check_rays(g: Graph, cone: TracePolytope, coefficients, zero, rays) -> None:
     """The re-check of ``trace_rays``; raises ``CertificateError``."""
     n = len(cone.variables)
     rows = cone.constraints()
@@ -532,14 +558,114 @@ def _check_rays(cone: TracePolytope, coefficients, zero, rays) -> None:
     equalities = [row for row, _ in cone.equalities]
     if not _solvable_by_substitution(n, equalities + slacks + units + coefficients):
         raise CertificateError("the rays do not determine every graph trace")
-    boundary = set(coefficients)
-    positive = [
-        sum(col) for col in zip(*units, *(s for s in slacks if s not in boundary), (0,) * n)
-    ]
-    if any(positive) and isinstance(
-        solve_lp(n, [*rows, constraint(positive, GE, 1)]), Feasible
-    ):
+    proof = _completeness(g, cone, rows, coefficients, zero)
+    if proof is not None and not verify_farkas(n, *proof):
         raise CertificateError("a graph trace is positive where every ray vanishes")
+
+
+def _completeness(g: Graph, cone: TracePolytope, rows, coefficients, zero):
+    """The system "a trace is at least 1 on Z plus the slacks of the
+    emitters that are not boundary elements" and a Farkas certificate of its
+    infeasibility, built from walks, as the last three arguments of
+    ``verify_farkas``; None when that sum is zero.
+
+    A multiplier -c on the row of a regular vertex u (+c on an emitter's)
+    adds -c at u and c*m at each finite target, so a walk over a set of
+    rows passes c from each vertex to its successors.  Around a cycle the
+    walk adds nothing on the cycle and is at least 1 at a *root*: an exit
+    target of a unit cycle, or a second inner target of a vertex with inner
+    weight 2 or more; an infinite target is a root through its own row.  A
+    tree of finite edges from the roots then carries to each vertex of Z
+    its demand (1, plus 1 for an emitter whose slack is in the sum) and the
+    demand below it, and an emitter on a unit cycle outside Z gets its slack
+    from the walk over the other vertices of the cycle.  Unused rows get 0,
+    and the added row -1."""
+    s = structure(g)
+    n = len(s.out)
+    kinds, out, comp = s.kinds, s.out, s.comp
+    emitters = [v for v in range(n) if kinds[v] is VertexClass.INFINITE_EMITTER]
+    boundary = set(coefficients)
+    zset = set(zero)
+    positive = [int(j in zset) for j in range(n)]
+    slack = set()
+    for v, (row, _) in zip(emitters, cone.inequalities):
+        if tuple(-c for c in row) not in boundary:
+            slack.add(v)
+            for j, c in enumerate(row):
+                positive[j] -= c
+    if not any(positive):
+        return None
+
+    regular = [v for v in range(n) if kinds[v] is VertexClass.REGULAR]
+    row_of = {v: i for i, v in enumerate(regular)}
+    row_of.update((v, len(cone.equalities) + i) for i, v in enumerate(emitters))
+    forced = sorted(g.index(w) for w in cone.forced_zero)
+    pinned = {w: len(regular) + i for i, w in enumerate(forced)}
+    lam = [0] * (len(rows) + 1)
+    lam[-1] = -1
+
+    def walk(vertices, c):
+        for u in vertices:
+            lam[row_of[u]] += c if kinds[u] is VertexClass.INFINITE_EMITTER else -c
+
+    cyclic, unit = _cycle_components(s)
+    members: dict[int, list[int]] = {c: [] for c in cyclic}
+    for v in range(n):
+        if comp[v] in members:
+            members[comp[v]].append(v)
+    roots: dict[int, list[int] | None] = dict.fromkeys(pinned)
+    for c in sorted(unit):
+        for v in members[c]:
+            for w, m in out[v]:
+                if m is not INF and comp[w] != c:
+                    roots.setdefault(w, members[c])
+    for c in sorted(cyclic - unit):
+        if not any(v in pinned for v in members[c]):
+            root, cycle = _cycle_root(s, members[c])
+            roots.setdefault(root, cycle)
+
+    order = [x for x in roots if x in zset]
+    parent = dict.fromkeys(order)
+    for u in order:
+        for w, m in out[u]:
+            if m is not INF and w in zset and w not in parent:
+                parent[w] = u
+                order.append(w)
+    amount = {u: 1 + (u in slack) for u in order}
+    for u in reversed(order):
+        p = parent[u]
+        if p is not None:
+            amount[p] += amount[u]
+            walk((p,), amount[u])
+        elif roots[u] is None:
+            lam[pinned[u]] += amount[u]
+        else:
+            walk(roots[u], amount[u])
+    for e in slack:
+        if e not in zset and comp[e] in unit:
+            walk([v for v in members[comp[e]] if v != e], 1)
+    return [*rows, constraint(positive, GE, 1)], [True] * n, FarkasCertificate(tuple(lam))
+
+
+def _cycle_root(s, members) -> tuple[int, list[int]]:
+    """A root of a component with a cycle, no infinite inner edge and a
+    vertex v of inner weight 2 or more, and the vertices of a simple cycle
+    through v's first inner edge v -> w, closed by a BFS from w."""
+    v = next(v for v in members if sum(weight for _, weight in s.inner[v]) >= 2)
+    (w, weight), *more = s.inner[v]
+    prev = {w: None}
+    queue = [w]
+    for u in queue:
+        if u == v:
+            break
+        for x, _ in s.inner[u]:
+            if x not in prev:
+                prev[x] = u
+                queue.append(x)
+    cycle = [v]
+    while cycle[-1] != w:
+        cycle.append(prev[cycle[-1]])
+    return w if weight == 2 else more[0][0], cycle
 
 
 def _to_declaration(k: K0Presentation, phi) -> list:

@@ -101,14 +101,15 @@ def verify_farkas(
             return False
     # one positive denominator for all multipliers changes no sign below
     _, ints = _integral(mult)
+    used = [(m, con) for m, con in zip(ints, constraints) if m]
     for j in range(num_vars):
-        combined = sum(m * con.coeffs[j] for m, con in zip(ints, constraints))
+        combined = sum(m * con.coeffs[j] for m, con in used)
         if nonneg[j]:
             if combined < 0:
                 return False
         elif combined != 0:
             return False
-    return sum(m * con.rhs for m, con in zip(ints, constraints)) < 0
+    return sum(m * con.rhs for m, con in used) < 0
 
 
 def check_point(

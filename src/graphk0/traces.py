@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .graphs import Graph, INF, satisfies_condition_k
-from .ktheory import K0Presentation, TracePolytope, nonnegative_on_cone, trace_cone, trace_rays
+from .ktheory import K0Presentation, TracePolytope, _cone_rays, nonnegative_on_cone, trace_cone
 from .linalg import CertificateError, Element
 from .lp import FarkasCertificate, Infeasible, check_point, solve_lp
 
@@ -50,7 +50,10 @@ class NoTrace:
 
 def trace_constraints(g: Graph) -> TracePolytope:
     """The norm-one graph traces: ``trace_cone`` plus the norm row."""
-    cone = trace_cone(g)
+    return _norm_one(trace_cone(g))
+
+
+def _norm_one(cone: TracePolytope) -> TracePolytope:
     norm = (tuple([1] * len(cone.variables)), 1)
     return replace(cone, equalities=cone.equalities + (norm,))
 
@@ -96,8 +99,9 @@ def no_trace(g: Graph) -> NoTrace:
 def extreme_traces(g: Graph) -> list[GraphTrace]:
     """All extreme points of the norm-one trace polytope, sorted canonically:
     the extreme rays of the trace cone, each divided by its norm."""
-    points = sorted(tuple(Fraction(c, sum(h)) for c in h) for h in trace_rays(g))
-    return _checked_traces(trace_constraints(g), points)
+    cone, rays = _cone_rays(g)
+    points = sorted(tuple(Fraction(c, sum(h)) for c in h) for h in rays)
+    return _checked_traces(_norm_one(cone), points)
 
 
 @dataclass(frozen=True)

@@ -209,20 +209,40 @@ class TestReports:
         assert payload["tracial_state_report"]["trace_count"] == 1
 
     def test_traces_finds_the_extreme_traces_once(self, corpus, capsys, monkeypatch):
+        # extreme_traces reads the rays and their cone off one _cone_rays call
         calls = []
-        true_rays = graphk0.traces.trace_rays
+        true_rays = graphk0.traces._cone_rays
 
         def counted(g):
             calls.append(g)
             return true_rays(g)
 
-        monkeypatch.setattr(graphk0.traces, "trace_rays", counted)
+        monkeypatch.setattr(graphk0.traces, "_cone_rays", counted)
         for name in ("m2.graph", "o2.graph"):
             for extra in ((), ("--extremes",)):
                 calls.clear()
                 code, _, _ = invoke(capsys, "traces", corpus / name, *extra)
                 assert code == 0
                 assert len(calls) == 1, (name, extra)
+
+    def test_traces_builds_the_trace_cone_once(self, corpus, capsys, monkeypatch):
+        # the rays and the check of the extreme traces share one cone; only
+        # the NoTrace LP of a graph without traces builds its own
+        builds = []
+        true_cone = graphk0.ktheory.trace_cone
+
+        def counted(g):
+            builds.append(g)
+            return true_cone(g)
+
+        for module in (graphk0.ktheory, graphk0.traces):
+            monkeypatch.setattr(module, "trace_cone", counted)
+        for name, expected in (("m2.graph", 1), ("m3.graph", 1), ("o2.graph", 2)):
+            for extra in ((), ("--extremes",), ("--extremes", "--json")):
+                builds.clear()
+                code, _, _ = invoke(capsys, "traces", corpus / name, *extra)
+                assert code == 0
+                assert len(builds) == expected, (name, extra)
 
     def test_deterministic_output(self, corpus, capsys):
         first = invoke(capsys, "k0", corpus / "toeplitz.graph", "--json")

@@ -206,3 +206,21 @@ def test_components_come_from_one_structure():
             if "_components" in names:
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_ktheory_solves_lps_only_for_relations():
+    # the extreme traces are certified by walks, so the one simplex run left
+    # in ktheory is the relaxation of _relation's integer program
+    path = Path(graphk0.__file__).parent / "ktheory.py"
+    callers = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            owner = getattr(node, "name", "<lambda>")
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "solve_lp":
+            callers.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), None)
+    assert callers == {"_relation"}, callers

@@ -9,10 +9,11 @@ import pytest
 from test_graphs import random_graph as shared_random_graph
 
 import graphk0
-from graphk0 import polytope_vertices
-from graphk0.graphs import INF, Graph, VertexClass, classify_vertex
+import graphk0.ktheory as kt
+from graphk0 import CertificateError, polytope_vertices
+from graphk0.graphs import INF, Graph, VertexClass, classify_vertex, structure
 from graphk0.ktheory import compute_k0, nonnegative_on_cone, trace_rays
-from graphk0.lp import verify_farkas
+from graphk0.lp import FarkasCertificate, Feasible, Infeasible, solve_lp, verify_farkas
 from graphk0.traces import (
     GraphTrace,
     NoTrace,
@@ -232,6 +233,132 @@ class TestTraceRays:
             "debug False ray_corrupted raised\n"
             "debug False zero_enlarged raised\n"
         )
+
+
+def completeness_proof(g, zero=()):
+    """``trace_rays``' completeness system and its walk certificate, as the
+    last three arguments of ``verify_farkas``, with Z enlarged by ``zero``."""
+    cone = kt.trace_cone(g)
+    coefficients, z, _ = kt._component_rays(g, cone)
+    zero = sorted({*z, *(g.index(v) for v in zero)})
+    return kt._completeness(g, cone, cone.constraints(), coefficients, zero)
+
+
+class TestCompletenessCertificate:
+    # trace_rays proves that no trace is positive on Z or on the slack of an
+    # emitter that is not a boundary element with a Farkas certificate built
+    # from walks; solve_lp on the same system must find it infeasible too
+    HAND_CASES = {
+        # a non-boundary slack outside Z, paid for by the walk round a-b
+        "emitter-on-unit-cycle": Graph(
+            ["a", "e", "b", "u", "s"],
+            {("a", "e"): 1, ("e", "b"): 1, ("b", "a"): 1, ("e", "u"): INF, ("a", "s"): 1},
+        ),
+        # {e, w} is one component only through e -> w inf
+        "held-by-inf-edge": Graph(
+            ["p", "e", "w", "s"],
+            {("p", "e"): 1, ("e", "w"): INF, ("e", "s"): 1, ("w", "e"): 1, ("w", "s"): 2},
+        ),
+        "loop-of-multiplicity-2": Graph(
+            ["p", "v", "s"], {("p", "v"): 1, ("p", "s"): 1, ("v", "v"): 2, ("v", "s"): 1}
+        ),
+        "long-exit-chain": Graph(
+            ["a", "b", *(f"c{i}" for i in range(12))],
+            {
+                ("a", "b"): 1,
+                ("b", "a"): 1,
+                ("b", "c0"): 1,
+                **{(f"c{i}", f"c{i + 1}"): 1 for i in range(11)},
+            },
+        ),
+        # emitters on a unit cycle inside Z, below a cycle of inner weight 3
+        "unit-cycle-in-z": Graph(
+            ["x", "y", "e", "f", "u"],
+            {
+                ("x", "y"): 1, ("y", "x"): 2, ("x", "e"): 1, ("e", "f"): 1,
+                ("f", "e"): 1, ("e", "u"): INF, ("f", "u"): INF,
+            },
+        ),
+    }
+
+    def check(self, g):
+        n = len(g.vertices)
+        proof = completeness_proof(g)
+        assert proof is not None
+        assert verify_farkas(n, *proof)
+        assert all(isinstance(m, int) for m in proof[2].multipliers)
+        assert isinstance(solve_lp(n, proof[0]), Infeasible)
+
+    @pytest.mark.parametrize("name", sorted(HAND_CASES))
+    def test_hand_cases(self, name):
+        self.check(self.HAND_CASES[name])
+
+    def test_against_lp_on_random_graphs(self):
+        rng = random.Random(23)
+        proved = unit_exits = unit_emitters = 0
+        for i in range(900):
+            max_mult = 1 if i % 2 else 3
+            g = shared_random_graph(rng, 9, max_mult=max_mult, inf_prob=(0.0, 0.2, 0.3)[i % 3])
+            if completeness_proof(g) is None:
+                continue
+            self.check(g)
+            proved += 1
+            s = structure(g)
+            _, unit = kt._cycle_components(s)
+            on_unit = [v for v in range(len(s.out)) if s.comp[v] in unit]
+            unit_exits += any(s.comp[w] != s.comp[v] for v in on_unit for w, _ in s.out[v])
+            unit_emitters += any(s.kinds[v] is VertexClass.INFINITE_EMITTER for v in on_unit)
+        assert proved > 500 and unit_exits > 50 and unit_emitters > 20
+
+    def test_runs_no_lp(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(kt, "solve_lp", lambda *args: calls.append(args))
+        rng = random.Random(29)
+        for i in range(300):
+            g = shared_random_graph(rng, 9, max_mult=1 + i % 3, inf_prob=(0.0, 0.2, 0.3)[i % 3])
+            trace_rays(g)
+        assert not calls
+
+    def test_altered_multiplier_rejected(self, monkeypatch):
+        # the chain's certificate is tight: moving any nonzero multiplier
+        # one step towards zero leaves some coordinate short
+        g = self.HAND_CASES["long-exit-chain"]
+        system, nonneg, certificate = completeness_proof(g)
+        n = len(g.vertices)
+        multipliers = list(certificate.multipliers)
+        altered = 0
+        for i, m in enumerate(multipliers):
+            if m:
+                step = -1 if m > 0 else 1
+                bad = FarkasCertificate(tuple(multipliers[:i] + [m + step] + multipliers[i + 1 :]))
+                assert not verify_farkas(n, system, nonneg, bad), i
+                altered += 1
+        assert altered == 14
+        build = kt._completeness
+
+        def altered_first(*args):
+            system, nonneg, certificate = build(*args)
+            first = next(i for i, m in enumerate(certificate.multipliers) if m)
+            m = list(certificate.multipliers)
+            m[first] -= 1 if m[first] > 0 else -1
+            return system, nonneg, FarkasCertificate(tuple(m))
+
+        monkeypatch.setattr(kt, "_completeness", altered_first)
+        with pytest.raises(CertificateError, match="positive where every ray vanishes"):
+            trace_rays(g)
+
+    def test_enlarged_zero_raises(self):
+        # p -> s and p -> x with x -> x of multiplicity 2: the sink s carries
+        # a ray, so a trace is positive there and no certificate can exist
+        g = Graph(["p", "s", "x"], {("p", "s"): 1, ("p", "x"): 1, ("x", "x"): 2})
+        cone = kt.trace_cone(g)
+        coefficients, zero, rays = kt._component_rays(g, cone)
+        assert zero == [2] and rays == [(1, 1, 0)]
+        kt._check_rays(g, cone, coefficients, zero, rays)
+        system, _, _ = completeness_proof(g, zero=["s"])
+        assert isinstance(solve_lp(3, system), Feasible)
+        with pytest.raises(CertificateError, match="positive where every ray vanishes"):
+            kt._check_rays(g, cone, coefficients, [1, 2], rays)
 
 
 class TestStates:
