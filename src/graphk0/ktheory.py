@@ -1,12 +1,13 @@
 """The ordered K0 group of a graph algebra.
 
 The group is the cokernel of the vertex relation matrix (one column per
-regular vertex), presented with explicit torsion moduli and free rank; the
-Smith normal form is taken after the regular vertices on no cycle are
-eliminated (``compute_k0``).  The
-positive cone is the monoid generated by the vertex classes together with,
-for every infinite emitter, the family of differences "emitter class minus a
-finite batch of target classes" (kept intensional via per-target capacities).
+regular vertex), presented with explicit torsion moduli and free rank.  The
+regular vertices on no cycle are eliminated first (``compute_k0``), and the
+cokernel of what is left is taken by unit-pivot elimination and a Smith
+normal form of the residual (``linalg.cokernel``).  The positive cone is
+the monoid generated by the vertex classes together with, for every
+infinite emitter, the family of differences "emitter class minus a finite
+batch of target classes" (kept intensional via per-target capacities).
 
 Membership in the cone is decided three-valued: Member carries a witness,
 NotMember a rational separating functional on ambient coordinates, and
@@ -210,10 +211,13 @@ def compute_k0(g: Graph) -> K0Presentation:
     order; an eliminated v expands to E_v = sum_w A(v, w) E_w over them,
     with E_w = e_w for a kept w.  The reduced matrix has one row per kept
     vertex and one column per regular vertex u on a cycle, sum_w A(u, w)
-    E_w - e_u.  A kept vertex's class is read off its cokernel, an
-    eliminated v's class is sum_w A(v, w) [w], again downstream first, and
-    the presentation over the ambient order keeps the reduced section on
-    the kept vertices (``CokerPresentation.extended``)."""
+    E_w - e_u.  Its cokernel (``linalg.cokernel``) eliminates the +-1
+    pivots left among the kept vertices in a fill-reducing order and takes
+    the Smith normal form of the residual only.  A kept vertex's class is
+    read off that cokernel, an eliminated v's class is sum_w A(v, w) [w],
+    again downstream first, and the presentation over the ambient order
+    keeps the reduced section on the kept vertices
+    (``CokerPresentation.extended``)."""
     names = g.vertices
     s = structure(g)
     out, inner = s.out, s.inner

@@ -2,13 +2,17 @@
 
 Smith normal form with unimodular transforms, cokernel presentations of
 integer matrices (a finitely generated abelian group with an explicit
-quotient map), and linear Diophantine systems.  No floating point is used
-anywhere; all entries are Python ints.
+quotient map and section), and linear Diophantine systems.  A cokernel is
+taken by sparse elimination on the +-1 entries first, each pivot removing
+one generator and one relation, and a Smith normal form of the small
+residual that is left.  No floating point is used anywhere; all entries
+are Python ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from math import gcd
 from operator import mul
 
@@ -405,25 +409,143 @@ class CokerPresentation:
 def cokernel(a: Matrix) -> CokerPresentation:
     """Present Z^m / im(a) where ``a`` maps Z^n -> Z^m by columns.
 
-    The projection is the torsion and free rows of the left transform U of
-    a Smith normal form, and the section the matching columns of U^-1."""
+    Tietze elimination first, then a small Smith normal form (Dumas,
+    Saunders and Villard, J. Symbolic Comput. 32, 2001).  The columns are
+    kept sparse.  While some entry is +-1, the unit pivot of least
+    Markowitz cost (nnz(row) - 1) * (nnz(column) - 1) is taken, ties broken
+    by (column, row) index: its column says that generator e_r equals an
+    integer combination of the others, so e_r and that relation go, and the
+    pivot column is subtracted from every other column that holds row r.
+    The Smith normal form then runs on the residual: the rows that some
+    remaining column touches, by the remaining columns.  It holds no +-1
+    entry and no zero row.
+
+    The coordinates are the residual's torsion rows (moduli >= 2), its free
+    rows, then one free coordinate per row no column touches, in row order.
+    The projection is the residual's left transform U on the touched rows,
+    unit vectors on the untouched ones, and, back-substituted in reverse
+    order of elimination, the recorded combination on each eliminated row;
+    torsion entries are reduced modulo their moduli.  The section is U^-1
+    on the touched rows, unit vectors on the untouched rows and zero on the
+    eliminated ones, so projection @ section is the identity.  Each free
+    projection row is oriented so that its leading coefficient is positive.
+    """
     rows, _cols = matrix_dims(a)
-    snf = smith_normal_form(a)
-    coordinates = [i for i in range(snf.rank) if snf.s[i][i] >= 2]
-    moduli = tuple(snf.s[i][i] for i in coordinates)
-    coordinates += range(snf.rank, rows)
-    projection = [snf.u[i] for i in coordinates]
-    section = [[r[i] for i in coordinates] for r in snf.u_inv]
+    cols = {j: {i: x for i, x in enumerate(col) if x} for j, col in enumerate(zip(*a))}
+    holders: list[set[int]] = [set() for _ in range(rows)]
+    for j, c in cols.items():
+        for i in c:
+            holders[i].add(j)
+
+    def cost(i: int, j: int) -> int:
+        return (len(holders[i]) - 1) * (len(cols[j]) - 1)
+
+    # the candidate pivots as (cost, column, row); an entry whose value or
+    # cost changes is pushed again, and a key that no longer matches its
+    # entry is dropped when it comes up
+    heap = [(cost(i, j), j, i) for j, c in cols.items() for i, x in c.items() if x == 1 or x == -1]
+    heapify(heap)
+    eliminated: list[tuple[int, dict[int, int]]] = []
+    while heap:
+        key = heappop(heap)
+        _, pc, r = key
+        pivot = cols.get(pc)
+        if pivot is None or pivot.get(r) not in (1, -1) or key[0] != cost(r, pc):
+            continue
+        del cols[pc]
+        p = pivot.pop(r)
+        changed = holders[r]
+        changed.discard(pc)
+        holders[r] = set()
+        for i in pivot:
+            holders[i].discard(pc)
+        for j in changed:
+            c = cols[j]
+            q = -p * c.pop(r)
+            for i, x in pivot.items():
+                y = c.get(i, 0) + q * x
+                if y:
+                    if i not in c:
+                        holders[i].add(j)
+                    c[i] = y
+                else:
+                    del c[i]
+                    holders[i].discard(j)
+        # new keys for the changed columns, and for the rows of the pivot
+        # column, whose counts changed
+        for j in changed:
+            for i, x in cols[j].items():
+                if x == 1 or x == -1:
+                    heappush(heap, (cost(i, j), j, i))
+        for i in pivot:
+            for j in holders[i] - changed:
+                x = cols[j][i]
+                if x == 1 or x == -1:
+                    heappush(heap, (cost(i, j), j, i))
+        # p e_r + sum_i x e_i = 0 with p = +-1
+        eliminated.append((r, {i: -p * x for i, x in pivot.items()}))
+
+    remaining = [c for c in cols.values() if c]
+    touched = sorted({i for c in remaining for i in c})
+    at = {i: k for k, i in enumerate(touched)}
+    residual = [[0] * len(remaining) for _ in touched]
+    for k, c in enumerate(remaining):
+        for i, x in c.items():
+            residual[at[i]][k] = x
+    snf = smith_normal_form(residual)
+    coordinates = [k for k in range(snf.rank) if snf.s[k][k] >= 2]
+    moduli = tuple(snf.s[k][k] for k in coordinates)
+    coordinates += range(snf.rank, len(touched))
+    gone = {r for r, _ in eliminated}
+    untouched = [i for i in range(rows) if i not in at and i not in gone]
+    width = len(coordinates) + len(untouched)
+
+    # each row's class as a sparse {coordinate: nonzero int}; every row is
+    # touched, untouched or eliminated, so each gets its own dict below
+    classes: list[dict[int, int]] = [{}] * rows
+    section = zero_matrix(rows, width)
+    for i, k in at.items():
+        classes[i] = {q: x for q, c in enumerate(coordinates) if (x := snf.u[c][k])}
+        section[i][: len(coordinates)] = [snf.u_inv[k][c] for c in coordinates]
+    for q, i in enumerate(untouched, len(coordinates)):
+        classes[i] = {q: 1}
+        section[i][q] = 1
+    for r, combination in reversed(eliminated):
+        acc: dict[int, int] = {}
+        for i, x in combination.items():
+            _axpy(acc, classes[i], x)
+        classes[r] = acc
+    t = len(moduli)
+    for col in classes:
+        for q, d in enumerate(moduli):
+            if q in col:
+                x = col[q] % d
+                if x:
+                    col[q] = x
+                else:
+                    del col[q]
     # orient free coordinates so the leading coefficient of each row is positive
-    for c in range(len(moduli), len(coordinates)):
-        if next((x for x in projection[c] if x), 0) < 0:
-            projection[c] = [-x for x in projection[c]]
-            for r in section:
-                r[c] = -r[c]
+    lead: dict[int, int] = {}
+    for col in classes:
+        for q, x in col.items():
+            if q >= t and q not in lead:
+                lead[q] = x
+        if len(lead) == width - t:
+            break
+    flips = [q for q, x in lead.items() if x < 0]
+    for r in section:
+        for q in flips:
+            r[q] = -r[q]
+    projection = zero_matrix(width, rows)
+    for j, col in enumerate(classes):
+        for q, x in col.items():
+            projection[q][j] = x
+    for q in flips:
+        projection[q] = [-x for x in projection[q]]
     return CokerPresentation(
         ambient_dim=rows,
         torsion_moduli=moduli,
-        free_rank=rows - snf.rank,
+        free_rank=width - t,
         projection=projection,
         section=section,
     )

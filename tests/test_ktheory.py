@@ -400,27 +400,40 @@ class TestReducedCokernel:
         assert elapsed < 1.0
 
     def test_snf_sees_the_reduced_matrix(self, monkeypatch):
-        # a count, not a timing: one Smith normal form, of a matrix with a
-        # row per kept vertex and a column per regular vertex on a cycle
+        # counts, not timings: one cokernel, of a matrix with a row per kept
+        # vertex and a column per regular vertex on a cycle; inside it one
+        # Smith normal form, of a residual with no unit entry and no zero row
+        true_cokernel = graphk0.linalg.cokernel
         true_snf = graphk0.linalg.smith_normal_form
         shapes = []
+        residuals = []
 
-        def spy(a):
+        def cokernel_spy(a):
             shapes.append((len(a), len(a[0]) if a else 0))
+            return true_cokernel(a)
+
+        def snf_spy(a):
+            residuals.append(a)
             return true_snf(a)
 
-        monkeypatch.setattr(graphk0.linalg, "smith_normal_form", spy)
+        monkeypatch.setattr(graphk0.ktheory, "cokernel", cokernel_spy)
+        monkeypatch.setattr(graphk0.linalg, "smith_normal_form", snf_spy)
         rng = random.Random(2106)
         graphs = [baseline_draw(rng, 150, 3) for _ in range(2)]
         graphs += [random_graph(rng, 8, inf_prob=p) for p in (0.0, 0.2) for _ in range(20)]
         for g in graphs:
             shapes.clear()
+            residuals.clear()
             k = compute_k0(g)
             _, kept = eliminated_and_kept(g)
             cycle_regular = [
                 v for v in kept if g.out_edges(v) and all(m is not INF for _, m in g.out_edges(v))
             ]
             assert shapes == [(len(kept), len(cycle_regular))]
+            assert len(residuals) == 1
+            (residual,) = residuals
+            assert sum(x in (1, -1) for row in residual for x in row) == 0
+            assert sum(not any(row) for row in residual) == 0
             assert "relation_matrix" not in vars(k)
 
 
