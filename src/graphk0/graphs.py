@@ -267,38 +267,83 @@ def simple_loop_census(g: Graph) -> dict[str, int]:
     more").
 
     Every simple cycle through a vertex lies inside its strongly connected
-    component, so each vertex is walked only on the inner edges of
-    ``structure(g)`` (the first step of Johnson's circuit enumeration, SIAM
-    J. Comput. 4, 1975); a vertex on no cycle costs no walk.  This is not
-    the return-path reading of Condition (K), whose intermediate vertices
-    may repeat: the two disagree on ``v->w, w->v, v->v`` (see the ROADMAP
-    item on the return-path predicate)."""
+    component, so only the inner edges of ``structure(g)`` are read, each
+    with its weight min(2, multiplicity).  Most vertices are settled from
+    their own edges.  A vertex with no inner edge is on no cycle: 0.  Each
+    inner out-edge v->w closes its own simple cycle through v, the edge
+    followed by a shortest path from w back to v (which meets v only at its
+    end; for a loop, the empty path), weighing at least as much as the edge;
+    by the mirror argument so does each inner in-edge.  So a vertex whose
+    inner out-edges, or whose inner in-edges, weigh 2 or more in total gets
+    2.  Only a vertex with one inner in-edge and one inner out-edge, both of
+    multiplicity 1, is searched (``_cycles_through``).  The census takes
+    O(V+E) per vertex.
+
+    This is not the return-path reading of Condition (K), whose
+    intermediate vertices may repeat: the two disagree on
+    ``v->w, w->v, v->v`` (see the ROADMAP item on the return-path
+    predicate)."""
     inner = structure(g).inner
-    return {v: _cycles_through(inner, base) for base, v in enumerate(g.vertices)}
+    in_weight = [0] * len(inner)
+    for edges in inner:
+        for w, k in edges:
+            in_weight[w] += k
+    census = {}
+    for base, v in enumerate(g.vertices):
+        out_weight = sum(k for _, k in inner[base])
+        if out_weight >= 2 or in_weight[base] >= 2:
+            census[v] = 2
+        else:
+            census[v] = _cycles_through(inner, base) if out_weight else 0
+    return census
 
 
-def _cycles_through(inner: list[list[tuple[int, int]]], base: int) -> int:
-    """Weighted count, saturated at 2, of the vertex-simple paths from
-    ``base`` back to itself along ``inner``, walked with an explicit stack."""
+def _cycles_through(inner: tuple[tuple[tuple[int, int], ...], ...], base: int) -> int:
+    """Weighted count, saturated at 2, of the vertex-simple cycles through
+    ``base`` along ``inner``: the CIRCUIT search of Johnson's elementary
+    circuit enumeration (SIAM J. Comput. 4, 1975) rooted at ``base``, on an
+    explicit stack of [vertex, weight of the path so far, edge iterator,
+    closed a cycle] frames.
+
+    A vertex is blocked while it is on the path, and stays blocked after it
+    is popped without closing a cycle; it is then put on the B-list of each
+    of its successors.  When a vertex is popped after closing a cycle it is
+    unblocked, and so, in turn, is every blocked vertex on its B-list.  So no
+    vertex is entered twice between two cycles found, and the search takes
+    O(V+E) per cycle; it stops as soon as the count reaches 2."""
     total = 0
-    visited = [False] * len(inner)
-    visited[base] = True
-    stack = [(base, 1, iter(inner[base]))]
+    blocked = {base}
+    b_lists: dict[int, set[int]] = {}
+    stack = [[base, 1, iter(inner[base]), False]]
     while stack:
-        v, acc, it = stack[-1]
+        frame = stack[-1]
+        v, acc, it, _ = frame
         for w, k in it:
-            weight = min(2, acc * k)
             if w == base:
-                total += weight
+                total += min(2, acc * k)
                 if total >= 2:
                     return 2
-            elif not visited[w]:
-                visited[w] = True
-                stack.append((w, weight, iter(inner[w])))
+                frame[3] = True
+            elif w not in blocked:
+                blocked.add(w)
+                stack.append([w, min(2, acc * k), iter(inner[w]), False])
                 break
         else:
             stack.pop()
-            visited[v] = False
+            if frame[3]:
+                if stack:
+                    stack[-1][3] = True
+                blocked.discard(v)
+                if v in b_lists:
+                    freed = [v]
+                    while freed:
+                        for u in b_lists.pop(freed.pop(), ()):
+                            if u in blocked:
+                                blocked.discard(u)
+                                freed.append(u)
+            else:
+                for w, _ in inner[v]:
+                    b_lists.setdefault(w, set()).add(v)
     return total
 
 

@@ -61,6 +61,37 @@ def brute_census(g, base):
     return min(count, 2)
 
 
+def walk_census(g):
+    """Reference oracle: for each vertex, walk every simple path out of it
+    inside its strongly connected component and count, with weights
+    saturated at 2, the ones that close back at it.  Exponential in the
+    worst case; the census proper replaced it."""
+    inner = structure(g).inner
+    census = {}
+    for base, v in enumerate(g.vertices):
+        total = 0
+        visited = [False] * len(inner)
+        visited[base] = True
+        stack = [(base, 1, iter(inner[base]))]
+        while stack and total < 2:
+            u, acc, it = stack[-1]
+            for w, k in it:
+                weight = min(2, acc * k)
+                if w == base:
+                    total += weight
+                    if total >= 2:
+                        break
+                elif not visited[w]:
+                    visited[w] = True
+                    stack.append((w, weight, iter(inner[w])))
+                    break
+            else:
+                stack.pop()
+                visited[u] = False
+        census[v] = min(total, 2)
+    return census
+
+
 def layered_graph(rng, sizes):
     """Random graph whose edges run inside a block or to a later block, so
     every strongly connected component lies in one block and the edges
@@ -365,6 +396,66 @@ class TestSimpleLoopCensus:
                 mult[(f"{side}{i}", f"d{i + 1}")] = 1
         census = simple_loop_census(Graph(names, mult))
         assert census == {v: int(v == "v") for v in names}
+
+    def test_dead_end_branches_inside_the_component(self):
+        # base <-> c, and c -> u0 -> ... -> u40 -> c where each u_i reaches
+        # u_{i+1} through both a_i and b_i: 2**40 simple paths from c back
+        # to c, all inside base's component, none of them through base
+        layers = 40
+        names = ["base", "c"] + [f"u{i}" for i in range(layers + 1)]
+        mult = {("base", "c"): 1, ("c", "base"): 1, ("c", "u0"): 1, (f"u{layers}", "c"): 1}
+        for i in range(layers):
+            for side in ("a", "b"):
+                names.append(f"{side}{i}")
+                mult[(f"u{i}", f"{side}{i}")] = 1
+                mult[(f"{side}{i}", f"u{i + 1}")] = 1
+        census = simple_loop_census(Graph(names, mult))
+        assert census == {v: 1 if v == "base" else 2 for v in names}
+
+    def test_against_exhaustive_walk(self):
+        # dense draws with loops, multiplicities 2 and 3 and infinite edges;
+        # every way the census reads a vertex must be taken, and the search
+        # must give both 1 and 2
+        rng = random.Random(2025)
+        seen = {}
+        for _ in range(2000):
+            g = random_graph(
+                rng,
+                max_vertices=9,
+                max_mult=rng.choice([1, 1, 1, 3]),
+                inf_prob=0.05,
+                edge_prob=rng.choice([0.25, 0.3, 0.6]),
+            )
+            census = simple_loop_census(g)
+            assert census == walk_census(g), g.edges()
+            inner = structure(g).inner
+            in_weight = [0] * len(inner)
+            for edges in inner:
+                for w, k in edges:
+                    in_weight[w] += k
+            for u, v in enumerate(g.vertices):
+                out_weight = sum(k for _, k in inner[u])
+                if out_weight >= 2:
+                    branch = "out"
+                elif in_weight[u] >= 2:
+                    branch = "in"
+                else:
+                    branch = "search" if out_weight else "none"
+                seen.setdefault(branch, set()).add(census[v])
+        assert seen == {"none": {0}, "out": {2}, "in": {2}, "search": {1, 2}}
+
+    def test_search_unblocks_after_a_cycle(self):
+        # from v1 the search closes v1 v2 v0 first; v3 failed on the way (v0
+        # was on the path) and must be freed again to close v1 v2 v3 v0
+        edges = [("v0", "v1"), ("v0", "v3"), ("v1", "v2"), ("v2", "v0"), ("v2", "v3"), ("v3", "v0")]
+        census = simple_loop_census(Graph(["v0", "v1", "v2", "v3"], dict.fromkeys(edges, 1)))
+        assert census == {"v0": 2, "v1": 2, "v2": 2, "v3": 2}
+
+    def test_exhaustive_walk_against_brute_force(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            g = random_graph(rng, max_vertices=6, inf_prob=0.1, edge_prob=0.5)
+            assert walk_census(g) == {v: brute_census(g, v) for v in g.vertices}, g.edges()
 
 
 class TestDesingularize:
