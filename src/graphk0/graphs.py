@@ -276,26 +276,49 @@ def simple_loop_census(g: Graph) -> dict[str, int]:
     by the mirror argument so does each inner in-edge.  So a vertex whose
     inner out-edges, or whose inner in-edges, weigh 2 or more in total gets
     2.  Only a vertex with one inner in-edge and one inner out-edge, both of
-    multiplicity 1, is searched (``_cycles_through``).  The census takes
-    O(V+E) per vertex.
+    multiplicity 1, is searched (``_cycles_through``).  When such a vertex's
+    out-edge leads to another one, every cycle through either passes that
+    edge, so both lie on the same cycles: the search runs once per chain of
+    them, and its count is shared along the chain, forwards and backwards.
+    The census takes O(V+E) per chain.
 
     This is not the return-path reading of Condition (K), whose
     intermediate vertices may repeat: the two disagree on
     ``v->w, w->v, v->v`` (see the ROADMAP item on the return-path
     predicate)."""
     inner = structure(g).inner
-    in_weight = [0] * len(inner)
-    for edges in inner:
+    n = len(inner)
+    in_weight = [0] * n
+    source = [0] * n
+    for v, edges in enumerate(inner):
         for w, k in edges:
             in_weight[w] += k
-    census = {}
-    for base, v in enumerate(g.vertices):
+            source[w] = v
+    counts: list[int | None] = [None] * n
+
+    def chained(v: int) -> bool:
+        # uncounted, and one inner in-edge and one inner out-edge of weight 1
+        return counts[v] is None and in_weight[v] == 1 and len(inner[v]) == 1 and inner[v][0][1] == 1
+
+    for base in range(n):
+        if counts[base] is not None:
+            continue
         out_weight = sum(k for _, k in inner[base])
         if out_weight >= 2 or in_weight[base] >= 2:
-            census[v] = 2
+            counts[base] = 2
+        elif not out_weight:
+            counts[base] = 0
         else:
-            census[v] = _cycles_through(inner, base) if out_weight else 0
-    return census
+            count = counts[base] = _cycles_through(inner, base)
+            v = inner[base][0][0]
+            while chained(v):
+                counts[v] = count
+                v = inner[v][0][0]
+            v = source[base]
+            while chained(v):
+                counts[v] = count
+                v = source[v]
+    return dict(zip(g.vertices, counts))
 
 
 def _cycles_through(inner: tuple[tuple[tuple[int, int], ...], ...], base: int) -> int:

@@ -74,6 +74,7 @@ from .linalg import (
     Element,
     Matrix,
     SmithForm,
+    _axpy,
     cokernel,
     determinant,
     mat_mul,
@@ -210,14 +211,14 @@ def compute_k0(g: Graph) -> K0Presentation:
     the kept vertices (on a cycle, or singular), are taken in declaration
     order; an eliminated v expands to E_v = sum_w A(v, w) E_w over them,
     with E_w = e_w for a kept w.  The reduced matrix has one row per kept
-    vertex and one column per regular vertex u on a cycle, sum_w A(u, w)
-    E_w - e_u.  Its cokernel (``linalg.cokernel``) eliminates the +-1
-    pivots left among the kept vertices in a fill-reducing order and takes
-    the Smith normal form of the residual only.  A kept vertex's class is
-    read off that cokernel, an eliminated v's class is sum_w A(v, w) [w],
-    again downstream first, and the presentation over the ambient order
-    keeps the reduced section on the kept vertices
-    (``CokerPresentation.extended``)."""
+    vertex and one sparse column per regular vertex u on a cycle, sum_w
+    A(u, w) E_w - e_u.  Its cokernel (``linalg.cokernel``) eliminates the
+    +-1 pivots left among the kept vertices in a fill-reducing order and
+    takes the Smith normal form of the residual only.  A kept vertex's
+    sparse class is read off that cokernel, an eliminated v's class is
+    sum_w A(v, w) [w], again downstream first, and the presentation over
+    the ambient order holds every vertex's class and the reduced section,
+    moved to the kept vertices' ambient indices."""
     names = g.vertices
     s = structure(g)
     out, inner = s.out, s.inner
@@ -233,36 +234,27 @@ def compute_k0(g: Graph) -> K0Presentation:
     for v in eliminated:
         e: dict[int, int] = {}
         for w, m in out[v]:
-            for r, c in expansion[w].items():
-                e[r] = e.get(r, 0) + m * c
+            _axpy(e, expansion[w], m)
         expansion[v] = e
-    columns = [u for u in regular if inner[u]]
-    mat = [[0] * len(columns) for _ in kept]
-    for c, u in enumerate(columns):
-        for w, m in out[u]:
-            for r, x in expansion[w].items():
-                mat[r][c] += m * x
-        mat[row[u]][c] -= 1
-    reduced = cokernel(mat)
+    columns = []
+    for u in regular:
+        if inner[u]:
+            c = {row[u]: -1}
+            for w, m in out[u]:
+                _axpy(c, expansion[w], m)
+            columns.append(c)
+    reduced = cokernel(columns, len(kept))
 
-    classes: list[Element | None] = [None] * len(names)
-    coords: dict[int, list[int]] = {}
-    for v, e in zip(kept, reduced.basis_classes()):
-        classes[v] = e
-        coords[v] = [*e.torsion, *e.free]
-    moduli = reduced.torsion_moduli
-    t = len(moduli)
+    classes = dict(zip(kept, reduced.classes))
     for v in eliminated:
-        (w, m), *rest = out[v]
-        acc = [m * b for b in coords[w]]
-        for w, m in rest:
-            acc = [a + m * b for a, b in zip(acc, coords[w])]
-        coords[v] = acc
-        torsion = tuple(a % d for a, d in zip(acc, moduli))
-        classes[v] = Element(torsion=torsion, free=tuple(acc[t:]))
-
+        acc: dict[int, int] = {}
+        for w, m in out[v]:
+            _axpy(acc, classes[w], m)
+        classes[v] = acc
     pos = {v: i for i, v in enumerate(order)}
-    coker = reduced.extended([classes[v] for v in order], [pos[v] for v in kept])
+    section = [{pos[kept[r]]: x for r, x in unit.items()} for unit in reduced.section]
+    coker = CokerPresentation(reduced.torsion_moduli, [classes[v] for v in order], section)
+    elements = coker.basis_classes()
     families = tuple(
         Family(names[v], tuple((names[w], None if m is INF else m) for w, m in out[v]))
         for v in singular
@@ -272,7 +264,7 @@ def compute_k0(g: Graph) -> K0Presentation:
         graph=g,
         coker=coker,
         ambient_order=tuple(names[v] for v in order),
-        delta=dict(zip(names, classes)),
+        delta={names[v]: elements[pos[v]] for v in range(len(names))},
         cone=ConeSpec(families=families),
         order_unit=coker.project([1] * len(order)),
     )

@@ -1,12 +1,12 @@
 """Exact integer linear algebra over arbitrary-precision integers.
 
 Smith normal form with unimodular transforms, cokernel presentations of
-integer matrices (a finitely generated abelian group with an explicit
-quotient map and section), and linear Diophantine systems.  A cokernel is
-taken by sparse elimination on the +-1 entries first, each pivot removing
-one generator and one relation, and a Smith normal form of the small
-residual that is left.  No floating point is used anywhere; all entries
-are Python ints.
+integer matrices given by sparse columns (a finitely generated abelian
+group with the sparse class of each ambient basis vector and a sparse
+section), and linear Diophantine systems.  A cokernel is taken by sparse
+elimination on the +-1 entries first, each pivot removing one generator and
+one relation, and a Smith normal form of the small residual that is left.
+No floating point is used anywhere; all entries are Python ints.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import gcd
-from operator import mul
 
 Matrix = list[list[int]]
 
@@ -296,75 +295,73 @@ class CokerPresentation:
     """The quotient of Z^m by the column space of an integer matrix.
 
     The group is presented as a direct sum of cyclic factors Z/d_i (moduli
-    >= 2; factors equal to 1 are dropped) and a free part Z^f, together with
-    an explicit projection from ambient integer vectors and a deterministic
-    section (``lift``) going the other way.  Only those two maps are kept:
-    the ``projection``, a (t+f) x m matrix whose column j is the class of
-    the j-th ambient basis vector (torsion rows, then free rows; a torsion
-    row is read modulo its modulus), and the ``section``, an m x (t+f)
-    matrix with projection @ section the identity.  ``basis_classes`` reads
-    the classes off its columns without a matrix product.
+    >= 2; factors equal to 1 are dropped) and a free part Z^f, with its
+    t + f coordinates numbered torsion first.  Only sparse data is kept:
+    ``classes[j]``, the class of the j-th ambient basis vector as a
+    ``{coordinate: nonzero int}`` dict, and ``section[q]``, an ambient
+    preimage of the q-th coordinate unit as an ``{ambient index: nonzero
+    int}`` dict.  The constructor reduces each torsion entry modulo its
+    modulus.  ``project``, ``lift`` and ``basis_classes`` read these two
+    lists, and project of a lift is the identity.
     """
 
     def __init__(
         self,
-        ambient_dim: int,
         torsion_moduli: tuple[int, ...],
-        free_rank: int,
-        projection: Matrix,
-        section: Matrix,
+        classes: list[dict[int, int]],
+        section: list[dict[int, int]],
     ) -> None:
-        self.ambient_dim = ambient_dim
+        self.ambient_dim = len(classes)
         self.torsion_moduli = torsion_moduli
-        self.free_rank = free_rank
-        self._projection = projection
-        self._section = section
+        self.free_rank = len(section) - len(torsion_moduli)
+        self.classes = classes
+        self.section = section
+        for col in classes:
+            for q, d in enumerate(torsion_moduli):
+                if col.get(q, 0) % d:
+                    col[q] %= d
+                else:
+                    col.pop(q, None)
 
     def group_invariants(self) -> tuple[int, tuple[int, ...]]:
         return self.free_rank, self.torsion_moduli
+
+    def _element(self, col: dict[int, int]) -> Element:
+        """The element with these sparse coordinates, torsion reduced."""
+        moduli = self.torsion_moduli
+        coords = [0] * (len(moduli) + self.free_rank)
+        for q, x in col.items():
+            coords[q] = x
+        return Element(
+            torsion=tuple(x % d for x, d in zip(coords, moduli)),
+            free=tuple(coords[len(moduli) :]),
+        )
 
     def project(self, x: list[int]) -> Element:
         if len(x) != self.ambient_dim:
             raise ValueError(
                 f"ambient vector of length {len(x)}, expected {self.ambient_dim}"
             )
-        rows = self._projection
-        t = len(self.torsion_moduli)
-        torsion = tuple(sum(map(mul, row, x)) % d for row, d in zip(rows, self.torsion_moduli))
-        free = tuple(sum(map(mul, row, x)) for row in rows[t:])
-        return Element(torsion=torsion, free=free)
+        acc: dict[int, int] = {}
+        for col, c in zip(self.classes, x):
+            if c:
+                _axpy(acc, col, c)
+        return self._element(acc)
 
     def lift(self, e: Element) -> list[int]:
         """A deterministic ambient preimage of ``e`` (least nonnegative residues)."""
         self._check(e)
-        return mat_vec(self._section, [*e.torsion, *e.free])
+        out = [0] * self.ambient_dim
+        for row, c in zip(self.section, (*e.torsion, *e.free)):
+            if c:
+                for i, x in row.items():
+                    out[i] += c * x
+        return out
 
     def basis_classes(self) -> list[Element]:
         """The class of every ambient basis vector, equal to ``project`` of
-        that vector, in one pass."""
-        moduli = self.torsion_moduli
-        t = len(moduli)
-        columns = zip(*self._projection) if self._projection else [()] * self.ambient_dim
-        return [
-            Element(torsion=tuple(x % d for x, d in zip(col, moduli)), free=col[t:])
-            for col in columns
-        ]
-
-    def extended(self, classes: list[Element], positions: list[int]) -> CokerPresentation:
-        """The same group as a quotient of Z^m, m = len(classes), given the
-        class of each ambient basis vector.  This presentation's i-th basis
-        vector must be ambient basis vector ``positions[i]``, with class
-        ``classes[positions[i]] == basis_classes()[i]``.  The section is this
-        one's, its rows placed on ``positions`` and zero elsewhere, so
-        ``project`` of a ``lift`` is still the identity."""
-        width = len(self.torsion_moduli) + self.free_rank
-        projection = [list(row) for row in zip(*((*c.torsion, *c.free) for c in classes))]
-        section = [[0] * width for _ in classes]
-        for i, p in enumerate(positions):
-            section[p] = self._section[i]
-        return CokerPresentation(
-            len(classes), self.torsion_moduli, self.free_rank, projection, section
-        )
+        that vector."""
+        return [self._element(col) for col in self.classes]
 
     def zero(self) -> Element:
         return Element(torsion=(0,) * len(self.torsion_moduli), free=(0,) * self.free_rank)
@@ -406,35 +403,37 @@ class CokerPresentation:
             raise ValueError("element does not match this presentation")
 
 
-def cokernel(a: Matrix) -> CokerPresentation:
-    """Present Z^m / im(a) where ``a`` maps Z^n -> Z^m by columns.
+def cokernel(columns: list[dict[int, int]], rows: int) -> CokerPresentation:
+    """Present Z^rows / im(a), where ``a`` maps Z^n -> Z^rows and its
+    columns are given sparse, as ``{row: int}`` dicts (zero entries are
+    dropped, and the dicts are not changed).
 
     Tietze elimination first, then a small Smith normal form (Dumas,
-    Saunders and Villard, J. Symbolic Comput. 32, 2001).  The columns are
-    kept sparse.  While some entry is +-1, the unit pivot of least
-    Markowitz cost (nnz(row) - 1) * (nnz(column) - 1) is taken, ties broken
-    by (column, row) index: its column says that generator e_r equals an
-    integer combination of the others, so e_r and that relation go, and the
-    pivot column is subtracted from every other column that holds row r.
-    The Smith normal form then runs on the residual: the rows that some
-    remaining column touches, by the remaining columns.  It holds no +-1
-    entry and no zero row.
+    Saunders and Villard, J. Symbolic Comput. 32, 2001).  While some entry
+    is +-1, the unit pivot of least Markowitz cost (nnz(row) - 1) *
+    (nnz(column) - 1) is taken, ties broken by (column, row) index: its
+    column says that generator e_r equals an integer combination of the
+    others, so e_r and that relation go, and the pivot column is subtracted
+    from every other column that holds row r.  The Smith normal form then
+    runs on the residual: the rows that some remaining column touches, by
+    the remaining columns.  It holds no +-1 entry and no zero row.
 
     The coordinates are the residual's torsion rows (moduli >= 2), its free
     rows, then one free coordinate per row no column touches, in row order.
-    The projection is the residual's left transform U on the touched rows,
-    unit vectors on the untouched ones, and, back-substituted in reverse
-    order of elimination, the recorded combination on each eliminated row;
-    torsion entries are reduced modulo their moduli.  The section is U^-1
-    on the touched rows, unit vectors on the untouched rows and zero on the
-    eliminated ones, so projection @ section is the identity.  Each free
-    projection row is oriented so that its leading coefficient is positive.
+    A touched row's class is its column of the residual's left transform U,
+    an untouched row's is its own coordinate unit, and an eliminated row's
+    is the recorded combination of the other rows' classes, back-substituted
+    in reverse order of elimination.  The section is U^-1 on the touched
+    rows and the unit vectors on the untouched ones; it is zero on the
+    eliminated rows.  Each free coordinate is oriented so that its first
+    nonzero entry, in row order, is positive.
     """
-    rows, _cols = matrix_dims(a)
-    cols = {j: {i: x for i, x in enumerate(col) if x} for j, col in enumerate(zip(*a))}
+    cols = {j: {i: x for i, x in c.items() if x} for j, c in enumerate(columns)}
     holders: list[set[int]] = [set() for _ in range(rows)]
     for j, c in cols.items():
         for i in c:
+            if not 0 <= i < rows:
+                raise ValueError(f"row index {i} of column {j} outside 0..{rows - 1}")
             holders[i].add(j)
 
     def cost(i: int, j: int) -> int:
@@ -503,28 +502,21 @@ def cokernel(a: Matrix) -> CokerPresentation:
     # each row's class as a sparse {coordinate: nonzero int}; every row is
     # touched, untouched or eliminated, so each gets its own dict below
     classes: list[dict[int, int]] = [{}] * rows
-    section = zero_matrix(rows, width)
+    section: list[dict[int, int]] = []
+    for c in coordinates:
+        section.append({i: x for i, k in at.items() if (x := snf.u_inv[k][c])})
     for i, k in at.items():
         classes[i] = {q: x for q, c in enumerate(coordinates) if (x := snf.u[c][k])}
-        section[i][: len(coordinates)] = [snf.u_inv[k][c] for c in coordinates]
     for q, i in enumerate(untouched, len(coordinates)):
         classes[i] = {q: 1}
-        section[i][q] = 1
+        section.append({i: 1})
     for r, combination in reversed(eliminated):
         acc: dict[int, int] = {}
         for i, x in combination.items():
             _axpy(acc, classes[i], x)
         classes[r] = acc
+    # orient the free coordinates: the first nonzero entry of each is positive
     t = len(moduli)
-    for col in classes:
-        for q, d in enumerate(moduli):
-            if q in col:
-                x = col[q] % d
-                if x:
-                    col[q] = x
-                else:
-                    del col[q]
-    # orient free coordinates so the leading coefficient of each row is positive
     lead: dict[int, int] = {}
     for col in classes:
         for q, x in col.items():
@@ -532,23 +524,15 @@ def cokernel(a: Matrix) -> CokerPresentation:
                 lead[q] = x
         if len(lead) == width - t:
             break
-    flips = [q for q, x in lead.items() if x < 0]
-    for r in section:
+    flips = {q for q, x in lead.items() if x < 0}
+    if flips:
+        for col in classes:
+            for q in col:
+                if q in flips:
+                    col[q] = -col[q]
         for q in flips:
-            r[q] = -r[q]
-    projection = zero_matrix(width, rows)
-    for j, col in enumerate(classes):
-        for q, x in col.items():
-            projection[q][j] = x
-    for q in flips:
-        projection[q] = [-x for x in projection[q]]
-    return CokerPresentation(
-        ambient_dim=rows,
-        torsion_moduli=moduli,
-        free_rank=width - t,
-        projection=projection,
-        section=section,
-    )
+            section[q] = {i: -x for i, x in section[q].items()}
+    return CokerPresentation(moduli, classes, section)
 
 
 def solve_diophantine(a: Matrix, b: list[int]) -> list[int] | None:

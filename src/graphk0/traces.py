@@ -4,9 +4,10 @@ A graph trace assigns a nonnegative rational to each vertex so that regular
 vertices split their value over their targets (counted with multiplicity)
 and infinite emitters dominate every finite batch of theirs.  These
 conditions are written once, by ``ktheory.trace_cone``; here they gain the
-norm row, and every check is ``lp.check_point`` on those rows.  Norm-one
-traces form a rational polytope whose vertices are the extreme rays of the
-trace cone, ``ktheory.trace_rays``, each divided by its norm.  A
+norm row, and a point given by a caller is checked by ``lp.check_point`` on
+those rows.  Norm-one traces form a rational polytope whose vertices are
+the extreme rays of the trace cone, ``ktheory.trace_rays``, each divided by
+its norm; those rays are certified where they are found.  A
 norm-one trace is the same data as a state on the K0 presentation (a
 positive normalized functional), and both directions of that dictionary are
 implemented with full re-verification.
@@ -50,10 +51,7 @@ class NoTrace:
 
 def trace_constraints(g: Graph) -> TracePolytope:
     """The norm-one graph traces: ``trace_cone`` plus the norm row."""
-    return _norm_one(trace_cone(g))
-
-
-def _norm_one(cone: TracePolytope) -> TracePolytope:
+    cone = trace_cone(g)
     norm = (tuple([1] * len(cone.variables)), 1)
     return replace(cone, equalities=cone.equalities + (norm,))
 
@@ -66,17 +64,6 @@ def verify_graph_trace(g: Graph, t: GraphTrace) -> bool:
     cone = trace_cone(g)
     n = len(cone.variables)
     return check_point(n, cone.constraints(), [True] * n, [values[v] for v in cone.variables])
-
-
-def _checked_traces(poly: TracePolytope, points) -> list[GraphTrace]:
-    """The traces with these values, after the exact re-check that each is
-    a point of ``poly``."""
-    n = len(poly.variables)
-    rows = poly.constraints()
-    for point in points:
-        if not check_point(n, rows, [True] * n, point):
-            raise CertificateError("computed point is not a norm-one graph trace")
-    return [GraphTrace(values=tuple(zip(poly.variables, point))) for point in points]
 
 
 def find_graph_trace(g: Graph) -> GraphTrace | NoTrace:
@@ -98,10 +85,14 @@ def no_trace(g: Graph) -> NoTrace:
 
 def extreme_traces(g: Graph) -> list[GraphTrace]:
     """All extreme points of the norm-one trace polytope, sorted canonically:
-    the extreme rays of the trace cone, each divided by its norm."""
+    the extreme rays of the trace cone, each divided by its norm.
+
+    ``trace_rays`` has certified every ray as a point of the cone, whose
+    rows are homogeneous, so each ray divided by its norm is one too, and
+    the norm row holds exactly; the points are not checked again."""
     cone, rays = _cone_rays(g)
     points = sorted(tuple(Fraction(c, sum(h)) for c in h) for h in rays)
-    return _checked_traces(_norm_one(cone), points)
+    return [GraphTrace(values=tuple(zip(cone.variables, point))) for point in points]
 
 
 @dataclass(frozen=True)
@@ -147,7 +138,12 @@ def state_to_trace(g: Graph, k: K0Presentation, s: StateOnK0) -> GraphTrace:
     if not verify_state(s):
         raise ValueError("not a state on this presentation")
     values = dict(s.values_on_delta)
-    return _checked_traces(trace_constraints(g), [[values[v] for v in g.vertices]])[0]
+    poly = trace_constraints(g)
+    n = len(poly.variables)
+    point = [values[v] for v in poly.variables]
+    if not check_point(n, poly.constraints(), [True] * n, point):
+        raise CertificateError("the state's values are not a norm-one graph trace")
+    return GraphTrace(values=tuple(zip(poly.variables, point)))
 
 
 @dataclass(frozen=True)

@@ -383,6 +383,32 @@ class TestSimpleLoopCensus:
         assert simple_loop_census(g) == {v: 1 for v in names}
         assert predicates(g).has_loop
 
+    def test_one_search_per_chain(self, monkeypatch):
+        # counts, not timings: the vertices of a chain of weight-1 edges lie
+        # on the same cycles, so a unit cycle of 10,000 vertices with one
+        # exit is searched once; behind a vertex with a loop, the chain is
+        # entered in its middle and shared forwards and backwards
+        calls = []
+        search = graphs._cycles_through
+
+        def counted(inner, base):
+            calls.append(base)
+            return search(inner, base)
+
+        monkeypatch.setattr(graphs, "_cycles_through", counted)
+        n = 10_000
+        names = [f"c{i}" for i in range(n)]
+        mult = {(v, names[(i + 1) % n]): 1 for i, v in enumerate(names)}
+        g = Graph([*names, "exit"], {**mult, ("c0", "exit"): 1})
+        assert simple_loop_census(g) == {**{v: 1 for v in names}, "exit": 0}
+        assert len(calls) == 1
+        calls.clear()
+        mult = {(v, w): 1 for v, w in zip(names, names[1:])}
+        mult.update({(names[-1], "x"): 1, ("x", "c0"): 1, ("x", "x"): 1})
+        g = Graph([*names[n // 2 :], "x", *names[: n // 2]], mult)
+        assert simple_loop_census(g) == {**{v: 1 for v in names}, "x": 2}
+        assert calls == [g.index(names[n // 2])]
+
     def test_dead_end_branches_are_not_walked(self):
         # v has a loop and an edge into 40 diamond layers that never lead
         # back: 2**40 simple paths, none of them on a cycle

@@ -12,7 +12,7 @@ import pytest
 import graphk0.ktheory
 import graphk0.linalg
 
-from graphk0.graphs import INF, Graph, predicates
+from graphk0.graphs import INF, Graph, VertexClass, predicates, structure
 from graphk0.ktheory import (
     CertificateError,
     ConsistencyReport,
@@ -38,9 +38,10 @@ from graphk0.ktheory import (
     witness_is_valid,
 )
 from graphk0.intfeas import IntInfeasible, IntUnknown, IntWitness, integer_feasibility
-from graphk0.linalg import CokerPresentation, Element, cokernel, determinant
+from graphk0.linalg import CokerPresentation, Element, determinant, mat_vec
 from graphk0.lp import EQ, GE, Feasible, constraint, solve_lp
 from graphk0.reports import k0_to_json
+from test_linalg import dense_cokernel
 
 
 def loops(n):
@@ -317,7 +318,7 @@ class TestReducedCokernel:
         mat, order = relation_matrix(g)
         assert order == k.ambient_order
         assert mat == k.relation_matrix
-        full = cokernel(mat)
+        full = dense_cokernel(mat)
         assert k.group_invariants() == full.group_invariants()
         for col in zip(*mat):
             assert k.coker.project(list(col)).is_zero()
@@ -408,9 +409,9 @@ class TestReducedCokernel:
         shapes = []
         residuals = []
 
-        def cokernel_spy(a):
-            shapes.append((len(a), len(a[0]) if a else 0))
-            return true_cokernel(a)
+        def cokernel_spy(columns, rows):
+            shapes.append((rows, len(columns)))
+            return true_cokernel(columns, rows)
 
         def snf_spy(a):
             residuals.append(a)
@@ -435,6 +436,120 @@ class TestReducedCokernel:
             assert sum(x in (1, -1) for row in residual for x in row) == 0
             assert sum(not any(row) for row in residual) == 0
             assert "relation_matrix" not in vars(k)
+
+
+def dense_k0(g):
+    """The dense assembly around the cokernel that ``compute_k0`` used before
+    its classes were kept sparse, as the reference: the reduced matrix
+    dense, the cokernel's classes written into a dense (t+f) x kept
+    projection and its section into a dense kept x (t+f) matrix, the kept
+    classes read off the projection's transpose, each eliminated class
+    summed as a dense list, downstream first, and the presentation over the
+    ambient order with the transpose of all classes as its projection and
+    the section's rows placed on the kept vertices.  Returns delta, the
+    order unit, and ``project`` and ``lift`` of that presentation."""
+    names = g.vertices
+    s = structure(g)
+    out, inner = s.out, s.inner
+    regular = [v for v, k in enumerate(s.kinds) if k is VertexClass.REGULAR]
+    singular = [v for v, k in enumerate(s.kinds) if k is not VertexClass.REGULAR]
+    order = regular + singular
+    kept = [v for v in range(len(names)) if inner[v] or s.kinds[v] is not VertexClass.REGULAR]
+    row = {v: r for r, v in enumerate(kept)}
+    eliminated = sorted((v for v in regular if not inner[v]), key=s.comp.__getitem__)
+    expansion = {v: {r: 1} for v, r in row.items()}
+    for v in eliminated:
+        e = {}
+        for w, m in out[v]:
+            for r, c in expansion[w].items():
+                e[r] = e.get(r, 0) + m * c
+        expansion[v] = e
+    columns = [u for u in regular if inner[u]]
+    mat = [[0] * len(columns) for _ in kept]
+    for c, u in enumerate(columns):
+        for w, m in out[u]:
+            for r, x in expansion[w].items():
+                mat[r][c] += m * x
+        mat[row[u]][c] -= 1
+    reduced = dense_cokernel(mat)
+    moduli = reduced.torsion_moduli
+    t = len(moduli)
+    width = t + reduced.free_rank
+    projection = [[col.get(q, 0) for col in reduced.classes] for q in range(width)]
+    section = [[unit.get(r, 0) for unit in reduced.section] for r in range(len(kept))]
+
+    coords = {}
+    for v, col in zip(kept, zip(*projection) if projection else [()] * len(kept)):
+        coords[v] = [*(x % d for x, d in zip(col, moduli)), *col[t:]]
+    for v in eliminated:
+        (w, m), *rest = out[v]
+        acc = [m * b for b in coords[w]]
+        for w, m in rest:
+            acc = [a + m * b for a, b in zip(acc, coords[w])]
+        coords[v] = acc
+    classes = [
+        Element(torsion=tuple(a % d for a, d in zip(coords[v], moduli)), free=tuple(coords[v][t:]))
+        for v in order
+    ]
+    full_projection = [list(r) for r in zip(*((*c.torsion, *c.free) for c in classes))]
+    full_section = [[0] * width for _ in order]
+    pos = {v: i for i, v in enumerate(order)}
+    for r, v in enumerate(kept):
+        full_section[pos[v]] = section[r]
+
+    def project(x):
+        dots = [sum(a * b for a, b in zip(r, x)) for r in full_projection]
+        return Element(torsion=tuple(a % d for a, d in zip(dots, moduli)), free=tuple(dots[t:]))
+
+    def lift(e):
+        return mat_vec(full_section, [*e.torsion, *e.free])
+
+    delta = {names[v]: classes[pos[v]] for v in range(len(names))}
+    return delta, project([1] * len(order)), project, lift
+
+
+class TestSparsePresentation:
+    """``compute_k0`` keeps every class and the section sparse; the result
+    must equal the dense assembly it replaced (``dense_k0``)."""
+
+    def test_against_dense_assembly(self):
+        rng = random.Random(2601)
+        graphs = [random_graph(rng, 8, inf_prob=p) for p in (0.0, 0.2) for _ in range(60)]
+        graphs += [baseline_draw(rng, 150, 3) for _ in range(3)]
+        torsion = emitters = 0
+        for g in graphs:
+            k = compute_k0(g)
+            delta, order_unit, project, lift = dense_k0(g)
+            assert k.delta == delta
+            assert list(k.delta) == list(delta)
+            assert k.order_unit == order_unit
+            moduli = k.coker.torsion_moduli
+            t, width = len(moduli), len(moduli) + k.coker.free_rank
+            for q in range(width):
+                unit = [int(c == q) for c in range(width)]
+                e = Element(torsion=tuple(unit[:t]), free=tuple(unit[t:]))
+                assert k.coker.lift(e) == lift(e)
+            for _ in range(3):
+                x = [rng.randint(-5, 5) for _ in k.ambient_order]
+                assert k.coker.project(x) == project(x)
+            torsion += bool(moduli)
+            emitters += not k.row_finite_orthant
+        assert torsion >= 10 and emitters >= 10, (torsion, emitters)
+
+    def test_sparse_storage(self):
+        # no stored zero, torsion entries reduced, and about a fifth of the
+        # dense (t+f) x n entries on the n=640 draw (deg 3, seed 2)
+        n = 640
+        coker = compute_k0(baseline_draw(random.Random(2), n, 3)).coker
+        moduli = coker.torsion_moduli
+        width = len(moduli) + coker.free_rank
+        assert moduli and len(coker.classes) == n and len(coker.section) == width
+        entries = [x for col in coker.classes for x in col.values()]
+        entries += [x for unit in coker.section for x in unit.values()]
+        assert 0 not in entries
+        assert len(entries) < width * n / 4
+        torsion = [(x, moduli[q]) for col in coker.classes for q, x in col.items() if q < len(moduli)]
+        assert torsion and all(0 < x < d for x, d in torsion)
 
 
 class TestConeMembership:

@@ -44,6 +44,13 @@ def random_matrix(rng, rows, cols, lo=-9, hi=9):
     return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
 
 
+def dense_cokernel(a):
+    """``cokernel`` of the dense matrix ``a``, handed over as sparse columns."""
+    rows = len(a)
+    columns = [{i: x for i, x in enumerate(col) if x} for col in zip(*a)]
+    return cokernel(columns, rows)
+
+
 def random_relation_matrix(rng, n):
     """The relation matrix of a graph on n vertices drawn like the benchmark's
     graphs: each vertex has 0-3 edges to uniform targets, multiplicity 1-3."""
@@ -237,7 +244,7 @@ class TestSmithNormalForm:
 
 class TestCokernel:
     def test_times_two(self):
-        p = cokernel([[2]])
+        p = dense_cokernel([[2]])
         assert p.torsion_moduli == (2,)
         assert p.free_rank == 0
         assert p.project([1]) == Element(torsion=(1,), free=())
@@ -245,7 +252,7 @@ class TestCokernel:
     def test_line_graph_relations(self):
         # columns (-1, 1, 0) and (0, -1, 1) in Z^3
         a = [[-1, 0], [1, -1], [0, 1]]
-        p = cokernel(a)
+        p = dense_cokernel(a)
         assert p.free_rank == 1
         assert p.torsion_moduli == ()
         classes = [p.project([1, 0, 0]), p.project([0, 1, 0]), p.project([0, 0, 1])]
@@ -253,7 +260,7 @@ class TestCokernel:
         assert not classes[0].is_zero()
 
     def test_no_columns(self):
-        p = cokernel([[], []])
+        p = dense_cokernel([[], []])
         assert p.free_rank == 2
         assert p.torsion_moduli == ()
 
@@ -263,7 +270,7 @@ class TestCokernel:
             rows = rng.randint(1, 5)
             cols = rng.randint(0, 5)
             a = random_matrix(rng, rows, cols, -4, 4)
-            p = cokernel(a)
+            p = dense_cokernel(a)
             for j in range(cols):
                 col = [a[i][j] for i in range(rows)]
                 assert p.project(col).is_zero()
@@ -281,13 +288,13 @@ class TestCokernel:
             rows = rng.randint(1, 5)
             cols = rng.randint(0, 5)
             a = random_matrix(rng, rows, cols, -4, 4)
-            p = cokernel(a)
+            p = dense_cokernel(a)
             x = [rng.randint(-9, 9) for _ in range(rows)]
             e = p.project(x)
             assert p.project(p.lift(e)) == e
 
     def test_element_order(self):
-        p = cokernel([[4, 0], [0, 6]])
+        p = dense_cokernel([[4, 0], [0, 6]])
         assert p.torsion_moduli == (2, 12)
         e = p.project([1, 0])
         order = p.element_order(e)
@@ -296,10 +303,15 @@ class TestCokernel:
         assert all(not p.scale(k, e).is_zero() for k in range(1, order))
 
     def test_dimension_mismatch(self):
-        p = cokernel([[2]])
+        p = dense_cokernel([[2]])
         for x in ([], [1, 2]):
             with pytest.raises(ValueError):
                 p.project(x)
+
+    def test_row_index_out_of_range(self):
+        for bad in (2, -1):
+            with pytest.raises(ValueError):
+                cokernel([{0: 2}, {bad: 1}], 2)
 
     def check_against_snf(self, a, rng, monkeypatch):
         """The cokernel of ``a`` against the Smith normal form of all of it."""
@@ -312,7 +324,7 @@ class TestCokernel:
 
         with monkeypatch.context() as patch:
             patch.setattr(graphk0.linalg, "smith_normal_form", spy)
-            p = cokernel(a)
+            p = dense_cokernel(a)
         # the elimination leaves the Smith normal form no unit and no zero row
         assert len(residuals) == 1
         assert all(x not in (1, -1) for row in residuals[0] for x in row)
@@ -337,10 +349,14 @@ class TestCokernel:
             assert solve_diophantine(a, diff) is not None
         classes = p.basis_classes()
         assert classes == [p.project([int(i == j) for i in range(rows)]) for j in range(rows)]
+        # the stored classes are sparse and canonical: no zero, torsion reduced
+        for col in p.classes:
+            assert all(x and (q >= t or 0 < x < moduli[q]) for q, x in col.items())
+        assert all(all(unit.values()) for unit in p.section)
         # every free projection row leads with a positive coefficient
         for c in range(p.free_rank):
             assert next(e.free[c] for e in classes if e.free[c]) > 0
-        again = cokernel(a)
+        again = dense_cokernel(a)
         assert again.basis_classes() == classes
         assert [again.lift(e) for e in units] == [p.lift(e) for e in units]
         return p

@@ -33,6 +33,26 @@ def test_no_assert_statements_in_library():
     assert not found, found
 
 
+def test_library_imports_only_the_standard_library():
+    # graphk0 is stdlib-only: every import in the package is relative or
+    # names a module of the standard library
+    found = []
+    for path in sorted(Path(graphk0.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {m}"
+                for m in modules
+                if m.partition(".")[0] not in sys.stdlib_module_names
+            ]
+    assert not found, found
+
+
 def test_smith_form_unchanged_without_asserts():
     # the elimination holds no assert, so `python -O` must reach the same
     # Smith form, transforms included, on a relation matrix of 40 vertices

@@ -187,11 +187,13 @@ class TestTraceRays:
 
     def test_bad_rays_raise_without_asserts(self):
         # a truncated or corrupted construction fails the re-check of
-        # trace_rays under `python -O` too
+        # trace_rays under `python -O` too, and extreme_traces, which does
+        # not check its points again, raises through it
         script = textwrap.dedent(
             """
             import graphk0.ktheory as kt
             from graphk0 import CertificateError, Graph, INF
+            from graphk0.traces import extreme_traces
 
             g = Graph(["v", "a", "b", "c"], {("v", "a"): 1, ("v", "b"): 1, ("c", "c"): 2})
             build = kt._component_rays
@@ -211,10 +213,11 @@ class TestTraceRays:
             print(len(build(g, kt.trace_cone(g))[2]), "rays")
             for bad in (ray_dropped, element_dropped, ray_corrupted, zero_enlarged):
                 kt._component_rays = lambda g, cone: bad(*build(g, cone))
-                try:
-                    kt.trace_rays(g)
-                except CertificateError:
-                    print("debug", __debug__, bad.__name__, "raised")
+                for entry in (kt.trace_rays, extreme_traces):
+                    try:
+                        entry(g)
+                    except CertificateError:
+                        print("debug", __debug__, bad.__name__, entry.__name__, "raised")
             """
         )
         src = os.path.dirname(os.path.dirname(graphk0.__file__))
@@ -228,10 +231,11 @@ class TestTraceRays:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == (
             "2 rays\n"
-            "debug False ray_dropped raised\n"
-            "debug False element_dropped raised\n"
-            "debug False ray_corrupted raised\n"
-            "debug False zero_enlarged raised\n"
+            + "".join(
+                f"debug False {bad} {entry} raised\n"
+                for bad in ("ray_dropped", "element_dropped", "ray_corrupted", "zero_enlarged")
+                for entry in ("trace_rays", "extreme_traces")
+            )
         )
 
 
