@@ -15,7 +15,17 @@ from fractions import Fraction
 from typing import Sequence
 
 from .linalg import CertificateError, solve_diophantine
-from .lp import EQ, GE, LE, Constraint, Feasible, check_point, constraint, solve_lp
+from .lp import (
+    EQ,
+    GE,
+    LE,
+    Constraint,
+    Feasible,
+    check_point,
+    constraint,
+    solve_lp,
+    sparse_constraint,
+)
 
 
 @dataclass(frozen=True)
@@ -45,12 +55,12 @@ def relaxation(
     nonnegativity flags of ``solve_lp``: ``rows``, then each bound as a
     unit row, except that a zero lower bound is a nonnegativity flag."""
     cons = list(rows)
+    width = len(bounds)
     for j, (lo, hi) in enumerate(bounds):
-        unit = [1 if k == j else 0 for k in range(len(bounds))]
         if lo is not None and lo != 0:
-            cons.append(constraint(unit, GE, lo))
+            cons.append(sparse_constraint(width, ((j, 1),), GE, lo))
         if hi is not None:
-            cons.append(constraint(unit, LE, hi))
+            cons.append(sparse_constraint(width, ((j, 1),), LE, hi))
     return cons, [lo is not None and lo >= 0 for lo, _ in bounds]
 
 

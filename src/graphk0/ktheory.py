@@ -16,10 +16,14 @@ excluded or closed empty but no functional separates.  The functionals
 nonnegative on the cone are the unnormalised graph traces (Tomforde, arXiv
 math/0204095), so the cone's dual is described once, by ``trace_cone`` over
 the vertices in declaration order, and ``nonnegative_on_cone`` checks a
-point against its rows.  That cone is simplicial: ``trace_rays`` reads its
-extreme rays off the strongly connected components and certifies that they
-span it, the last step by a Farkas certificate built from walks round the
-cycles (``_completeness``), so finding them solves no LP.  The separating
+point against its rows.  Those rows are the graph's own edges, held as
+their nonzero ``(index, coefficient)`` entries, and ``lp.check_point`` and
+``lp.verify_farkas`` read them in one pass.  That cone is simplicial:
+``trace_rays`` reads its extreme rays off the strongly connected components
+and certifies that they span it, the last step by a Farkas certificate
+built from walks round the cycles (``_completeness``), so finding them
+solves no LP; every check reads the same sparse rows and the sparse
+coefficient rows c_b, so each ray costs O(E + n).  The separating
 functional is the first extreme trace negative on the query, and the cone
 is the whole group exactly when there is none.
 
@@ -51,6 +55,7 @@ through the membership machinery.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -352,25 +357,41 @@ def witness_is_valid(k: K0Presentation, witness: MembershipWitness) -> bool:
     return True
 
 
+Terms = tuple[tuple[int, int], ...]
+
+
+def _plus(v: int, c: int, terms: list[tuple[int, int]]) -> Terms:
+    """``terms``, nonzero entries in increasing index order, plus ``c`` at
+    index ``v``."""
+    i = bisect_left(terms, (v,))
+    if i < len(terms) and terms[i][0] == v:
+        c += terms.pop(i)[1]
+    if c:
+        terms.insert(i, (v, c))
+    return tuple(terms)
+
+
 @dataclass(frozen=True)
 class TracePolytope:
     """Exact description of a set of graph traces.
 
     Variables are the vertices in declaration order, all nonnegative; rows
-    are ``(coefficients, rhs)``, equalities and then <=-inequalities.
-    ``forced_zero`` lists the vertices pinned to zero because they receive
-    infinitely many edges from one emitter.
+    are ``(terms, rhs)``, equalities and then <=-inequalities, with
+    ``terms`` the nonzero ``(index, coefficient)`` entries in increasing
+    index order.  ``forced_zero`` lists the vertices pinned to zero because
+    they receive infinitely many edges from one emitter.
     """
 
     variables: tuple[str, ...]
-    equalities: tuple[tuple[tuple[int, ...], int], ...]
-    inequalities: tuple[tuple[tuple[int, ...], int], ...]
+    equalities: tuple[tuple[Terms, int], ...]
+    inequalities: tuple[tuple[Terms, int], ...]
     forced_zero: frozenset[str]
 
     def constraints(self) -> list[Constraint]:
         """The rows as LP constraints, equalities first."""
-        return [constraint(row, EQ, rhs) for row, rhs in self.equalities] + [
-            constraint(row, LE, rhs) for row, rhs in self.inequalities
+        n = len(self.variables)
+        return [Constraint(n, terms, EQ, rhs) for terms, rhs in self.equalities] + [
+            Constraint(n, terms, LE, rhs) for terms, rhs in self.inequalities
         ]
 
 
@@ -378,35 +399,27 @@ def trace_cone(g: Graph) -> TracePolytope:
     """The cone of unnormalised graph traces: t(v) = sum A(v, w) t(w) at
     every regular vertex, then t(w) = 0 for every target an emitter reaches
     infinitely often, and t(e) >= sum m t(w) over each emitter's finite
-    edges.  These are the functionals nonnegative on the positive cone."""
+    edges.  These are the functionals nonnegative on the positive cone.
+
+    Each row is read off the graph's own edges: a regular vertex minus its
+    targets, an emitter's finite batch minus the emitter, a forced zero as a
+    unit, so the rows hold O(E + n) entries in all."""
     names = g.vertices
     s = structure(g)
-    n = len(names)
-    equalities: list[tuple[tuple[int, ...], int]] = []
-    inequalities: list[tuple[tuple[int, ...], int]] = []
+    equalities: list[tuple[Terms, int]] = []
+    inequalities: list[tuple[Terms, int]] = []
     forced: set[int] = set()
 
+    # out-edges come in increasing target order
     for v, (kind, out) in enumerate(zip(s.kinds, s.out)):
         if kind is VertexClass.REGULAR:
-            row = [0] * n
-            row[v] += 1
-            for w, m in out:
-                row[w] -= m
-            equalities.append((tuple(row), 0))
+            equalities.append((_plus(v, 1, [(w, -m) for w, m in out]), 0))
         elif kind is VertexClass.INFINITE_EMITTER:
-            row = [0] * n
-            row[v] -= 1
-            for w, m in out:
-                if m is INF:
-                    forced.add(w)
-                else:
-                    row[w] += m
-            inequalities.append((tuple(row), 0))
+            forced.update(w for w, m in out if m is INF)
+            inequalities.append((_plus(v, -1, [(w, m) for w, m in out if m is not INF]), 0))
 
     for w in sorted(forced):
-        row = [0] * n
-        row[w] = 1
-        equalities.append((tuple(row), 0))
+        equalities.append((((w, 1),), 0))
 
     return TracePolytope(
         variables=names,
@@ -441,6 +454,10 @@ def trace_rays(g: Graph) -> list[tuple[int, ...]]:
     (``_completeness``) and checked by ``verify_farkas``; no LP is solved.
     Then t - sum c_b(t) * h_b satisfies all of those rows for every trace
     t, so it is zero.
+
+    The cone's rows and the c_b (a unit vector, or an emitter's slack) are
+    held as their nonzero entries, so each check reads the graph's edges
+    once: a ray costs O(E + n) to check, not O(n^2).
     """
     return _cone_rays(g)[1]
 
@@ -463,8 +480,9 @@ def _cycle_components(s) -> tuple[set[int], set[int]]:
 
 
 def _component_rays(g: Graph, cone: TracePolytope):
-    """The coefficient row c_b of each boundary element, in the order of
-    their first vertices, the vertex indices of Z, and the rays h_b."""
+    """The coefficient row c_b of each boundary element as its terms, in the
+    order of their first vertices, the vertex indices of Z, and the rays
+    h_b."""
     s = structure(g)
     n = len(s.out)
     comp = s.comp
@@ -480,24 +498,21 @@ def _component_rays(g: Graph, cone: TracePolytope):
                 seeds.append(w)
 
     edges = [[(w, m) for w, m in out if m is not INF] for out in s.out]
-    coefficients: list[tuple[int, ...]] = []
+    on_cycle: dict[int, set[int]] = {c: set() for c in unit}
+    for v, c in enumerate(comp):
+        if c in on_cycle:
+            on_cycle[c].add(v)
+    coefficients: list[Terms] = []
     members: list[set[int]] = []
-    seen: set[int] = set()
     for v in range(n):
-        if v in zero or comp[v] in seen:
+        if v in zero:
             continue
-        row = [0] * n
-        if comp[v] in cyclic:
-            seen.add(comp[v])
-            members.append({w for w in range(n) if comp[w] == comp[v]})
-        elif s.kinds[v] is not VertexClass.REGULAR:
+        if comp[v] in on_cycle:
+            members.append(on_cycle.pop(comp[v]))
+            coefficients.append(((v, 1),))
+        elif comp[v] not in cyclic and s.kinds[v] is not VertexClass.REGULAR:
             members.append({v})
-            for w, m in edges[v]:
-                row[w] -= m
-        else:
-            continue
-        row[v] += 1
-        coefficients.append(tuple(row))
+            coefficients.append(_plus(v, 1, [(w, -m) for w, m in edges[v]]))
 
     # downstream components first: Tarjan numbers a component after every
     # component it reaches
@@ -515,43 +530,49 @@ def _component_rays(g: Graph, cone: TracePolytope):
 
 
 def _solvable_by_substitution(n: int, rows) -> bool:
-    """True when rows . t = 0 forces t = 0 by substitution alone: some row
-    has one unknown left, which is then zero, until none is left."""
-    left = [{j for j, c in enumerate(row) if c} for row in rows]
+    """True when rows . t = 0, each row given by its terms, forces t = 0 by
+    substitution alone: some row has one unknown left, which is then zero,
+    until none is left."""
+    left = [len(row) for row in rows]
     uses: list[list[int]] = [[] for _ in range(n)]
-    for i, unknowns in enumerate(left):
-        for j in unknowns:
+    for i, row in enumerate(rows):
+        for j, _ in row:
             uses[j].append(i)
-    ready = [i for i, unknowns in enumerate(left) if len(unknowns) == 1]
+    known = [False] * n
+    ready = [i for i, count in enumerate(left) if count == 1]
     solved = 0
     while ready:
-        unknowns = left[ready.pop()]
-        if len(unknowns) != 1:
+        i = ready.pop()
+        if left[i] != 1:
             continue
-        j = unknowns.pop()
+        j = next(j for j, _ in rows[i] if not known[j])
+        known[j] = True
         solved += 1
-        for i in uses[j]:
-            left[i].discard(j)
-            if len(left[i]) == 1:
-                ready.append(i)
+        for r in uses[j]:
+            left[r] -= 1
+            if left[r] == 1:
+                ready.append(r)
     return solved == n
 
 
 def _check_rays(g: Graph, cone: TracePolytope, coefficients, zero, rays) -> None:
-    """The re-check of ``trace_rays``; raises ``CertificateError``."""
+    """The re-check of ``trace_rays``; raises ``CertificateError``.  Every
+    row is read by its terms, so each ray costs one pass over the cone's
+    rows and the c_b, O(E + n)."""
     n = len(cone.variables)
     rows = cone.constraints()
     if len(rays) != len(coefficients):
         raise CertificateError("the boundary elements and the rays differ in number")
+    nonneg = [True] * n
     for i, h in enumerate(rays):
-        if not check_point(n, rows, [True] * n, h):
+        if not check_point(n, rows, nonneg, h):
             raise CertificateError("a computed ray is not a graph trace")
         for j, c in enumerate(coefficients):
-            if _dot(c, h) != int(i == j):
+            if sum([x * h[w] for w, x in c]) != int(i == j):
                 raise CertificateError("the ray coefficients are not dual to the rays")
-    units = [tuple(int(j == z) for j in range(n)) for z in zero]
-    slacks = [tuple(-c for c in row) for row, _ in cone.inequalities]
-    equalities = [row for row, _ in cone.equalities]
+    units = [((z, 1),) for z in zero]
+    slacks = [tuple((j, -c) for j, c in terms) for terms, _ in cone.inequalities]
+    equalities = [terms for terms, _ in cone.equalities]
     if not _solvable_by_substitution(n, equalities + slacks + units + coefficients):
         raise CertificateError("the rays do not determine every graph trace")
     proof = _completeness(g, cone, rows, coefficients, zero)
@@ -584,10 +605,10 @@ def _completeness(g: Graph, cone: TracePolytope, rows, coefficients, zero):
     zset = set(zero)
     positive = [int(j in zset) for j in range(n)]
     slack = set()
-    for v, (row, _) in zip(emitters, cone.inequalities):
-        if tuple(-c for c in row) not in boundary:
+    for v, (terms, _) in zip(emitters, cone.inequalities):
+        if tuple((j, -c) for j, c in terms) not in boundary:
             slack.add(v)
-            for j, c in enumerate(row):
+            for j, c in terms:
                 positive[j] -= c
     if not any(positive):
         return None

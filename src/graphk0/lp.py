@@ -20,6 +20,10 @@ Infeasible systems come back with a Farkas certificate: constraint
 multipliers that combine into an impossible inequality, checkable by plain
 arithmetic.  Points and certificates are re-checked in integers on a common
 denominator before they are returned.
+
+A ``Constraint`` holds only its nonzero ``(index, coefficient)`` entries, so
+``check_point`` and ``verify_farkas`` cost one pass over those entries plus
+the number of variables; the dense row is built only for the tableau.
 """
 
 from __future__ import annotations
@@ -40,19 +44,51 @@ _RELATIONS = (LE, GE, EQ)
 
 @dataclass(frozen=True)
 class Constraint:
-    coeffs: tuple[int, ...]
+    """The row ``sum c * x_j  relation  rhs`` over ``width`` variables, held
+    as its nonzero ``(j, c)`` entries in increasing ``j``."""
+
+    width: int
+    terms: tuple[tuple[int, int], ...]
     relation: str
     rhs: int
 
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """The dense row."""
+        row = [0] * self.width
+        for j, c in self.terms:
+            row[j] += c
+        return tuple(row)
 
-def constraint(coeffs: Sequence[int], relation: str, rhs: int) -> Constraint:
+
+def sparse_constraint(
+    width: int, terms: Sequence[tuple[int, int]], relation: str, rhs: int
+) -> Constraint:
+    """The constraint whose nonzero entries are ``terms``, ``(j, c)`` pairs
+    in increasing ``j`` below ``width``."""
     if relation not in _RELATIONS:
         raise ValueError(f"unknown relation {relation!r}")
+    terms = tuple(terms)
+    last = -1
+    for j, c in terms:
+        if type(c) is not int:
+            raise ValueError(f"constraint entries must be int, not {type(c).__name__}")
+        if not c or not last < j < width:
+            raise ValueError("terms must be nonzero entries in increasing index order")
+        last = j
+    if type(rhs) is not int:
+        raise ValueError(f"constraint entries must be int, not {type(rhs).__name__}")
+    return Constraint(width=width, terms=terms, relation=relation, rhs=rhs)
+
+
+def constraint(coeffs: Sequence[int], relation: str, rhs: int) -> Constraint:
+    """The constraint with the dense row ``coeffs``."""
     coeffs = tuple(coeffs)
-    for x in (*coeffs, rhs):
+    for x in coeffs:
         if type(x) is not int:
             raise ValueError(f"constraint entries must be int, not {type(x).__name__}")
-    return Constraint(coeffs=coeffs, relation=relation, rhs=rhs)
+    terms = [(j, c) for j, c in enumerate(coeffs) if c]
+    return sparse_constraint(len(coeffs), terms, relation, rhs)
 
 
 @dataclass(frozen=True)
@@ -95,21 +131,28 @@ def verify_farkas(
     if len(mult) != len(constraints):
         return False
     for lam, con in zip(mult, constraints):
+        if con.width != num_vars:
+            return False
         if con.relation == LE and lam < 0:
             return False
         if con.relation == GE and lam > 0:
             return False
     # one positive denominator for all multipliers changes no sign below
     _, ints = _integral(mult)
-    used = [(m, con) for m, con in zip(ints, constraints) if m]
-    for j in range(num_vars):
-        combined = sum(m * con.coeffs[j] for m, con in used)
+    combined = [0] * num_vars
+    rhs = 0
+    for m, con in zip(ints, constraints):
+        if m:
+            for j, c in con.terms:
+                combined[j] += m * c
+            rhs += m * con.rhs
+    for j, x in enumerate(combined):
         if nonneg[j]:
-            if combined < 0:
+            if x < 0:
                 return False
-        elif combined != 0:
+        elif x != 0:
             return False
-    return sum(m * con.rhs for m, con in used) < 0
+    return rhs < 0
 
 
 def check_point(
@@ -124,7 +167,9 @@ def check_point(
     if any(nonneg[j] and ints[j] < 0 for j in range(num_vars)):
         return False
     for con in constraints:
-        val = sum(c * x for c, x in zip(con.coeffs, ints))
+        if con.width != num_vars:
+            return False
+        val = sum([c * ints[j] for j, c in con.terms])
         rhs = con.rhs * den
         if con.relation == LE and val > rhs:
             return False
@@ -156,7 +201,7 @@ class _Tableau:
         self.constraints = list(constraints)
         self.nonneg = list(nonneg)
         for con in self.constraints:
-            if len(con.coeffs) != num_vars:
+            if con.width != num_vars:
                 raise ValueError("constraint length does not match variable count")
         if len(self.nonneg) != num_vars:
             raise ValueError("nonneg flags do not match variable count")
@@ -190,8 +235,9 @@ class _Tableau:
             rhs = con.rhs * flip
             sign = -1 if rhs < 0 else 1
             row = [0] * self.width
+            coeffs = con.coeffs
             for k, (j, sgn) in enumerate(self.columns):
-                row[k] = con.coeffs[j] * sgn * flip * sign
+                row[k] = coeffs[j] * sgn * flip * sign
             if i in slack_of_row:
                 row[self.n_struct + slack_of_row[i]] = sign
             row[-1] = rhs * sign

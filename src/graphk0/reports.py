@@ -53,7 +53,8 @@ def _nums(ns) -> list:
 
 
 def _rat(q) -> str:
-    q = Fraction(q)
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     return f"{q.numerator}/{q.denominator}"
 
 

@@ -3,9 +3,10 @@
 A graph trace assigns a nonnegative rational to each vertex so that regular
 vertices split their value over their targets (counted with multiplicity)
 and infinite emitters dominate every finite batch of theirs.  These
-conditions are written once, by ``ktheory.trace_cone``; here they gain the
-norm row, and a point given by a caller is checked by ``lp.check_point`` on
-those rows.  Norm-one traces form a rational polytope whose vertices are
+conditions are written once, by ``ktheory.trace_cone``, as sparse rows read
+off the graph's edges; here they gain the norm row, and a point given by a
+caller is checked by ``lp.check_point`` in one pass over those rows' nonzero
+entries.  Norm-one traces form a rational polytope whose vertices are
 the extreme rays of the trace cone, ``ktheory.trace_rays``, each divided by
 its norm; those rays are certified where they are found.  A
 norm-one trace is the same data as a state on the K0 presentation (a
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 
 from .graphs import Graph, INF, satisfies_condition_k
 from .ktheory import K0Presentation, TracePolytope, _cone_rays, nonnegative_on_cone, trace_cone
@@ -52,7 +54,7 @@ class NoTrace:
 def trace_constraints(g: Graph) -> TracePolytope:
     """The norm-one graph traces: ``trace_cone`` plus the norm row."""
     cone = trace_cone(g)
-    norm = (tuple([1] * len(cone.variables)), 1)
+    norm = (tuple((j, 1) for j in range(len(cone.variables))), 1)
     return replace(cone, equalities=cone.equalities + (norm,))
 
 
@@ -89,10 +91,21 @@ def extreme_traces(g: Graph) -> list[GraphTrace]:
 
     ``trace_rays`` has certified every ray as a point of the cone, whose
     rows are homogeneous, so each ray divided by its norm is one too, and
-    the norm row holds exactly; the points are not checked again."""
+    the norm row holds exactly; the points are not checked again.
+
+    The points are sorted as integer tuples: each ray times
+    ``lcm(norms) // norm`` is its point times ``lcm(norms)``, which keeps
+    their order, and each ``Fraction`` is built once, for the output."""
     cone, rays = _cone_rays(g)
-    points = sorted(tuple(Fraction(c, sum(h)) for c in h) for h in rays)
-    return [GraphTrace(values=tuple(zip(cone.variables, point))) for point in points]
+    norms = [sum(h) for h in rays]
+    common = lcm(*norms)
+    scaled = [tuple(c * (common // norm) for c in h) for h, norm in zip(rays, norms)]
+    traces = []
+    for i in sorted(range(len(rays)), key=scaled.__getitem__):
+        norm = norms[i]
+        point = (Fraction(c, norm) if c else _ZERO for c in rays[i])
+        traces.append(GraphTrace(values=tuple(zip(cone.variables, point))))
+    return traces
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,11 @@ from graphk0.lp import (
     LE,
     Feasible,
     Infeasible,
+    FarkasCertificate,
     check_point,
     constraint,
     solve_lp,
+    sparse_constraint,
     verify_farkas,
 )
 
@@ -336,3 +338,27 @@ class TestReference:
                 constraint([1, bad], LE, 5)
             with pytest.raises(ValueError, match="must be int"):
                 constraint([1, 2], GE, bad)
+
+    def test_constraints_keep_only_nonzero_entries(self):
+        # a dense row and its nonzero entries give the same constraint, and
+        # the dense row is read back only on request
+        con = constraint([0, 3, 0, -1], LE, 2)
+        assert con.terms == ((1, 3), (3, -1)) and con.width == 4
+        assert con == sparse_constraint(4, ((1, 3), (3, -1)), LE, 2)
+        assert con.coeffs == (0, 3, 0, -1)
+        for terms in (((3, -1), (1, 3)), ((1, 3), (1, 1)), ((1, 0),), ((4, 1),), ((-1, 1),)):
+            with pytest.raises(ValueError, match="increasing index order"):
+                sparse_constraint(4, terms, LE, 2)
+        with pytest.raises(ValueError, match="must be int"):
+            sparse_constraint(4, ((1, Fraction(1, 2)),), LE, 2)
+        with pytest.raises(ValueError, match="unknown relation"):
+            sparse_constraint(4, (), "<", 2)
+
+    def test_checks_reject_a_row_of_another_width(self):
+        narrow = [constraint([1], GE, 1)]
+        assert check_point(1, narrow, [True], (Fraction(1),))
+        assert not check_point(2, narrow, [True, True], (Fraction(1), Fraction(0)))
+        certificate = FarkasCertificate((Fraction(-1),))
+        infeasible = [constraint([-1], GE, 1)]
+        assert verify_farkas(1, infeasible, [True], certificate)
+        assert not verify_farkas(2, infeasible, [True, True], certificate)

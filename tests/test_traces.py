@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ import graphk0.ktheory as kt
 from graphk0 import CertificateError, polytope_vertices
 from graphk0.graphs import INF, Graph, VertexClass, classify_vertex, structure
 from graphk0.ktheory import compute_k0, nonnegative_on_cone, trace_rays
-from graphk0.lp import FarkasCertificate, Feasible, Infeasible, solve_lp, verify_farkas
+from graphk0.lp import EQ, GE, LE, FarkasCertificate, Feasible, Infeasible, solve_lp, verify_farkas
 from graphk0.traces import (
     GraphTrace,
     NoTrace,
@@ -55,27 +56,28 @@ def random_graph(rng, max_vertices=5, inf_prob=0.2, edge_prob=0.4):
 class TestTraceConstraints:
     def test_m2(self):
         poly = trace_constraints(m2())
-        # one regular-vertex equality plus the norm row
+        # one regular-vertex equality plus the norm row, each as its
+        # nonzero (index, coefficient) entries
         assert len(poly.equalities) == 2
-        assert ((1, -1), 0) in poly.equalities
-        assert ((1, 1), 1) in poly.equalities
+        assert (((0, 1), (1, -1)), 0) in poly.equalities
+        assert (((0, 1), (1, 1)), 1) in poly.equalities
         assert poly.forced_zero == frozenset()
 
     def test_infinite_self_loop_forces_zero(self):
         poly = trace_constraints(Graph(["v"], {("v", "v"): INF}))
         assert poly.forced_zero == {"v"}
-        assert ((1,), 0) in poly.equalities
+        assert (((0, 1),), 0) in poly.equalities
 
     def test_single_sink(self):
         poly = trace_constraints(Graph(["w"], {}))
-        assert poly.equalities == (((1,), 1),)
+        assert poly.equalities == ((((0, 1),), 1),)
         assert poly.inequalities == ()
 
     def test_emitter_inequality(self):
         g = Graph(["v", "a", "b"], {("v", "a"): 2, ("v", "b"): INF})
         poly = trace_constraints(g)
         assert poly.forced_zero == {"b"}
-        assert ((-1, 2, 0), 0) in poly.inequalities
+        assert (((0, -1), (1, 2)), 0) in poly.inequalities
 
 
 class TestFindGraphTrace:
@@ -133,11 +135,47 @@ class TestExtremeTraces:
                 assert t.norm == 1
 
 
+def dense_row(n, terms):
+    row = [0] * n
+    for j, c in terms:
+        row[j] = c
+    return tuple(row)
+
+
+def dense(n, rows):
+    """``(terms, rhs)`` rows as ``(coefficients, rhs)`` over ``n`` variables."""
+    return [(dense_row(n, terms), rhs) for terms, rhs in rows]
+
+
+def sparse(rows):
+    """``(coefficients, rhs)`` rows as ``(terms, rhs)``."""
+    return tuple((tuple((j, c) for j, c in enumerate(row) if c), rhs) for row, rhs in rows)
+
+
 def reference_extremes(g):
     """The vertices of the norm-one trace polytope from the double
     description enumerator."""
     poly = trace_constraints(g)
-    return polytope_vertices(len(poly.variables), list(poly.equalities), list(poly.inequalities))
+    n = len(poly.variables)
+    return polytope_vertices(n, dense(n, poly.equalities), dense(n, poly.inequalities))
+
+
+def sparse_random_graph(rng, size, inf_prob=0.0):
+    """Each vertex draws 0-3 edges to uniform targets, of multiplicity 1-3
+    or infinite, so about a quarter of the vertices are sinks."""
+    edges = {}
+    for v in range(size):
+        for _ in range(rng.randrange(4)):
+            key = (f"v{v}", f"v{rng.randrange(size)}")
+            m = INF if rng.random() < inf_prob else rng.randrange(1, 4)
+            edges[key] = INF if INF in (m, edges.get(key)) else edges.get(key, 0) + m
+    return Graph([f"v{v}" for v in range(size)], edges)
+
+
+def fraction_order(g):
+    """The extreme points sorted as tuples of ``Fraction``s, the order of
+    ``extreme_traces`` before it sorted integer keys."""
+    return sorted(tuple(Fraction(c, sum(h)) for c in h) for h in trace_rays(g))
 
 
 class TestTraceRays:
@@ -181,14 +219,29 @@ class TestTraceRays:
             g = shared_random_graph(rng, 7, inf_prob=(0.0, 0.2, 0.5)[i % 3])
             got = [tuple(v for _, v in t.values) for t in extreme_traces(g)]
             assert got == reference_extremes(g), g.edges()
+            assert got == fraction_order(g), g.edges()
             extremes += len(got)
             emitters += any(classify_vertex(g, v) is VertexClass.INFINITE_EMITTER for v in g.vertices)
         assert extremes > 200 and emitters > 150
 
+    def test_order_on_larger_draws(self):
+        # extreme_traces sorts the rays scaled to a common norm as integer
+        # tuples; on draws with many rays of different norms that is the
+        # order of the points as Fraction tuples
+        rng = random.Random(41)
+        mixed = 0
+        for i in range(60):
+            g = sparse_random_graph(rng, rng.randint(10, 60), inf_prob=(0.0, 0.05)[i % 2])
+            got = [tuple(v for _, v in t.values) for t in extreme_traces(g)]
+            assert got == fraction_order(g), g.edges()
+            mixed += len({sum(h) for h in trace_rays(g)}) >= 3
+        assert mixed >= 30
+
     def test_bad_rays_raise_without_asserts(self):
-        # a truncated or corrupted construction fails the re-check of
-        # trace_rays under `python -O` too, and extreme_traces, which does
-        # not check its points again, raises through it
+        # a truncated or corrupted construction, a corrupted sparse c_b
+        # among them, fails the re-check of trace_rays under `python -O`
+        # too, and extreme_traces, which does not check its points again,
+        # raises through it
         script = textwrap.dedent(
             """
             import graphk0.ktheory as kt
@@ -210,8 +263,13 @@ class TestTraceRays:
             def zero_enlarged(coefficients, zero, rays):
                 return coefficients, [1, *zero], rays
 
+            def coefficient_corrupted(coefficients, zero, rays):
+                (j, c), *rest = coefficients[0]
+                return [((j, c + 1), *rest), *coefficients[1:]], zero, rays
+
+            bad_kinds = (ray_dropped, element_dropped, ray_corrupted, zero_enlarged, coefficient_corrupted)
             print(len(build(g, kt.trace_cone(g))[2]), "rays")
-            for bad in (ray_dropped, element_dropped, ray_corrupted, zero_enlarged):
+            for bad in bad_kinds:
                 kt._component_rays = lambda g, cone: bad(*build(g, cone))
                 for entry in (kt.trace_rays, extreme_traces):
                     try:
@@ -233,7 +291,13 @@ class TestTraceRays:
             "2 rays\n"
             + "".join(
                 f"debug False {bad} {entry} raised\n"
-                for bad in ("ray_dropped", "element_dropped", "ray_corrupted", "zero_enlarged")
+                for bad in (
+                    "ray_dropped",
+                    "element_dropped",
+                    "ray_corrupted",
+                    "zero_enlarged",
+                    "coefficient_corrupted",
+                )
                 for entry in ("trace_rays", "extreme_traces")
             )
         )
@@ -576,7 +640,9 @@ class TestOneDescription:
         for g in reference_draws():
             poly = trace_constraints(g)
             got = (poly.variables, poly.equalities, poly.inequalities, poly.forced_zero)
-            assert got == reference_trace_constraints(g), g.edges()
+            names, equalities, inequalities, forced = reference_trace_constraints(g)
+            want = (names, sparse(equalities), sparse(inequalities), forced)
+            assert got == want, g.edges()
 
     def test_checks_match_references(self):
         rng = random.Random(4242)
@@ -619,3 +685,178 @@ class TestOneDescription:
         assert set(kinds) == {"nonnegative", "regular", "forced zero", "emitter"}, kinds
         assert min(kinds.values()) >= 20, kinds
         assert counts["valid"] >= 300 and counts["random"] == 720, counts
+
+
+# ---------------------------------------------------------------------------
+# ``trace_rays`` re-checks its rays on the cone's sparse rows.  The dense
+# re-check it replaced is kept here as the reference: every check runs over
+# n-wide rows, so each ray costs O(n^2).
+
+
+def reference_check_point(rows, point):
+    """``point`` is nonnegative and satisfies every dense ``(row, relation,
+    rhs)``."""
+    if any(x < 0 for x in point):
+        return False
+    for row, relation, rhs in rows:
+        assert len(row) == len(point)
+        value = sum(c * x for c, x in zip(row, point))
+        if relation == EQ and value != rhs or relation == LE and value > rhs:
+            return False
+    return True
+
+
+def reference_substitution(n, rows):
+    """The dense ``_solvable_by_substitution``."""
+    left = [{j for j, c in enumerate(row) if c} for row in rows]
+    uses = [[] for _ in range(n)]
+    for i, unknowns in enumerate(left):
+        for j in unknowns:
+            uses[j].append(i)
+    ready = [i for i, unknowns in enumerate(left) if len(unknowns) == 1]
+    solved = 0
+    while ready:
+        unknowns = left[ready.pop()]
+        if len(unknowns) != 1:
+            continue
+        j = unknowns.pop()
+        solved += 1
+        for i in uses[j]:
+            left[i].discard(j)
+            if len(left[i]) == 1:
+                ready.append(i)
+    return solved == n
+
+
+def reference_verify_farkas(n, system, nonneg, certificate):
+    """``verify_farkas`` over the dense rows."""
+    mult = certificate.multipliers
+    if len(mult) != len(system):
+        return False
+    for lam, con in zip(mult, system):
+        if con.relation == LE and lam < 0 or con.relation == GE and lam > 0:
+            return False
+    for j in range(n):
+        combined = sum(m * con.coeffs[j] for m, con in zip(mult, system))
+        if combined < 0 if nonneg[j] else combined != 0:
+            return False
+    return sum(m * con.rhs for m, con in zip(mult, system)) < 0
+
+
+def reference_check_rays(g, coefficients, zero, rays):
+    """The message of the first check of ``_check_rays`` that fails, in its
+    order, or None; the rows come from ``reference_trace_constraints``."""
+    names, equalities, inequalities, _ = reference_trace_constraints(g)
+    equalities = equalities[:-1]  # without the norm row
+    n = len(names)
+    rows = [(row, EQ, rhs) for row, rhs in equalities] + [(row, LE, rhs) for row, rhs in inequalities]
+    coefficient_rows = [dense_row(n, c) for c in coefficients]
+    if len(rays) != len(coefficients):
+        return "the boundary elements and the rays differ in number"
+    for i, h in enumerate(rays):
+        if len(h) != n or not reference_check_point(rows, h):
+            return "a computed ray is not a graph trace"
+        for j, c in enumerate(coefficient_rows):
+            if sum(a * x for a, x in zip(c, h)) != int(i == j):
+                return "the ray coefficients are not dual to the rays"
+    units = [dense_row(n, [(z, 1)]) for z in zero]
+    slacks = [tuple(-c for c in row) for row, _ in inequalities]
+    system = [row for row, _ in equalities] + slacks + units + coefficient_rows
+    if not reference_substitution(n, system):
+        return "the rays do not determine every graph trace"
+    cone = kt.trace_cone(g)
+    proof = kt._completeness(g, cone, cone.constraints(), coefficients, zero)
+    if proof is not None and not reference_verify_farkas(n, *proof):
+        return "a graph trace is positive where every ray vanishes"
+    return None
+
+
+def sparse_check_rays(g, coefficients, zero, rays):
+    """``_check_rays``' verdict in the form of ``reference_check_rays``."""
+    try:
+        kt._check_rays(g, kt.trace_cone(g), coefficients, zero, rays)
+    except CertificateError as err:
+        return str(err)
+    return None
+
+
+def corruptions(rng, g, coefficients, zero, rays):
+    """Named corruptions of a correct construction, each drawn by ``rng``."""
+    n = len(g.vertices)
+    out = [("none", (coefficients, zero, rays))]
+    if rays:
+        i, v = rng.randrange(len(rays)), rng.randrange(n)
+        h = list(rays[i])
+        h[v] += rng.choice((1, -1))
+        out.append(("ray corrupted", (coefficients, zero, [*rays[:i], tuple(h), *rays[i + 1 :]])))
+        out.append(("ray dropped", (coefficients, zero, rays[:-1])))
+        out.append(("element dropped", (coefficients[:-1], zero, rays[:-1])))
+        j = rng.randrange(len(coefficients))
+        terms = list(coefficients[j])
+        k = rng.randrange(len(terms))
+        terms[k] = (terms[k][0], terms[k][1] + 1)
+        terms = tuple(t for t in terms if t[1])
+        bad = [*coefficients[:j], terms, *coefficients[j + 1 :]]
+        out.append(("coefficient corrupted", (bad, zero, rays)))
+    if len(rays) > 1:
+        out.append(("rays swapped", (coefficients, zero, [rays[1], rays[0], *rays[2:]])))
+    outside = [v for v in range(n) if v not in zero]
+    if outside:
+        out.append(("zero enlarged", (coefficients, sorted({*zero, rng.choice(outside)}), rays)))
+    return out
+
+
+class TestSparseCheck:
+    def test_agrees_with_dense_reference(self):
+        # the sparse re-check and the dense one fail on the same check, or
+        # both pass, on correct and on corrupted constructions
+        rng = random.Random(2718)
+        raised, passed = {}, {}
+        for i in range(300):
+            g = shared_random_graph(rng, 10, inf_prob=(0.0, 0.25)[i % 2], edge_prob=0.15)
+            cone = kt.trace_cone(g)
+            for name, data in corruptions(rng, g, *kt._component_rays(g, cone)):
+                want = reference_check_rays(g, *data)
+                assert sparse_check_rays(g, *data) == want, (name, g.edges())
+                if name == "none":
+                    assert want is None, g.edges()
+                tally = raised if want else passed
+                tally[name] = tally.get(name, 0) + 1
+        assert passed["none"] == 300
+        for name in ("ray corrupted", "ray dropped", "element dropped", "coefficient corrupted",
+                     "rays swapped", "zero enlarged"):
+            assert raised.get(name, 0) >= 40, (name, raised)
+
+    def test_rows_visited_per_ray_are_linear(self):
+        # the point check and the duality check of each ray read the cone's
+        # rows and the c_b by their nonzero entries: at most a few times
+        # E + n entries per ray, where n-wide rows would cost n^2.  Every
+        # pass over a row is counted, so the checks made once per graph
+        # (substitution, walk certificate) get one more share of E + n
+        visits = [0]
+
+        class Counted(tuple):
+            def __iter__(self):
+                visits[0] += len(self)
+                return super().__iter__()
+
+        n = 2000
+        cycle = Graph(
+            [*(f"c{i}" for i in range(n)), "x"],
+            {**{(f"c{i}", f"c{(i + 1) % n}"): 1 for i in range(n)}, ("c0", "x"): 1},
+        )
+        rng = random.Random(5)
+        draws = [cycle] + [sparse_random_graph(rng, size) for size in (100, 200, 400)]
+        for g in draws:
+            cone = kt.trace_cone(g)
+            coefficients, zero, rays = kt._component_rays(g, cone)
+            counted = replace(
+                cone,
+                equalities=tuple((Counted(t), rhs) for t, rhs in cone.equalities),
+                inequalities=tuple((Counted(t), rhs) for t, rhs in cone.inequalities),
+            )
+            visits[0] = 0
+            kt._check_rays(g, counted, [Counted(c) for c in coefficients], zero, rays)
+            size = len(g.edges()) + len(g.vertices)
+            assert visits[0] <= 4 * size * (len(rays) + 1), (visits[0], size, len(rays))
+        assert len(rays) > 30
