@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
 
-_ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+# the grammar of a vertex name, here and in the text format
+NAME_RE = re.compile(r"[A-Za-z0-9_]+")
 
 
 class Infinity:
@@ -47,13 +48,16 @@ class Graph:
     def __init__(self, vertices: Iterable[str], multiplicities: Mapping[tuple[str, str], object]):
         vs = tuple(vertices)
         index = {}
+        out: dict[str, list[tuple[str, object]]] = {}
         for v in vs:
-            if not isinstance(v, str) or not _ID_RE.match(v):
+            if not isinstance(v, str) or not NAME_RE.fullmatch(v):
                 raise ValueError(f"invalid vertex name {v!r}")
             if v in index:
                 raise ValueError(f"duplicate vertex {v!r}")
             index[v] = len(index)
+            out[v] = []
         mult = {}
+        unsorted = []
         for (src, dst), m in multiplicities.items():
             if src not in index or dst not in index:
                 raise ValueError(f"edge endpoint not declared: {src!r} -> {dst!r}")
@@ -63,15 +67,16 @@ class Graph:
                 raise ValueError(f"invalid multiplicity {m!r} for {src!r} -> {dst!r}")
             if m is INF or m:
                 mult[(src, dst)] = m
+                targets = out[src]
+                targets.append((dst, m))
+                if len(targets) == 2:
+                    unsorted.append(targets)
+        # targets in declaration order
+        for targets in unsorted:
+            targets.sort(key=lambda pair: index[pair[0]])
         self._vertices = vs
         self._index = index
         self._mult = mult
-        out: dict[str, list[tuple[str, object]]] = {v: [] for v in vs}
-        for (src, dst), m in mult.items():
-            out[src].append((dst, m))
-        # targets in declaration order
-        for v in vs:
-            out[v].sort(key=lambda pair: index[pair[0]])
         self._out = out
         self._structure = None
 
@@ -145,25 +150,23 @@ def structure(g: Graph) -> GraphStructure:
     if s is None:
         index = g._index
         out = tuple(tuple((index[w], m) for w, m in g._out[v]) for v in g.vertices)
-        comp = tuple(_components(out))
+        comp = _components(out)
+        kinds = []
+        inner = []
+        for edges, c in zip(out, comp):
+            kind = VertexClass.REGULAR if edges else VertexClass.SINK
+            own = []
+            for w, m in edges:
+                if m is INF:
+                    kind = VertexClass.INFINITE_EMITTER
+                if comp[w] == c:
+                    own.append((w, 2 if m is INF or m >= 2 else 1))
+            kinds.append(kind)
+            inner.append(tuple(own))
         s = g._structure = GraphStructure(
-            kinds=tuple(map(_kind, out)),
-            out=out,
-            comp=comp,
-            inner=tuple(
-                tuple((w, 2 if m is INF or m >= 2 else 1) for w, m in edges if comp[w] == comp[v])
-                for v, edges in enumerate(out)
-            ),
+            kinds=tuple(kinds), out=out, comp=tuple(comp), inner=tuple(inner)
         )
     return s
-
-
-def _kind(out) -> VertexClass:
-    if not out:
-        return VertexClass.SINK
-    if any(m is INF for _, m in out):
-        return VertexClass.INFINITE_EMITTER
-    return VertexClass.REGULAR
 
 
 def classify_vertex(g: Graph, v: str) -> VertexClass:

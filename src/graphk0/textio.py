@@ -8,17 +8,30 @@ Multiplicities default to 1 and accumulate across repeated ``edge`` lines;
 ``inf`` absorbs any finite count.  Parsing either succeeds or raises a
 ParseError pointing at the offending line and column -- it never crashes,
 whatever the input bytes.
+
+The grammar is one whole-line regular expression per kind of line (vertex,
+edge, blank or comment); tokens are separated by spaces and tabs only, and
+a name is a ``graphs.NAME_RE`` word.  A line that none of them accepts, or
+that names an undeclared vertex, redeclares one or gives a multiplicity of
+0 or of too many digits, goes to ``_line_error``, which splits it into
+tokens only to find the line, column and message of the error.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NoReturn
 
-from .graphs import INF, Graph
+from .graphs import INF, NAME_RE, Graph
 
-_ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
-_NUM_RE = re.compile(r"[0-9]+\Z")
+_NAME = NAME_RE.pattern
+# trailing blanks, a comment, and the CR of a CRLF line ending
+_END = r"[ \t]*(?:#.*)?\r?"
+_VERTEX_LINE = re.compile(rf"[ \t]*vertex[ \t]+({_NAME}){_END}")
+_EDGE_LINE = re.compile(rf"[ \t]*edge[ \t]+({_NAME})[ \t]+({_NAME})(?:[ \t]+(inf|[0-9]+))?{_END}")
+_BLANK_LINE = re.compile(_END)
+_NUM_RE = re.compile(r"[0-9]+")
 
 
 class ParseError(Exception):
@@ -51,6 +64,53 @@ def _tokenize(line: str) -> list[tuple[str, int]]:
     return tokens
 
 
+def _line_error(lineno: int, raw: str, declared: dict[str, int]) -> NoReturn:
+    """Raise the ParseError of a line that the line grammar rejected, or
+    that failed a check against the vertices ``declared`` before it: the
+    line is split into tokens only to find the column and message."""
+    line = raw[:-1] if raw.endswith("\r") else raw
+    hash_pos = line.find("#")
+    if hash_pos >= 0:
+        line = line[:hash_pos]
+    tokens = _tokenize(line)
+    keyword, kw_col = tokens[0] if tokens else ("", 1)
+    if keyword == "vertex":
+        if len(tokens) < 2:
+            raise ParseError(lineno, kw_col, "vertex requires a name")
+        if len(tokens) > 2:
+            raise ParseError(lineno, tokens[2][1], "unexpected token after vertex name")
+        name, col = tokens[1]
+        if not NAME_RE.fullmatch(name):
+            raise ParseError(lineno, col, f"invalid vertex name {name!r}")
+        if name in declared:
+            raise ParseError(lineno, col, f"duplicate vertex {name!r}")
+    elif keyword == "edge":
+        if len(tokens) < 3:
+            raise ParseError(lineno, kw_col, "edge requires a source and a target")
+        if len(tokens) > 4:
+            raise ParseError(lineno, tokens[4][1], "unexpected token after multiplicity")
+        for name, col in tokens[1:3]:
+            if not NAME_RE.fullmatch(name):
+                raise ParseError(lineno, col, f"invalid vertex name {name!r}")
+            if name not in declared:
+                raise ParseError(lineno, col, f"undeclared vertex {name!r}")
+        if len(tokens) == 4:
+            word, col = tokens[3]
+            if word != "inf":
+                if not _NUM_RE.fullmatch(word):
+                    raise ParseError(lineno, col, f"invalid multiplicity {word!r}")
+                try:
+                    m = int(word)
+                except ValueError:  # past the interpreter's int-string limit
+                    raise ParseError(lineno, col, "multiplicity has too many digits") from None
+                if m == 0:
+                    raise ParseError(lineno, col, "multiplicity must be positive")
+    elif tokens:
+        raise ParseError(lineno, kw_col, f"unknown directive {keyword!r}")
+    # the line regexes and the tokens disagree: the regexes are the grammar
+    raise ParseError(lineno, 1, "malformed line")
+
+
 def parse_graph(text: str | bytes, source_name: str = "<string>") -> GraphDocument:
     if isinstance(text, (bytes, bytearray)):
         try:
@@ -64,64 +124,42 @@ def parse_graph(text: str | bytes, source_name: str = "<string>") -> GraphDocume
     vertices: list[str] = []
     declared: dict[str, int] = {}
     mult: dict[tuple[str, str], object] = {}
+    edge_line = _EDGE_LINE.fullmatch
+    vertex_line = _VERTEX_LINE.fullmatch
+    blank_line = _BLANK_LINE.fullmatch
 
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw[:-1] if raw.endswith("\r") else raw
-        hash_pos = line.find("#")
-        if hash_pos >= 0:
-            line = line[:hash_pos]
-        tokens = _tokenize(line)
-        if not tokens:
-            continue
-        keyword, kw_col = tokens[0]
-        if keyword == "vertex":
-            if len(tokens) < 2:
-                raise ParseError(lineno, kw_col, "vertex requires a name")
-            if len(tokens) > 2:
-                raise ParseError(lineno, tokens[2][1], "unexpected token after vertex name")
-            name, col = tokens[1]
-            if not _ID_RE.match(name):
-                raise ParseError(lineno, col, f"invalid vertex name {name!r}")
-            if name in declared:
-                raise ParseError(lineno, col, f"duplicate vertex {name!r}")
-            declared[name] = lineno
-            vertices.append(name)
-        elif keyword == "edge":
-            if len(tokens) < 3:
-                raise ParseError(lineno, kw_col, "edge requires a source and a target")
-            if len(tokens) > 4:
-                raise ParseError(lineno, tokens[4][1], "unexpected token after multiplicity")
-            src, src_col = tokens[1]
-            dst, dst_col = tokens[2]
-            for name, col in ((src, src_col), (dst, dst_col)):
-                if not _ID_RE.match(name):
-                    raise ParseError(lineno, col, f"invalid vertex name {name!r}")
-                if name not in declared:
-                    raise ParseError(lineno, col, f"undeclared vertex {name!r}")
-            if len(tokens) == 4:
-                word, col = tokens[3]
-                if word == "inf":
-                    m: object = INF
-                elif _NUM_RE.match(word):
-                    try:
-                        m = int(word)
-                    except ValueError:  # past the interpreter's int-string limit
-                        raise ParseError(
-                            lineno, col, "multiplicity has too many digits"
-                        ) from None
-                    if m == 0:
-                        raise ParseError(lineno, col, "multiplicity must be positive")
-                else:
-                    raise ParseError(lineno, col, f"invalid multiplicity {word!r}")
+        match = edge_line(raw)
+        if match is not None:
+            src, dst, word = match.groups()
+            if src not in declared or dst not in declared:
+                _line_error(lineno, raw, declared)
+            if word is None:
+                m: object = 1
+            elif word == "inf":
+                m = INF
             else:
-                m = 1
+                try:
+                    m = int(word)
+                except ValueError:  # past the interpreter's int-string limit
+                    _line_error(lineno, raw, declared)
+                if m == 0:
+                    _line_error(lineno, raw, declared)
             current = mult.get((src, dst), 0)
             if current is INF or m is INF:
                 mult[(src, dst)] = INF
             else:
                 mult[(src, dst)] = current + m
-        else:
-            raise ParseError(lineno, kw_col, f"unknown directive {keyword!r}")
+            continue
+        match = vertex_line(raw)
+        if match is not None:
+            name = match[1]
+            if name in declared:
+                _line_error(lineno, raw, declared)
+            declared[name] = lineno
+            vertices.append(name)
+        elif blank_line(raw) is None:
+            _line_error(lineno, raw, declared)
 
     return GraphDocument(graph=Graph(vertices, mult), source_name=source_name)
 

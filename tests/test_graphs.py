@@ -293,6 +293,91 @@ class TestGraphStructure:
         assert calls == [5]
 
 
+def reference_out(vertices, multiplicities):
+    """The out-edge lists as the constructor built them before it took one
+    pass over the edges: every nonzero edge kept, then every list sorted."""
+    index = {v: i for i, v in enumerate(vertices)}
+    mult = {e: m for e, m in multiplicities.items() if m is INF or m}
+    out = {v: [] for v in vertices}
+    for (src, dst), m in mult.items():
+        out[src].append((dst, m))
+    for v in vertices:
+        out[v].sort(key=lambda pair: index[pair[0]])
+    return out
+
+
+def reference_structure(g):
+    """``structure(g)`` as the comprehensions before the one loop built it."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    out = tuple(tuple((index[w], m) for w, m in g.out_edges(v)) for v in g.vertices)
+    comp = tuple(graphs._components(out))
+
+    def kind(edges):
+        if not edges:
+            return VertexClass.SINK
+        if any(m is INF for _, m in edges):
+            return VertexClass.INFINITE_EMITTER
+        return VertexClass.REGULAR
+
+    return graphs.GraphStructure(
+        kinds=tuple(map(kind, out)),
+        out=out,
+        comp=comp,
+        inner=tuple(
+            tuple((w, 2 if m is INF or m >= 2 else 1) for w, m in edges if comp[w] == comp[v])
+            for v, edges in enumerate(out)
+        ),
+    )
+
+
+class TestAgainstReference:
+    def test_seeded_graphs(self):
+        rng = random.Random(2805)
+        for _ in range(300):
+            n = rng.randint(0, 9)
+            names = [f"v{i}" for i in range(n)]
+            rng.shuffle(names)
+            mult = {}
+            for _ in range(rng.randrange(3 * n + 1)):
+                pick = rng.random()
+                m = INF if pick < 0.15 else 0 if pick < 0.25 else rng.randint(1, 3)
+                mult[(rng.choice(names), rng.choice(names))] = m
+            for table in (mult, dict(reversed(list(mult.items())))):
+                g = Graph(names, table)
+                want = reference_out(names, table)
+                assert {v: g.out_edges(v) for v in names} == want
+                assert g.edges() == [(v, w, m) for v in names for w, m in want[v]]
+                assert structure(g) == reference_structure(g)
+
+    @pytest.mark.parametrize(
+        "vertices, table, message",
+        [
+            ([3], {}, "invalid vertex name 3"),
+            ([None], {}, "invalid vertex name None"),
+            (["bad name"], {}, "invalid vertex name 'bad name'"),
+            ([""], {}, "invalid vertex name ''"),
+            (["a\n"], {}, "invalid vertex name 'a\\n'"),
+            (["a", "b", "a"], {}, "duplicate vertex 'a'"),
+            (["a"], {("a", "b"): 1}, "edge endpoint not declared: 'a' -> 'b'"),
+            (["a"], {("c", "a"): 1}, "edge endpoint not declared: 'c' -> 'a'"),
+            (["a"], {("a", "a"): True}, "invalid multiplicity True for 'a' -> 'a'"),
+            (["a"], {("a", "a"): False}, "invalid multiplicity False for 'a' -> 'a'"),
+            (["a"], {("a", "a"): 1.0}, "invalid multiplicity 1.0 for 'a' -> 'a'"),
+            (["a"], {("a", "a"): -1}, "invalid multiplicity -1 for 'a' -> 'a'"),
+            # the first bad edge in the table's order is the one reported
+            (
+                ["a", "b"],
+                {("a", "b"): 1, ("b", "a"): -2, ("a", "c"): 1},
+                "invalid multiplicity -2 for 'b' -> 'a'",
+            ),
+        ],
+    )
+    def test_constructor_messages(self, vertices, table, message):
+        with pytest.raises(ValueError) as exc:
+            Graph(vertices, table)
+        assert str(exc.value) == message
+
+
 class TestBlockDecomposition:
     def test_toeplitz(self):
         bd = block_decomposition(toeplitz())

@@ -109,6 +109,25 @@ def test_bench_names_resolve_after_import():
     assert proc.stdout == "[]\n"
 
 
+def test_parser_builds_its_graph_through_the_module_global(monkeypatch):
+    # the benchmark's tracer times graph construction by swapping
+    # textio.Graph for a wrapper; a parser that built its Graph some other
+    # way, or more than once, would hide that time from the build span
+    from graphk0 import textio
+
+    calls = []
+    graph = textio.Graph
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return graph(*args, **kwargs)
+
+    monkeypatch.setattr(textio, "Graph", counted)
+    doc = textio.parse_graph("vertex a\nvertex b\nedge a b 2\nedge b a inf\n")
+    assert len(calls) == 1
+    assert doc.graph == graph(["a", "b"], {("a", "b"): 2, ("b", "a"): textio.INF})
+
+
 def test_import_builds_no_parser():
     # the CLI builds its argparse parser on the first run call, not at
     # import: the benchmark's set-up and every one-shot process import
