@@ -176,9 +176,9 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "desing":
-        g = _load_graph(args.path)
         if args.depth < 1:
             raise _UsageError("--depth must be positive")
+        g = _load_graph(args.path)
         sinks = args.sinks or not args.emitters
         emitters = args.emitters or not args.sinks
         out = desingularize(g, args.depth, sinks=sinks, infinite_emitters=emitters)
@@ -197,9 +197,9 @@ def _dispatch(args) -> int:
         return 1 if isinstance(verdict, UnknownComparison) else 0
 
     if args.command == "consistency":
-        g = _load_graph(args.path)
         if args.depth < 1:
             raise _UsageError("--depth must be positive")
+        g = _load_graph(args.path)
         report = verify_desingularization_consistency(g, args.depth)
         print(emit_json(consistency_to_json(report)) if args.json else consistency_human(report))
         return 0

@@ -4,7 +4,9 @@ The group is the cokernel of the vertex relation matrix (one column per
 regular vertex), presented with explicit torsion moduli and free rank.  The
 regular vertices on no cycle are eliminated first (``compute_k0``), and the
 cokernel of what is left is taken by unit-pivot elimination and a Smith
-normal form of the residual (``linalg.cokernel``).  The positive cone is
+normal form of the residual (``linalg.cokernel``).  The presentation keeps
+each vertex's class sparse, and ``K0Presentation.delta``, the classes as
+dense elements, is built on its first read.  The positive cone is
 the monoid generated by the vertex classes together with, for every
 infinite emitter, the family of differences "emitter class minus a finite
 batch of target classes" (kept intensional via per-target capacities).
@@ -122,21 +124,23 @@ class ConeSpec:
 
 
 class K0Presentation:
-    """Cokernel presentation plus per-vertex classes, cone data and the unit."""
+    """Cokernel presentation plus per-vertex classes, cone data and the unit.
+
+    The classes are kept sparse, as ``coker.classes`` over ``ambient_order``;
+    ``delta``, each vertex's class as a dense ``Element``, is built from
+    them on its first read."""
 
     def __init__(
         self,
         graph: Graph,
         coker: CokerPresentation,
         ambient_order: tuple[str, ...],
-        delta: dict[str, Element],
         cone: ConeSpec,
         order_unit: Element,
     ) -> None:
         self.graph = graph
         self.coker = coker
         self.ambient_order = ambient_order
-        self.delta = delta
         self.cone = cone
         self.order_unit = order_unit
         self._ambient_index = {v: i for i, v in enumerate(ambient_order)}
@@ -150,6 +154,12 @@ class K0Presentation:
 
     def ambient_index(self, v: str) -> int:
         return self._ambient_index[v]
+
+    @cached_property
+    def delta(self) -> dict[str, Element]:
+        """Each vertex's class as an ``Element``, in declaration order."""
+        elements = self.coker.basis_classes()
+        return {v: elements[self._ambient_index[v]] for v in self.graph.vertices}
 
     @cached_property
     def relation_matrix(self) -> Matrix:
@@ -259,7 +269,6 @@ def compute_k0(g: Graph) -> K0Presentation:
     pos = {v: i for i, v in enumerate(order)}
     section = [{pos[kept[r]]: x for r, x in unit.items()} for unit in reduced.section]
     coker = CokerPresentation(reduced.torsion_moduli, [classes[v] for v in order], section)
-    elements = coker.basis_classes()
     families = tuple(
         Family(names[v], tuple((names[w], None if m is INF else m) for w, m in out[v]))
         for v in singular
@@ -269,7 +278,6 @@ def compute_k0(g: Graph) -> K0Presentation:
         graph=g,
         coker=coker,
         ambient_order=tuple(names[v] for v in order),
-        delta={names[v]: elements[pos[v]] for v in range(len(names))},
         cone=ConeSpec(families=families),
         order_unit=coker.project([1] * len(order)),
     )

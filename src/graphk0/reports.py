@@ -3,7 +3,9 @@
 The JSON schema is versioned through a top-level "schema_version" field and
 documented in docs/report-schema.md.  Integers outside the 53-bit safe range
 are emitted as decimal strings so generic JSON parsers round-trip them
-without loss; rationals are always "p/q" strings.
+without loss; rationals are always "p/q" strings.  The k0 report writes
+each vertex's ``torsion`` and ``free`` lists straight from the sparse
+classes of the presentation, so it builds no dense element per vertex.
 
 Every JSON text, the output of each ``--json`` subcommand included, comes
 from ``emit_json``.  Its text is byte for byte ``json.dumps(payload,
@@ -62,12 +64,17 @@ def _mult(m):
     return "inf" if m is INF else _num(m)
 
 
-def element_to_json(e: Element) -> dict:
-    return {"torsion": _nums(e.torsion), "free": _nums(e.free)}
+def _element_json(entries, t: int, zeros: list[int]) -> dict:
+    """The ``torsion`` and ``free`` lists of the element with these
+    ``(coordinate, value)`` entries over ``zeros``, by ``_num``'s rule."""
+    coords = zeros.copy()
+    for q, x in entries:
+        coords[q] = x if -_SAFE_INT <= x <= _SAFE_INT else str(x)
+    return {"torsion": coords[:t], "free": coords[t:]}
 
 
 def element_from_json(data: dict, torsion_moduli: tuple[int, ...], free_len: int) -> Element:
-    """Read back what ``element_to_json`` writes: each entry a JSON integer
+    """Read back an element as the k0 report writes it: each entry a JSON integer
     or a decimal-integer string, and no key but ``torsion`` and ``free``;
     anything else raises ValueError.  Torsion entries are read modulo their
     moduli."""
@@ -110,13 +117,17 @@ def graph_to_json(g: Graph) -> dict:
 
 
 def k0_to_json(k: K0Presentation) -> dict:
+    coker, unit = k.coker, k.order_unit
+    t = len(coker.torsion_moduli)
+    zeros = [0] * (t + coker.free_rank)
+    classes, at = coker.classes, k.ambient_index
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "k0",
-        "free_rank": k.coker.free_rank,
-        "torsion": _nums(k.coker.torsion_moduli),
-        "delta": {v: element_to_json(k.delta[v]) for v in k.graph.vertices},
-        "order_unit": element_to_json(k.order_unit),
+        "free_rank": coker.free_rank,
+        "torsion": _nums(coker.torsion_moduli),
+        "delta": {v: _element_json(classes[at(v)].items(), t, zeros) for v in k.graph.vertices},
+        "order_unit": _element_json(enumerate((*unit.torsion, *unit.free)), t, zeros),
         "cone": {
             "families": [
                 {

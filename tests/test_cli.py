@@ -126,6 +126,16 @@ class TestExitCodes:
             assert code == 2
             assert err == "graphk0: --budget must be positive\n"
 
+    def test_depth_checked_before_loading(self, corpus, capsys):
+        # a bad --depth is a usage error found before the file is read, so a
+        # missing path reports the depth, not the path
+        for command in ("desing", "consistency"):
+            for depth in (0, -1):
+                for path in (corpus / "missing.graph", corpus / "bad.graph", corpus / "o2.graph"):
+                    code, out, err = invoke(capsys, command, path, "--depth", depth)
+                    assert (code, out) == (2, "")
+                    assert err == "graphk0: --depth must be positive\n"
+
 
 class TestReports:
     def test_membership_member_json(self, corpus, capsys):

@@ -40,7 +40,7 @@ from graphk0.ktheory import (
 from graphk0.intfeas import IntInfeasible, IntUnknown, IntWitness, integer_feasibility
 from graphk0.linalg import CokerPresentation, Element, determinant, mat_vec
 from graphk0.lp import EQ, GE, Feasible, constraint, solve_lp
-from graphk0.reports import k0_to_json
+from graphk0.reports import SCHEMA_VERSION, emit_json, k0_to_json
 from test_linalg import dense_cokernel
 
 
@@ -508,9 +508,55 @@ def dense_k0(g):
     return delta, project([1] * len(order)), project, lift
 
 
+def element_to_json(e):
+    """An element as the k0 report wrote it from its dense tuples."""
+    safe = 2**53 - 1
+    return {
+        "torsion": [x if -safe <= x <= safe else str(x) for x in e.torsion],
+        "free": [x if -safe <= x <= safe else str(x) for x in e.free],
+    }
+
+
+def dense_k0_json(k, delta, order_unit):
+    """The k0 report as ``k0_to_json`` wrote it before it read the sparse
+    classes: ``element_to_json`` over the dense ``delta`` and order unit
+    (``dense_k0``), and the rest of ``k`` as it was written then."""
+    safe = 2**53 - 1
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "k0",
+        "free_rank": k.coker.free_rank,
+        "torsion": [d if d <= safe else str(d) for d in k.coker.torsion_moduli],
+        "delta": {v: element_to_json(delta[v]) for v in k.graph.vertices},
+        "order_unit": element_to_json(order_unit),
+        "cone": {
+            "families": [
+                {
+                    "emitter": fam.emitter,
+                    "targets": [
+                        {"vertex": w, "capacity": "inf" if cap is None else cap}
+                        for w, cap in fam.targets
+                    ],
+                }
+                for fam in k.cone.families
+            ],
+        },
+        "row_finite_orthant": k.row_finite_orthant,
+    }
+
+
 class TestSparsePresentation:
     """``compute_k0`` keeps every class and the section sparse; the result
-    must equal the dense assembly it replaced (``dense_k0``)."""
+    must equal the dense assembly it replaced (``dense_k0``), and the k0
+    report written from the sparse classes the one written from it."""
+
+    def check_report(self, g):
+        k = compute_k0(g)
+        delta, order_unit, _, _ = dense_k0(g)
+        payload, reference = k0_to_json(k), dense_k0_json(k, delta, order_unit)
+        assert payload == reference
+        assert emit_json(payload) == emit_json(reference)
+        return payload
 
     def test_against_dense_assembly(self):
         rng = random.Random(2601)
@@ -518,6 +564,7 @@ class TestSparsePresentation:
         graphs += [baseline_draw(rng, 150, 3) for _ in range(3)]
         torsion = emitters = 0
         for g in graphs:
+            self.check_report(g)
             k = compute_k0(g)
             delta, order_unit, project, lift = dense_k0(g)
             assert k.delta == delta
@@ -535,6 +582,47 @@ class TestSparsePresentation:
             torsion += bool(moduli)
             emitters += not k.row_finite_orthant
         assert torsion >= 10 and emitters >= 10, (torsion, emitters)
+
+    def test_report_extremes(self):
+        # classes past 2^53 in the free part and in the torsion part, a
+        # modulus past 2^53, a group of sinks only and the zero group
+        names = [f"c{i}" for i in range(300)] + ["sink"]
+        chain = Graph(names, {(a, b): 3 for a, b in zip(names, names[1:])})
+        payload = self.check_report(chain)
+        assert payload["delta"]["c0"] == {"torsion": [], "free": [str(3**300)]}
+        big = Graph(["v", "w"], {("v", "v"): 2**60 + 1, ("w", "v"): 2**55})
+        payload = self.check_report(big)
+        assert payload["torsion"] == [str(2**60)]
+        assert payload["delta"]["w"] == {"torsion": [str(2**55)], "free": []}
+        assert payload["order_unit"] == {"torsion": [str(2**55 + 1)], "free": []}
+        sinks = Graph(["a", "b", "c"], {})
+        payload = self.check_report(sinks)
+        assert payload["delta"]["b"] == {"torsion": [], "free": [0, 1, 0]}
+        assert payload["order_unit"] == {"torsion": [], "free": [1, 1, 1]}
+        payload = self.check_report(Graph(["v"], {("v", "v"): 2}))
+        assert payload["delta"]["v"] == payload["order_unit"] == {"torsion": [], "free": []}
+
+    def test_report_builds_only_the_order_unit(self, monkeypatch):
+        # counts, not timings: compute_k0 and the k0 report build one dense
+        # Element, the order unit; delta builds one per vertex on its first
+        # read and none after
+        built = []
+        true_element = CokerPresentation._element
+
+        def element_spy(self, col):
+            built.append(col)
+            return true_element(self, col)
+
+        monkeypatch.setattr(CokerPresentation, "_element", element_spy)
+        g = baseline_draw(random.Random(2602), 150, 3)
+        k = compute_k0(g)
+        k0_to_json(k)
+        assert len(built) == 1
+        delta = k.delta
+        assert len(built) == 1 + len(g.vertices)
+        assert k.delta is delta
+        assert len(built) == 1 + len(g.vertices)
+        assert list(k.delta) == list(g.vertices)
 
     def test_sparse_storage(self):
         # no stored zero, torsion entries reduced, and about a fifth of the
