@@ -591,24 +591,12 @@ def _check_rays(g: Graph, cone: TracePolytope, coefficients, zero, rays) -> None
 def _completeness(g: Graph, cone: TracePolytope, rows, coefficients, zero):
     """The system "a trace is at least 1 on Z plus the slacks of the
     emitters that are not boundary elements" and a Farkas certificate of its
-    infeasibility, built from walks, as the last three arguments of
-    ``verify_farkas``; None when that sum is zero.
-
-    A multiplier -c on the row of a regular vertex u (+c on an emitter's)
-    adds -c at u and c*m at each finite target, so a walk over a set of
-    rows passes c from each vertex to its successors.  Around a cycle the
-    walk adds nothing on the cycle and is at least 1 at a *root*: an exit
-    target of a unit cycle, or a second inner target of a vertex with inner
-    weight 2 or more; an infinite target is a root through its own row.  A
-    tree of finite edges from the roots then carries to each vertex of Z
-    its demand (1, plus 1 for an emitter whose slack is in the sum) and the
-    demand below it, and an emitter on a unit cycle outside Z gets its slack
-    from the walk over the other vertices of the cycle.  Unused rows get 0,
-    and the added row -1."""
+    infeasibility from ``_walks``, as the last three arguments of
+    ``verify_farkas``; None when that sum is zero.  A vertex of Z demands 1,
+    2 for an emitter whose slack is in the sum, and the added row gets -1."""
     s = structure(g)
     n = len(s.out)
-    kinds, out, comp = s.kinds, s.out, s.comp
-    emitters = [v for v in range(n) if kinds[v] is VertexClass.INFINITE_EMITTER]
+    emitters = [v for v in range(n) if s.kinds[v] is VertexClass.INFINITE_EMITTER]
     boundary = set(coefficients)
     zset = set(zero)
     positive = [int(j in zset) for j in range(n)]
@@ -620,18 +608,48 @@ def _completeness(g: Graph, cone: TracePolytope, rows, coefficients, zero):
                 positive[j] -= c
     if not any(positive):
         return None
+    lam = _walks(g, cone, zero, [(j in zset) * (1 + (j in slack)) for j in range(n)], slack)
+    return [*rows, constraint(positive, GE, 1)], [True] * n, FarkasCertificate((*lam, -1))
 
+
+def _walks(g: Graph, cone: TracePolytope, zero, demand, slack=()) -> list[int]:
+    """Integral multipliers on the rows of ``cone`` whose combination is at
+    least ``demand[v]`` at each vertex v, built from walks; ``zero`` is Z.
+
+    A multiplier -c on the row of a regular vertex u (+c on an emitter's)
+    adds -c at u and c*m at each finite target, so a walk over a set of
+    rows passes c from each vertex to its successors.  A vertex outside Z
+    with a demand d must be a regular vertex on no cycle: taken upstream
+    first, it gets +d on its own row, which adds d*m to each target's
+    demand.  Around a cycle the walk adds nothing on the cycle and is at
+    least 1 at a *root*: an exit target of a unit cycle, or a second inner
+    target of a vertex with inner weight 2 or more; an infinite target is a
+    root through its own row.  A tree of finite edges from the roots then
+    carries to each vertex of Z its demand and the demand below it, and an
+    emitter of ``slack`` on a unit cycle outside Z gets 1 from the walk over
+    the other vertices of the cycle, taken from the next one."""
+    s = structure(g)
+    n = len(s.out)
+    kinds, out, comp = s.kinds, s.out, s.comp
+    zset = set(zero)
     regular = [v for v in range(n) if kinds[v] is VertexClass.REGULAR]
     row_of = {v: i for i, v in enumerate(regular)}
+    emitters = (v for v in range(n) if kinds[v] is VertexClass.INFINITE_EMITTER)
     row_of.update((v, len(cone.equalities) + i) for i, v in enumerate(emitters))
     forced = sorted(g.index(w) for w in cone.forced_zero)
     pinned = {w: len(regular) + i for i, w in enumerate(forced)}
-    lam = [0] * (len(rows) + 1)
-    lam[-1] = -1
+    lam = [0] * (len(cone.equalities) + len(cone.inequalities))
 
     def walk(vertices, c):
         for u in vertices:
             lam[row_of[u]] += c if kinds[u] is VertexClass.INFINITE_EMITTER else -c
+
+    need = list(demand)
+    for u in sorted(set(range(n)) - zset, key=comp.__getitem__, reverse=True):
+        if need[u]:
+            walk((u,), -need[u])
+            for w, m in out[u]:
+                need[w] += need[u] * m
 
     cyclic, unit = _cycle_components(s)
     members: dict[int, list[int]] = {c: [] for c in cyclic}
@@ -656,20 +674,19 @@ def _completeness(g: Graph, cone: TracePolytope, rows, coefficients, zero):
             if m is not INF and w in zset and w not in parent:
                 parent[w] = u
                 order.append(w)
-    amount = {u: 1 + (u in slack) for u in order}
     for u in reversed(order):
         p = parent[u]
         if p is not None:
-            amount[p] += amount[u]
-            walk((p,), amount[u])
+            need[p] += need[u]
+            walk((p,), need[u])
         elif roots[u] is None:
-            lam[pinned[u]] += amount[u]
+            lam[pinned[u]] += need[u]
         else:
-            walk(roots[u], amount[u])
+            walk(roots[u], need[u])
     for e in slack:
         if e not in zset and comp[e] in unit:
             walk([v for v in members[comp[e]] if v != e], 1)
-    return [*rows, constraint(positive, GE, 1)], [True] * n, FarkasCertificate(tuple(lam))
+    return lam
 
 
 def _cycle_root(s, members) -> tuple[int, list[int]]:

@@ -8,7 +8,9 @@ off the graph's edges; here they gain the norm row, and a point given by a
 caller is checked by ``lp.check_point`` in one pass over those rows' nonzero
 entries.  Norm-one traces form a rational polytope whose vertices are
 the extreme rays of the trace cone, ``ktheory.trace_rays``, each divided by
-its norm; those rays are certified where they are found.  A
+its norm; those rays are certified where they are found.  When there is
+none, ``no_trace`` proves it with a Farkas certificate built from the same
+walks along the edges, so no LP is solved here.  A
 norm-one trace is the same data as a state on the K0 presentation (a
 positive normalized functional), and both directions of that dictionary are
 implemented with full re-verification.
@@ -21,9 +23,10 @@ from fractions import Fraction
 from math import lcm
 
 from .graphs import Graph, INF, satisfies_condition_k
-from .ktheory import K0Presentation, TracePolytope, _cone_rays, nonnegative_on_cone, trace_cone
+from .ktheory import K0Presentation, TracePolytope, _component_rays, _cone_rays, _walks
+from .ktheory import nonnegative_on_cone, trace_cone
 from .linalg import CertificateError, Element
-from .lp import FarkasCertificate, Infeasible, check_point, solve_lp
+from .lp import FarkasCertificate, check_point, verify_farkas
 
 _ZERO = Fraction(0)
 
@@ -76,13 +79,21 @@ def find_graph_trace(g: Graph) -> GraphTrace | NoTrace:
 
 
 def no_trace(g: Graph) -> NoTrace:
-    """The Farkas certificate that ``g`` has no norm-one graph trace, for a
-    graph whose ``extreme_traces`` came back empty."""
+    """The Farkas certificate that ``g`` has no norm-one graph trace, or
+    ``CertificateError`` when it has one.  With no ray every vertex outside
+    Z is regular on no cycle, so ``ktheory._walks`` meets a demand of 1 at
+    every vertex, and -1 on the norm row makes that 0 >= 1."""
     poly = trace_constraints(g)
-    res = solve_lp(len(poly.variables), poly.constraints())  # re-checks its Farkas certificate itself
-    if not isinstance(res, Infeasible):
-        raise CertificateError("a norm-one graph trace exists but no extreme trace was found")
-    return NoTrace(certificate=res.certificate)
+    coefficients, zero, _ = _component_rays(g, poly)
+    if coefficients:
+        raise CertificateError("a norm-one graph trace exists")
+    n = len(poly.variables)
+    lam = _walks(g, poly, zero, [1] * n)
+    lam[len(poly.equalities) - 1] = -1  # the norm row, the last equality
+    certificate = FarkasCertificate(tuple(map(Fraction, lam)))
+    if not verify_farkas(n, poly.constraints(), [True] * n, certificate):
+        raise CertificateError("the walk certificate does not rule out a norm-one trace")
+    return NoTrace(certificate=certificate)
 
 
 def extreme_traces(g: Graph) -> list[GraphTrace]:

@@ -207,7 +207,7 @@ class TestReports:
         }
 
     def test_traces_extremes_json(self, corpus, capsys, monkeypatch):
-        # with extreme traces at hand the no-trace LP is not needed
+        # with extreme traces at hand the no-trace certificate is not needed
         def refuse(g):
             raise AssertionError("no_trace called")
 
@@ -237,7 +237,7 @@ class TestReports:
 
     def test_traces_builds_the_trace_cone_once(self, corpus, capsys, monkeypatch):
         # the rays and the check of the extreme traces share one cone; only
-        # the NoTrace LP of a graph without traces builds its own
+        # the walk certificate of a graph without traces builds its own
         builds = []
         true_cone = graphk0.ktheory.trace_cone
 

@@ -263,3 +263,16 @@ def test_ktheory_solves_lps_only_for_relations():
 
     visit(ast.parse(path.read_text(), filename=str(path)), None)
     assert callers == {"_relation"}, callers
+
+
+def test_traces_solves_no_lp():
+    # the NoTrace certificate is built from walks, so the trace module runs
+    # no simplex at all
+    path = Path(graphk0.__file__).parent / "traces.py"
+    calls = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and "solve_lp" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert not calls, calls

@@ -21,6 +21,7 @@ from graphk0.traces import (
     StateOnK0,
     extreme_traces,
     find_graph_trace,
+    no_trace,
     state_to_trace,
     trace_constraints,
     trace_to_state,
@@ -427,6 +428,83 @@ class TestCompletenessCertificate:
         assert isinstance(solve_lp(3, system), Feasible)
         with pytest.raises(CertificateError, match="positive where every ray vanishes"):
             kt._check_rays(g, cone, coefficients, [1, 2], rays)
+
+
+def dense_farkas_holds(g, multipliers):
+    """``bench/oracle.py::check_farkas``'s rules on the dense rows of
+    ``reference_trace_constraints``: one multiplier per row, nonnegative on
+    the <= rows, a combination nonnegative on every vertex and a negative
+    right-hand side."""
+    names, equalities, inequalities, _ = reference_trace_constraints(g)
+    rows = [*equalities, *inequalities]
+    if len(multipliers) != len(rows) or any(y < 0 for y in multipliers[len(equalities) :]):
+        return False
+    for j in range(len(names)):
+        if sum(y * row[j] for y, (row, _) in zip(multipliers, rows)) < 0:
+            return False
+    return sum(y * rhs for y, (_, rhs) in zip(multipliers, rows)) < 0
+
+
+class TestNoTraceCertificate:
+    # no_trace builds its Farkas certificate from walks: the rows of the
+    # regular vertices upstream of Z, the walks over Z and -1 on the norm
+    # row; the LP it replaced must find the same system infeasible
+    HAND_CASES = {
+        # u and v are regular rows upstream of Z = {x}
+        "chain-into-two-loop": Graph(
+            ["u", "v", "x"], {("u", "v"): 1, ("v", "x"): 1, ("x", "x"): 2}
+        ),
+        # {e, w} is one component through e -> w inf, below the regular u
+        "emitter-with-infinite-edge": Graph(
+            ["u", "e", "w", "x"],
+            {("u", "e"): 1, ("e", "w"): INF, ("e", "x"): 2, ("w", "e"): 1, ("x", "x"): 2},
+        ),
+        "two-loop": two_loop(),
+    }
+
+    def check(self, g):
+        certificate = no_trace(g).certificate
+        poly = trace_constraints(g)
+        n = len(poly.variables)
+        assert verify_farkas(n, poly.constraints(), [True] * n, certificate)
+        assert dense_farkas_holds(g, certificate.multipliers)
+        assert isinstance(solve_lp(n, poly.constraints()), Infeasible)
+        return certificate
+
+    @pytest.mark.parametrize("name", sorted(HAND_CASES))
+    def test_hand_cases(self, name):
+        certificate = self.check(self.HAND_CASES[name])
+        assert all(y.denominator == 1 for y in certificate.multipliers)
+
+    def test_chain_multipliers(self):
+        # u nets 1 on its own row, v pays u's debt as well, and the walk
+        # round x's loop covers 1 + 2
+        certificate = self.check(self.HAND_CASES["chain-into-two-loop"])
+        assert certificate.multipliers == (1, 2, -3, -1)
+
+    def test_against_lp_on_random_graphs(self):
+        rng = random.Random(31)
+        proved = upstream = emitters = 0
+        for i in range(2400):
+            g = shared_random_graph(
+                rng, (5, 7, 9)[i % 3], max_mult=1 + i % 3, inf_prob=(0.1, 0.2, 0.3)[i % 3]
+            )
+            if trace_rays(g):
+                continue
+            self.check(g)
+            proved += 1
+            _, zero, _ = kt._component_rays(g, kt.trace_cone(g))
+            upstream += len(zero) < len(g.vertices)
+            emitters += any(k is VertexClass.INFINITE_EMITTER for k in structure(g).kinds)
+        assert proved >= 1000 and upstream >= 150 and emitters >= 800
+
+    def test_refuses_a_graph_with_traces(self, monkeypatch):
+        calls = []
+        for module in (graphk0.traces, kt):
+            monkeypatch.setattr(module, "solve_lp", lambda *args: calls.append(args), raising=False)
+        with pytest.raises(CertificateError, match="a norm-one graph trace exists"):
+            no_trace(m2())
+        assert not calls
 
 
 class TestStates:
