@@ -58,6 +58,7 @@ through the membership machinery.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -69,7 +70,7 @@ from .graphs import (
     Graph,
     INF,
     VertexClass,
-    block_decomposition,
+    classify_vertex,
     desingularize_with_tails,
     emitter_edge_listing,
     structure,
@@ -79,9 +80,9 @@ from .linalg import (
     CertificateError,
     CokerPresentation,
     Element,
-    Matrix,
     SmithForm,
     _axpy,
+    _reduce_torsion,
     cokernel,
     determinant,
     mat_mul,
@@ -161,14 +162,13 @@ class K0Presentation:
         elements = self.coker.basis_classes()
         return {v: elements[self._ambient_index[v]] for v in self.graph.vertices}
 
-    @cached_property
-    def relation_matrix(self) -> Matrix:
-        """``relation_matrix`` of the graph, over ``ambient_order``; built on
-        first use, since ``compute_k0`` reduces it before the cokernel."""
-        return relation_matrix(self.graph)[0]
-
     def group_invariants(self) -> tuple[int, tuple[int, ...]]:
         return self.coker.group_invariants()
+
+    @cached_property
+    def _caps(self) -> dict[str, dict[str, int | None]]:
+        """Each family's capacity per target, by emitter."""
+        return {fam.emitter: dict(fam.targets) for fam in self.cone.families}
 
     @cached_property
     def _trace_rows(self) -> list[Constraint]:
@@ -198,30 +198,16 @@ class K0Presentation:
         raise CertificateError("no relation negates the units of any case")
 
 
-def relation_matrix(g: Graph) -> tuple[Matrix, tuple[str, ...]]:
-    """The (regular+singular) x regular matrix whose column for a regular
-    vertex v encodes the relation [v] = sum_w A(v, w) [w]; rows are indexed
-    by all vertices, regular ones first."""
-    bd = block_decomposition(g)
-    order = bd.regular + bd.singular
-    pos = {v: i for i, v in enumerate(order)}
-    mat = [[0] * len(bd.regular) for _ in order]
-    for col, v in enumerate(bd.regular):
-        # a regular vertex has only finite multiplicities
-        for w, a in g.out_edges(v):
-            mat[pos[w]][col] = a
-        mat[pos[v]][col] -= 1
-    return mat, order
-
-
 def compute_k0(g: Graph) -> K0Presentation:
     """Ordered K0 presentation of an arbitrary finitely presented graph.
 
-    The cokernel of ``relation_matrix(g)`` is taken on a smaller matrix.  A
-    regular vertex on no cycle has the pivot -1 in its own column, and its
-    relation [v] = sum_w A(v, w) [w] only defines [v] (the K0 shadow of
-    collapsing regular vertices: Bates-Pask, Ergodic Theory Dynam. Systems
-    24, 2004).  So those vertices are eliminated, downstream first (Tarjan
+    The group is the cokernel of the relation matrix: one row per vertex,
+    regular ones first (the ambient order), and one column per regular
+    vertex v, A(v, .) - e_v, the relation [v] = sum_w A(v, w) [w].  That
+    cokernel is taken on a smaller matrix.  A regular vertex on no cycle
+    has the pivot -1 in its own column, and its relation only defines [v]
+    (the K0 shadow of collapsing regular vertices: Bates-Pask, Ergodic
+    Theory Dynam. Systems 24, 2004).  So those vertices are eliminated, downstream first (Tarjan
     numbers a component after every component it reaches).  The others,
     the kept vertices (on a cycle, or singular), are taken in declaration
     order; an eliminated v expands to E_v = sum_w A(v, w) E_w over them,
@@ -333,23 +319,38 @@ class UnknownMembership:
 MembershipVerdict = Member | NotMember | UnknownMembership
 
 
-def evaluate_witness(k: K0Presentation, witness: MembershipWitness) -> Element:
-    total = k.coker.zero()
-    for v, c in witness.base_counts:
-        total = k.coker.add(total, k.coker.scale(c, k.delta[v]))
+def _combination(rows, terms, moduli: tuple[int, ...]) -> dict[int, int]:
+    """sum c * rows[i] over the ``(i, c)`` in ``terms``, the rows and the
+    result sparse coordinates, the result's torsion reduced mod ``moduli``."""
+    acc: dict[int, int] = {}
+    for i, c in terms:
+        if c:
+            _axpy(acc, rows[i], c)
+    return _reduce_torsion(acc, moduli)
+
+
+def _class_of(k: K0Presentation, terms) -> dict[int, int]:
+    """The class of sum c [v] over the ``(v, c)`` in ``terms``, sparse."""
+    indexed = ((k.ambient_index(v), c) for v, c in terms)
+    return _combination(k.coker.classes, indexed, k.coker.torsion_moduli)
+
+
+def _witness_terms(witness: MembershipWitness) -> list[tuple[str, int]]:
+    """The ``(vertex, count)`` terms of the element a witness writes."""
+    terms = [*witness.base_counts]
     for use in witness.family_uses:
-        total = k.coker.add(total, k.coker.scale(use.count, k.delta[use.emitter]))
-        for w, c in use.target_counts:
-            total = k.coker.subtract(total, k.coker.scale(c, k.delta[w]))
-    return total
+        terms += [(use.emitter, use.count), *((w, -c) for w, c in use.target_counts)]
+    return terms
+
+
+def evaluate_witness(k: K0Presentation, witness: MembershipWitness) -> Element:
+    return k.coker._element(_class_of(k, _witness_terms(witness)))
 
 
 def witness_is_valid(k: K0Presentation, witness: MembershipWitness) -> bool:
     if any(c < 0 for _, c in witness.base_counts):
         return False
-    caps = {
-        fam.emitter: dict(fam.targets) for fam in k.cone.families
-    }
+    caps = k._caps
     for use in witness.family_uses:
         if use.emitter not in caps or use.count < 0:
             return False
@@ -1437,123 +1438,98 @@ class ConsistencyReport:
 
 def verify_desingularization_consistency(g: Graph, depth: int) -> ConsistencyReport:
     """Cross-check the direct presentation against the row-finite presentation
-    of the tail extension at finite depth.
+    of the tail extension at finite depth (Drinen-Tomforde, Rocky Mountain
+    J. Math. 35, 2005).
 
-    Tail vertices are identified with "emitter class minus a listing prefix";
-    under that identification the groups, the vertex classes, and the cone
-    elements supported on listing prefixes must all agree.
+    A vertex u of the extension maps to image(u), a sparse vector of g with
+    at most depth + 1 entries: e_u for a vertex of g, and e_b minus the
+    first j listed targets of b for the j-th tail vertex of b.  Classes are
+    summed from sparse classes and section rows; nothing n-wide is built.
+    ``generator_correspondence_ok`` asks that every relation of the
+    extension, read off its edges, map to 0 in K0(g), so that image induces
+    a homomorphism f, and that f, read through the extension's section,
+    send the class of each vertex of g to its class in K0(g).  Given the
+    first, the second shows that the lift is a section, and it makes f
+    onto, since the vertex classes generate K0(g).  With ``groups_match``
+    (equal invariants) f is then an isomorphism: finitely generated abelian
+    groups are Hopfian.  ``cone_prefix_ok`` asks that (a) each tail's image
+    be a cone element of g by a family witness, and f send the tail's class
+    to it, and (b) each family element supported on the first ``depth``
+    listed targets be a cone element of the extension, by the witness that
+    unwinds the tail relations.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     k1 = compute_k0(g)
     extended, tails = desingularize_with_tails(g, depth, sinks=True, infinite_emitters=True)
     k2 = compute_k0_row_finite(extended)
-
+    c1, c2 = k1.coker, k2.coker
     groups_match = k1.group_invariants() == k2.group_invariants()
-
     listings = {f.emitter: emitter_edge_listing(g, f.emitter, depth) for f in k1.cone.families}
 
-    m1 = len(k1.ambient_order)
+    image: dict[str, dict[int, int]] = {}
+    for u in extended.vertices:
+        base, j = tails.get(u, (u, 0))
+        vec = Counter({k1.ambient_index(base): 1})
+        vec.subtract(k1.ambient_index(w) for w in listings.get(base, [])[:j])
+        image[u] = {i: c for i, c in vec.items() if c}
 
-    def image_vector(u: str) -> list[int]:
-        """Image in the original ambient lattice of an extended-graph vertex."""
-        vec = [0] * m1
-        if u in tails:
-            base, j = tails[u]
-            vec[k1.ambient_index(base)] += 1
-            for target in listings.get(base, [])[:j]:
-                vec[k1.ambient_index(target)] -= 1
-        else:
-            vec[k1.ambient_index(u)] += 1
-        return vec
+    def class1(terms) -> dict[int, int]:
+        return _combination(c1.classes, terms, c1.torsion_moduli)
 
     # well-definedness: every relation of the extended graph maps to zero
     well_defined = True
-    mat2 = k2.relation_matrix
-    cols2 = len(mat2[0]) if mat2 else 0
-    for col in range(cols2):
-        acc = [0] * m1
-        for row, u in enumerate(k2.ambient_order):
-            c = mat2[row][col]
-            if c:
-                vec = image_vector(u)
-                acc = [a + c * b for a, b in zip(acc, vec)]
-        if not k1.coker.project(acc).is_zero():
-            well_defined = False
-            break
+    for u in extended.vertices:
+        if classify_vertex(extended, u) is VertexClass.REGULAR:
+            relation = dict(image[u])
+            for w, m in extended.out_edges(u):
+                _axpy(relation, image[w], -m)
+            if class1(relation.items()):
+                well_defined = False
+                break
 
-    def induced(e: Element) -> Element:
-        lift = [0] * m1
-        amb2 = k2.coker.lift(e)
-        for coeff, u in zip(amb2, k2.ambient_order):
-            if coeff:
-                vec = image_vector(u)
-                lift = [a + coeff * b for a, b in zip(lift, vec)]
-        return k1.coker.project(lift)
+    # f on the extension's coordinates: the class of each section row's image
+    section_images = [
+        class1((i, x * y) for j, x in row.items() for i, y in image[k2.ambient_order[j]].items())
+        for row in c2.section
+    ]
+
+    def induced(u: str) -> dict[int, int]:
+        """f of the class of the extension's vertex u."""
+        terms = c2.classes[k2.ambient_index(u)].items()
+        return _combination(section_images, terms, c1.torsion_moduli)
 
     generator_correspondence_ok = well_defined and all(
-        induced(k2.delta[v]) == k1.delta[v] for v in g.vertices
+        induced(v) == c1.classes[k1.ambient_index(v)] for v in g.vertices
     )
 
     cone_prefix_ok = True
     # (a) every tail class is a member of the direct cone
     for tail, (base, j) in tails.items():
+        witness = MembershipWitness(base_counts=((base, 1),), family_uses=())
         if base in listings:
-            prefix = listings[base][:j]
-            counts: dict[str, int] = {}
-            for w in prefix:
-                counts[w] = counts.get(w, 0) + 1
-            witness = MembershipWitness(
-                base_counts=(),
-                family_uses=(
-                    FamilyUse(
-                        emitter=base, count=1, target_counts=tuple(sorted(counts.items()))
-                    ),
-                ),
-            )
-            target = k1.delta[base]
-            for w, c in counts.items():
-                target = k1.coker.subtract(target, k1.coker.scale(c, k1.delta[w]))
-        else:
-            witness = MembershipWitness(base_counts=((base, 1),), family_uses=())
-            target = k1.delta[base]
-        if not witness_is_valid(k1, witness) or evaluate_witness(k1, witness) != target:
+            counts = tuple(sorted(Counter(listings[base][:j]).items()))
+            witness = MembershipWitness(base_counts=(), family_uses=(FamilyUse(base, 1, counts),))
+        target = class1(image[tail].items())
+        if not witness_is_valid(k1, witness) or _class_of(k1, _witness_terms(witness)) != target:
             cone_prefix_ok = False
-        if generator_correspondence_ok and induced(k2.delta[tail]) != target:
+        if generator_correspondence_ok and induced(tail) != target:
             cone_prefix_ok = False
     # (b) every family element supported on the listing prefix is a member of
     # the extended cone: unwind the tail relations into an explicit witness
+    last_tails = {b: t for t, (b, j) in tails.items() if j == depth}
     for base, listing in listings.items():
-        prefix = listing[:depth]
-        distinct: dict[str, int] = {}
-        for w in prefix:
-            distinct[w] = distinct.get(w, 0) + 1
+        distinct = Counter(listing[:depth])
         names = sorted(distinct)
-        last_tail = next(
-            t for t, (b, j) in tails.items() if b == base and j == depth
-        )
         for counts in product(*(range(distinct[w] + 1) for w in names)):
             if not any(counts):
                 continue
-            chosen = dict(zip(names, counts))
             # the element [base] - sum of chosen targets, in the extended group
-            vec = [0] * len(k2.ambient_order)
-            vec[k2.ambient_index(base)] += 1
-            for w, c in chosen.items():
-                vec[k2.ambient_index(w)] -= c
-            element = k2.coker.project(vec)
-            leftover: dict[str, int] = {last_tail: 1}
-            for w, total in distinct.items():
-                leftover[w] = leftover.get(w, 0) + total - chosen[w]
-            witness = MembershipWitness(
-                base_counts=tuple(sorted((w, c) for w, c in leftover.items() if c)),
-                family_uses=(),
-            )
-            if not witness_is_valid(k2, witness) or evaluate_witness(k2, witness) != element:
+            chosen = list(zip(names, counts))
+            element = _class_of(k2, [(base, 1), *((w, -c) for w, c in chosen)])
+            leftover = [(last_tails[base], 1), *((w, distinct[w] - c) for w, c in chosen)]
+            witness = MembershipWitness(tuple(sorted((w, c) for w, c in leftover if c)), ())
+            if not witness_is_valid(k2, witness) or _class_of(k2, leftover) != element:
                 cone_prefix_ok = False
 
-    return ConsistencyReport(
-        groups_match=groups_match,
-        generator_correspondence_ok=generator_correspondence_ok,
-        cone_prefix_ok=cone_prefix_ok,
-    )
+    return ConsistencyReport(groups_match, generator_correspondence_ok, cone_prefix_ok)

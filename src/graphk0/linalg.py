@@ -116,6 +116,17 @@ def _axpy(dst: dict[int, int], src: dict[int, int], q: int) -> None:
             del dst[k]
 
 
+def _reduce_torsion(col: dict[int, int], moduli: tuple[int, ...]) -> dict[int, int]:
+    """``col``, sparse coordinates, with each torsion entry reduced in place
+    into ``[0, d)`` for its modulus d, and dropped when that is 0."""
+    for q, d in enumerate(moduli):
+        if col.get(q, 0) % d:
+            col[q] %= d
+        else:
+            col.pop(q, None)
+    return col
+
+
 def smith_normal_form(a: Matrix) -> SmithForm:
     """Smith normal form with transforms.
 
@@ -317,11 +328,7 @@ class CokerPresentation:
         self.classes = classes
         self.section = section
         for col in classes:
-            for q, d in enumerate(torsion_moduli):
-                if col.get(q, 0) % d:
-                    col[q] %= d
-                else:
-                    col.pop(q, None)
+            _reduce_torsion(col, torsion_moduli)
 
     def group_invariants(self) -> tuple[int, tuple[int, ...]]:
         return self.free_rank, self.torsion_moduli

@@ -12,12 +12,13 @@ import pytest
 import graphk0.ktheory
 import graphk0.linalg
 
-from graphk0.graphs import INF, Graph, VertexClass, predicates, structure
+from graphk0.graphs import INF, Graph, VertexClass, emitter_edge_listing, predicates, structure
 from graphk0.ktheory import (
     CertificateError,
     ConsistencyReport,
     FamilyUse,
     IsomorphicCandidate,
+    K0Presentation,
     Member,
     MembershipWitness,
     NotIsomorphic,
@@ -33,7 +34,6 @@ from graphk0.ktheory import (
     evaluate_witness,
     functional_certifies,
     order_properties,
-    relation_matrix,
     verify_desingularization_consistency,
     witness_is_valid,
 )
@@ -41,7 +41,7 @@ from graphk0.intfeas import IntInfeasible, IntUnknown, IntWitness, integer_feasi
 from graphk0.linalg import CokerPresentation, Element, determinant, mat_vec
 from graphk0.lp import EQ, GE, Feasible, constraint, solve_lp
 from graphk0.reports import SCHEMA_VERSION, emit_json, k0_to_json
-from test_linalg import dense_cokernel
+from test_linalg import dense_cokernel, relation_matrix
 
 
 def loops(n):
@@ -198,7 +198,7 @@ class TestComputeK0:
         for _ in range(30):
             g = random_graph(rng, 5, inf_prob=0.2)
             k = compute_k0(g)
-            mat = k.relation_matrix
+            mat, _ = relation_matrix(g)
             for col in range(len(mat[0]) if mat else 0):
                 column = [mat[row][col] for row in range(len(mat))]
                 assert k.coker.project(column).is_zero()
@@ -317,7 +317,6 @@ class TestReducedCokernel:
         k = compute_k0(g)
         mat, order = relation_matrix(g)
         assert order == k.ambient_order
-        assert mat == k.relation_matrix
         full = dense_cokernel(mat)
         assert k.group_invariants() == full.group_invariants()
         for col in zip(*mat):
@@ -425,7 +424,7 @@ class TestReducedCokernel:
         for g in graphs:
             shapes.clear()
             residuals.clear()
-            k = compute_k0(g)
+            compute_k0(g)
             _, kept = eliminated_and_kept(g)
             cycle_regular = [
                 v for v in kept if g.out_edges(v) and all(m is not INF for _, m in g.out_edges(v))
@@ -435,7 +434,6 @@ class TestReducedCokernel:
             (residual,) = residuals
             assert sum(x in (1, -1) for row in residual for x in row) == 0
             assert sum(not any(row) for row in residual) == 0
-            assert "relation_matrix" not in vars(k)
 
 
 def dense_k0(g):
@@ -1572,3 +1570,297 @@ class TestConsistency:
             e = k1.coker.subtract(e, k1.delta[target])
         verdict = cone_membership(k1, e)
         assert isinstance(verdict, Member)
+
+
+def dense_evaluate_witness(k, witness):
+    """``evaluate_witness`` as it chained dense element sums through
+    ``k.delta``, the reference for the sparse sum."""
+    total = k.coker.zero()
+    for v, c in witness.base_counts:
+        total = k.coker.add(total, k.coker.scale(c, k.delta[v]))
+    for use in witness.family_uses:
+        total = k.coker.add(total, k.coker.scale(use.count, k.delta[use.emitter]))
+        for w, c in use.target_counts:
+            total = k.coker.subtract(total, k.coker.scale(c, k.delta[w]))
+    return total
+
+
+def dense_consistency(g, depth):
+    """``verify_desingularization_consistency`` as it was written on dense
+    vectors, the reference for the sparse pass: n-wide image vectors, the
+    dense relation matrix of the extension read column by column, n-wide
+    lifts and projections, the dense classes ``delta``, and a scan of all
+    tails for each emitter's last one.  It reads the extension through
+    ``graphk0.ktheory.desingularize_with_tails`` and presents it through
+    ``graphk0.ktheory.compute_k0_row_finite``, so a patched one reaches
+    both."""
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
+    k1 = compute_k0(g)
+    extended, tails = graphk0.ktheory.desingularize_with_tails(
+        g, depth, sinks=True, infinite_emitters=True
+    )
+    k2 = graphk0.ktheory.compute_k0_row_finite(extended)
+
+    groups_match = k1.group_invariants() == k2.group_invariants()
+
+    listings = {f.emitter: emitter_edge_listing(g, f.emitter, depth) for f in k1.cone.families}
+
+    m1 = len(k1.ambient_order)
+
+    def image_vector(u):
+        vec = [0] * m1
+        if u in tails:
+            base, j = tails[u]
+            vec[k1.ambient_index(base)] += 1
+            for target in listings.get(base, [])[:j]:
+                vec[k1.ambient_index(target)] -= 1
+        else:
+            vec[k1.ambient_index(u)] += 1
+        return vec
+
+    well_defined = True
+    mat2, _ = relation_matrix(k2.graph)
+    cols2 = len(mat2[0]) if mat2 else 0
+    for col in range(cols2):
+        acc = [0] * m1
+        for row, u in enumerate(k2.ambient_order):
+            c = mat2[row][col]
+            if c:
+                vec = image_vector(u)
+                acc = [a + c * b for a, b in zip(acc, vec)]
+        if not k1.coker.project(acc).is_zero():
+            well_defined = False
+            break
+
+    def induced(e):
+        lift = [0] * m1
+        amb2 = k2.coker.lift(e)
+        for coeff, u in zip(amb2, k2.ambient_order):
+            if coeff:
+                vec = image_vector(u)
+                lift = [a + coeff * b for a, b in zip(lift, vec)]
+        return k1.coker.project(lift)
+
+    generator_correspondence_ok = well_defined and all(
+        induced(k2.delta[v]) == k1.delta[v] for v in g.vertices
+    )
+
+    cone_prefix_ok = True
+    for tail, (base, j) in tails.items():
+        if base in listings:
+            prefix = listings[base][:j]
+            counts = {}
+            for w in prefix:
+                counts[w] = counts.get(w, 0) + 1
+            witness = MembershipWitness(
+                base_counts=(),
+                family_uses=(
+                    FamilyUse(emitter=base, count=1, target_counts=tuple(sorted(counts.items()))),
+                ),
+            )
+            target = k1.delta[base]
+            for w, c in counts.items():
+                target = k1.coker.subtract(target, k1.coker.scale(c, k1.delta[w]))
+        else:
+            witness = MembershipWitness(base_counts=((base, 1),), family_uses=())
+            target = k1.delta[base]
+        if not witness_is_valid(k1, witness) or dense_evaluate_witness(k1, witness) != target:
+            cone_prefix_ok = False
+        if generator_correspondence_ok and induced(k2.delta[tail]) != target:
+            cone_prefix_ok = False
+    for base, listing in listings.items():
+        prefix = listing[:depth]
+        distinct = {}
+        for w in prefix:
+            distinct[w] = distinct.get(w, 0) + 1
+        names = sorted(distinct)
+        last_tail = next(t for t, (b, j) in tails.items() if b == base and j == depth)
+        for counts in product(*(range(distinct[w] + 1) for w in names)):
+            if not any(counts):
+                continue
+            chosen = dict(zip(names, counts))
+            vec = [0] * len(k2.ambient_order)
+            vec[k2.ambient_index(base)] += 1
+            for w, c in chosen.items():
+                vec[k2.ambient_index(w)] -= c
+            element = k2.coker.project(vec)
+            leftover = {last_tail: 1}
+            for w, total in distinct.items():
+                leftover[w] = leftover.get(w, 0) + total - chosen[w]
+            witness = MembershipWitness(
+                base_counts=tuple(sorted((w, c) for w, c in leftover.items() if c)),
+                family_uses=(),
+            )
+            if not witness_is_valid(k2, witness) or dense_evaluate_witness(k2, witness) != element:
+                cone_prefix_ok = False
+
+    return ConsistencyReport(groups_match, generator_correspondence_ok, cone_prefix_ok)
+
+
+TRUE_DESINGULARIZE = graphk0.ktheory.desingularize_with_tails
+TRUE_ROW_FINITE = graphk0.ktheory.compute_k0_row_finite
+
+
+def _emitters(g):
+    return [v for v in g.vertices if any(m is INF for _, m in g.out_edges(v))]
+
+
+def _with_edges(extended, change):
+    """``extended`` with its edge table passed through ``change``."""
+    mult = {(s, d): m for s, d, m in extended.edges()}
+    change(mult)
+    return Graph(extended.vertices, {e: m for e, m in mult.items() if m})
+
+
+def raised_tail_edge(g, depth, **selection):
+    """The tail extension with the edge into its first tail vertex doubled."""
+    extended, tails = TRUE_DESINGULARIZE(g, depth, **selection)
+    tail, (base, _) = next(iter(tails.items()))
+    return _with_edges(extended, lambda mult: mult.update({(base, tail): 2})), tails
+
+
+def swapped_tail_positions(g, depth, **selection):
+    """The tail extension with tails 1 and 2 of the first emitter swapped in
+    the tail map."""
+    extended, tails = TRUE_DESINGULARIZE(g, depth, **selection)
+    emitters = _emitters(g)
+    if emitters and depth >= 2:
+        first, second = (t for t, (b, j) in tails.items() if b == emitters[0] and j <= 2)
+        tails[first], tails[second] = tails[second], tails[first]
+    return extended, tails
+
+
+def dropped_listing_edge(g, depth, **selection):
+    """The tail extension without the first listing edge of the first
+    emitter whose first listed target is reached by finitely many edges."""
+    extended, tails = TRUE_DESINGULARIZE(g, depth, **selection)
+    for e in _emitters(g):
+        target = emitter_edge_listing(g, e, 1)[0]
+        if g.multiplicity(e, target) is not INF:
+            return _with_edges(extended, lambda mult: mult.pop((e, target))), tails
+    return extended, tails
+
+
+def doubled_section_row(g):
+    """The row-finite presentation with its last section row doubled, so
+    that its lift is no longer a section."""
+    k = TRUE_ROW_FINITE(g)
+    k.coker.section[-1] = {i: 2 * x for i, x in k.coker.section[-1].items()}
+    return k
+
+
+def consistency_draws(seed, count):
+    """``count`` seeded graphs of at most 5 vertices with an infinite emitter."""
+    rng = random.Random(seed)
+    graphs = []
+    while len(graphs) < count:
+        g = random_graph(rng, 5, inf_prob=0.35)
+        if not predicates(g).row_finite:
+            graphs.append(g)
+    return graphs
+
+
+# each fault (the function it replaces, and its replacement) and the number
+# of the 40 draws of ``consistency_draws(3201, 40)`` whose report it turns
+# from all-True at depth 2.  The first three change the extension of 40, 40
+# and 26 draws (14 have no emitter whose first listed target is finite);
+# the 2 + 1 left unseen move a tail's image by the class of a target that is
+# zero in K0.  Only the generator check sees the last
+FAULTS = {
+    "raised_tail_edge": ("desingularize_with_tails", raised_tail_edge, 40),
+    "swapped_tail_positions": ("desingularize_with_tails", swapped_tail_positions, 38),
+    "dropped_listing_edge": ("desingularize_with_tails", dropped_listing_edge, 25),
+    "doubled_section_row": ("compute_k0_row_finite", doubled_section_row, 40),
+}
+
+
+class TestSparseConsistency:
+    """``verify_desingularization_consistency`` reads sparse image vectors,
+    relations off the extension's edges and sparse classes; its reports must
+    equal the dense function it replaced (``dense_consistency``), also on
+    faulted extensions, which it must catch."""
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_fault_is_caught(self, fault, monkeypatch):
+        name, faulted, expected = FAULTS[fault]
+        monkeypatch.setattr(graphk0.ktheory, name, faulted)
+        reports = [verify_desingularization_consistency(g, 2) for g in consistency_draws(3201, 40)]
+        caught = sum(r != ConsistencyReport(True, True, True) for r in reports)
+        assert caught == expected, caught
+
+    def test_against_dense_reference(self, monkeypatch):
+        rng = random.Random(3202)
+        graphs = consistency_draws(3203, 40)
+        graphs += [random_graph(rng, 5, inf_prob=0.0) for _ in range(5)]
+        graphs += [random_graph(rng, 12, inf_prob=0.15, edge_prob=0.25) for _ in range(10)]
+        for g in graphs:
+            for depth in (1, 2, 3, 4):
+                report = verify_desingularization_consistency(g, depth)
+                assert report == dense_consistency(g, depth), (g.edges(), depth)
+        for name, faulted, _ in FAULTS.values():
+            monkeypatch.undo()
+            monkeypatch.setattr(graphk0.ktheory, name, faulted)
+            for g in consistency_draws(3201, 40):
+                for depth in (2, 3):
+                    report = verify_desingularization_consistency(g, depth)
+                    assert report == dense_consistency(g, depth), (g.edges(), depth)
+
+    def test_no_lift_projection_or_dense_classes(self, monkeypatch):
+        # counts, not timings: each dense read costs O(n) or builds n dense
+        # elements.  compute_k0 projects the all-ones vector once for the
+        # order unit; apart from that the check must not lift, project or
+        # read delta
+        graphs = consistency_draws(3204, 10)
+        graphs.append(Graph(["v", "a", "b"], {("v", "a"): 1, ("v", "b"): INF}))
+        runs = [(g, depth) for g in graphs for depth in (1, 2, 3)]
+        expected = [verify_desingularization_consistency(*run) for run in runs]
+        true_compute, true_project = graphk0.ktheory.compute_k0, CokerPresentation.project
+        building = []
+
+        def compute_spy(g):
+            building.append(g)
+            try:
+                return true_compute(g)
+            finally:
+                building.pop()
+
+        def project_spy(self, x):
+            if not building:
+                raise RuntimeError("project called by the consistency check")
+            return true_project(self, x)
+
+        def refuse(*args):
+            raise RuntimeError("lift or delta read by the consistency check")
+
+        monkeypatch.setattr(graphk0.ktheory, "compute_k0", compute_spy)
+        monkeypatch.setattr(CokerPresentation, "project", project_spy)
+        monkeypatch.setattr(CokerPresentation, "lift", refuse)
+        monkeypatch.setattr(K0Presentation, "delta", property(refuse))
+        assert [verify_desingularization_consistency(*run) for run in runs] == expected
+
+    def test_evaluate_witness_against_dense_chain(self):
+        # the witnesses of membership verdicts, and arbitrary counts, some
+        # negative and some on torsion classes
+        rng = random.Random(3205)
+        checked = 0
+        for _ in range(40):
+            g = random_graph(rng, 6, inf_prob=0.25)
+            k = compute_k0(g)
+            names = g.vertices
+            for _ in range(4):
+                x = k.coker.zero()
+                for v in rng.sample(names, min(2, len(names))):
+                    x = k.coker.add(x, k.coker.scale(rng.randint(-2, 2), k.delta[v]))
+                verdict = cone_membership(k, x, budget=400)
+                witnesses = [verdict.witness] if isinstance(verdict, Member) else []
+                checked += len(witnesses)
+                uses = []
+                for fam in k.cone.families:
+                    targets = tuple((w, rng.randint(0, 3)) for w, _ in fam.targets)
+                    uses.append(FamilyUse(fam.emitter, rng.randint(0, 3), targets))
+                base = tuple((v, rng.randint(-3, 3)) for v in rng.sample(names, len(names)))
+                witnesses.append(MembershipWitness(base, tuple(uses)))
+                for witness in witnesses:
+                    assert evaluate_witness(k, witness) == dense_evaluate_witness(k, witness)
+        assert checked >= 40, checked

@@ -10,8 +10,7 @@ from math import gcd
 import pytest
 
 import graphk0.linalg
-from graphk0.graphs import Graph
-from graphk0.ktheory import relation_matrix
+from graphk0.graphs import Graph, block_decomposition
 from graphk0.linalg import (
     CertificateError,
     Element,
@@ -49,6 +48,24 @@ def dense_cokernel(a):
     rows = len(a)
     columns = [{i: x for i, x in enumerate(col) if x} for col in zip(*a)]
     return cokernel(columns, rows)
+
+
+def relation_matrix(g):
+    """The dense relation matrix of a graph, the reference for the sparse
+    columns that ``compute_k0`` reduces: one row per vertex, regular ones
+    first (the ambient order), and one column per regular vertex v,
+    A(v, .) - e_v, the relation [v] = sum_w A(v, w) [w].  Returns the
+    matrix and the row order."""
+    bd = block_decomposition(g)
+    order = bd.regular + bd.singular
+    pos = {v: i for i, v in enumerate(order)}
+    mat = [[0] * len(bd.regular) for _ in order]
+    for col, v in enumerate(bd.regular):
+        # a regular vertex has only finite multiplicities
+        for w, a in g.out_edges(v):
+            mat[pos[w]][col] = a
+        mat[pos[v]][col] -= 1
+    return mat, order
 
 
 def random_relation_matrix(rng, n):

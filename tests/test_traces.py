@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 from test_graphs import random_graph as shared_random_graph
+from test_linalg import relation_matrix
 
 import graphk0
 import graphk0.ktheory as kt
@@ -685,8 +686,9 @@ def reference_nonnegative_on_cone(k, phi):
     m = len(k.ambient_order)
     if len(phi) != m:
         return False
-    for col in range(len(k.relation_matrix[0]) if k.relation_matrix else 0):
-        if sum((phi[i] * k.relation_matrix[i][col] for i in range(m)), Fraction(0)) != 0:
+    mat, _ = relation_matrix(k.graph)
+    for col in range(len(mat[0]) if mat else 0):
+        if sum((phi[i] * mat[i][col] for i in range(m)), Fraction(0)) != 0:
             return False
     if any(p < 0 for p in phi):
         return False
