@@ -41,8 +41,10 @@ step and its units (the columns on which every ray vanishes), with one
 relation (``_relation``) that negates them all and a Smith normal form of
 their lattice.  The search runs over the rest of the face, which spans a
 pointed cone, modulo that lattice, so it is bounded; ``_decode_witness``
-reads the counts back as a witness.  Pointedness (``order_properties``)
-is read off the same units and relations.
+reads the counts back as a witness.  Without extreme traces the cone is the
+whole group, and the one case kept is the first without rays of its own
+(``K0Presentation._cases``).  Pointedness (``order_properties``) is read off
+the same units and relations.
 
 ``cone_membership`` is the one gate for certificates: it re-checks every new
 witness before caching it and raises ``CertificateError`` if the check
@@ -185,17 +187,20 @@ class K0Presentation:
         used split families in the order of ``_split_cases``.
 
         Without extreme traces the cone is the whole group, and only the
-        first case whose units have a relation is kept: its units are the
+        first case without rays of its own is kept: its units are the
         vertex classes, which generate the group, so it answers every
-        query."""
+        query.  Its relation may use every column and is at least 1 on the
+        units and the used batches.  By Farkas, there is none exactly when
+        some functional is >= 0 on the case's columns and > 0 on one of
+        those, a nonzero trace of the case's graph; such a trace is positive
+        on a nonzero vertex class, a unit.  So the relation exists exactly
+        in the cases without rays, and the case that uses every split family
+        is one: its graph is the graph itself."""
         vertices, families = _generators(self)
         cases = (_Case(self, vertices, families, used) for used in _split_cases(families))
         if self._rays:
             return list(cases)
-        for case in cases:
-            if case.relation is not None:
-                return [case]
-        raise CertificateError("no relation negates the units of any case")
+        return [next(case for case in cases if not case.rays)]
 
 
 def compute_k0(g: Graph) -> K0Presentation:
@@ -844,7 +849,7 @@ class _Case:
     @cached_property
     def rays(self) -> list[tuple[int, ...]]:
         k = self._k
-        if not (k._rays and self._dropped):
+        if not self._dropped:
             return k._rays
         g = k.graph
         sub = Graph(g.vertices, {(v, w): m for v, w, m in g.edges() if v not in self._dropped})
@@ -873,13 +878,13 @@ class _Case:
         return [j for j in range(len(self.columns)) if j not in units]
 
     @cached_property
-    def relation(self) -> list[int] | None:
+    def relation(self) -> list[int]:
         """Counts per column of a relation (``_relation``) that is at least 1
         on every unit; no LP runs without units.  With extreme traces of the
         graph it lies on the units, and since every ray vanishes on each of
-        them there is one, so a failed LP raises ``CertificateError``.
-        Without, every column may enter it, it is at least 1 on the used
-        batches too, and it is None when there is none."""
+        them there is one.  Without, every column may enter it, it is at
+        least 1 on the used batches too, and the case kept has one
+        (``K0Presentation._cases``).  A failed LP raises ``CertificateError``."""
         k = self._k
         entering = self.units if k._rays else range(len(self.columns))
         forced = {*self.units, *self._used}
@@ -888,9 +893,7 @@ class _Case:
             classes = [self.columns[j].element for j in entering]
             point = _relation(k.coker, classes, [int(j in forced) for j in entering])
             if point is None:
-                if k._rays:
-                    raise CertificateError("no relation negates the units of a case")
-                return None
+                raise CertificateError("no relation negates the units of a case")
             for j, r in zip(entering, point):
                 relation[j] = r
         return relation
@@ -1147,10 +1150,8 @@ def order_properties(k: K0Presentation) -> OrderProperties:
     the case that uses the families of both, shift included; every ray of
     that case is >= 0 on each term, so each term is a unit, and a nonzero
     term of x, or [u] for a term -[u], is a g.  Without families there is
-    one case, and the cone is pointed exactly when it has no unit."""
-    # the zero group has no ray, answered without the LP that certifies it
-    if k.group_invariants() == (0, ()):
-        return OrderProperties(ThreeValued.YES, ThreeValued.YES)
+    one case, and the cone is pointed exactly when it has no unit.  The
+    zero group has no ray and no unit, so it runs no LP."""
     # an extreme trace h_b is 1 on [b], so -[b] is outside the cone; with
     # none, the rays are certified complete, so the only trace is 0
     everything = ThreeValued.NO if k._rays else ThreeValued.YES

@@ -92,13 +92,13 @@ def determinant(a: Matrix) -> int:
 class SmithForm:
     """Diagonalization u @ a @ v == s with unimodular u, v.
 
-    The diagonal of ``s`` carries the invariant factors d1 | d2 | ... | d_rank
-    (positive), followed by zeros.  ``u_inv`` is the exact inverse of ``u``;
-    it is what turns canonical coordinates back into ambient ones.
+    The diagonal of s carries the invariant factors d1 | d2 | ... | d_rank
+    (positive), followed by zeros; s itself is not kept.  ``u_inv`` is the
+    exact inverse of ``u``; it is what turns canonical coordinates back into
+    ambient ones.
     """
 
     u: Matrix
-    s: Matrix
     v: Matrix
     u_inv: Matrix
     rank: int
@@ -264,7 +264,6 @@ def smith_normal_form(a: Matrix) -> SmithForm:
     factors = tuple(s[i][i] for i in range(rank))
     return SmithForm(
         u=_dense(u, rows),
-        s=_dense(s, cols),
         v=_transposed(v_t, cols),
         u_inv=_transposed(u_inv_t, rows),
         rank=rank,
@@ -499,8 +498,8 @@ def cokernel(columns: list[dict[int, int]], rows: int) -> CokerPresentation:
         for i, x in c.items():
             residual[at[i]][k] = x
     snf = smith_normal_form(residual)
-    coordinates = [k for k in range(snf.rank) if snf.s[k][k] >= 2]
-    moduli = tuple(snf.s[k][k] for k in coordinates)
+    coordinates = [k for k, d in enumerate(snf.invariant_factors) if d >= 2]
+    moduli = tuple(d for d in snf.invariant_factors if d >= 2)
     coordinates += range(snf.rank, len(touched))
     gone = {r for r, _ in eliminated}
     untouched = [i for i in range(rows) if i not in at and i not in gone]
@@ -552,7 +551,7 @@ def solve_diophantine(a: Matrix, b: list[int]) -> list[int] | None:
     y = [0] * cols
     for i in range(rows):
         if i < snf.rank:
-            d = snf.s[i][i]
+            d = snf.invariant_factors[i]
             if c[i] % d:
                 return None
             y[i] = c[i] // d

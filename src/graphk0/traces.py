@@ -39,12 +39,6 @@ class GraphTrace:
     def norm(self) -> Fraction:
         return sum((v for _, v in self.values), _ZERO)
 
-    def value(self, vertex: str) -> Fraction:
-        for name, v in self.values:
-            if name == vertex:
-                return v
-        raise ValueError(f"no value for vertex {vertex!r}")
-
     def as_dict(self) -> dict[str, Fraction]:
         return dict(self.values)
 

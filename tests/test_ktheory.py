@@ -40,7 +40,7 @@ from graphk0.ktheory import (
 from graphk0.intfeas import IntInfeasible, IntUnknown, IntWitness, integer_feasibility
 from graphk0.linalg import CokerPresentation, Element, determinant, mat_vec
 from graphk0.lp import EQ, GE, Feasible, constraint, solve_lp
-from graphk0.reports import SCHEMA_VERSION, emit_json, k0_to_json
+from graphk0.reports import SCHEMA_VERSION, emit_json, k0_to_json, membership_to_json
 from test_linalg import dense_cokernel, relation_matrix
 
 
@@ -1298,9 +1298,9 @@ class TestOrderProperties:
         assert props.pointed_witness is not None
 
     def test_zero_group_runs_no_lp(self, monkeypatch):
-        # the zero group is answered before the extreme traces are found,
-        # and finding them runs no LP either: their completeness check is a
-        # Farkas certificate built from walks
+        # the zero group has no ray and no unit, so order_properties needs no
+        # relation, and finding the rays runs no LP either: their
+        # completeness check is a Farkas certificate built from walks
         calls = []
         monkeypatch.setattr(
             graphk0.ktheory,
@@ -1392,6 +1392,87 @@ class TestOrderProperties:
             k = compute_k0(g)
             order_properties(k)
             assert not k._membership_cache
+
+
+def lp_trial_order_properties(k):
+    """``order_properties`` of a presentation without extreme traces as it
+    was before the case kept was chosen by its rays: the zero group
+    answered first, and otherwise the first case in mask order whose LP
+    finds a relation over all of its columns, at least 1 on its units (the
+    nonzero vertex classes) and its used batches."""
+    kt = graphk0.ktheory
+    if k.group_invariants() == (0, ()):
+        return kt.OrderProperties(ThreeValued.YES, ThreeValued.YES)
+    vertices, families = kt._generators(k)
+    for used in kt._split_cases(families):
+        case = kt._Case(k, vertices, families, used)
+        forced = {*case.units, *case._used}
+        classes = [col.element for col in case.columns]
+        point = kt._relation(k.coker, classes, [int(j in forced) for j in range(len(classes))])
+        if point is not None:
+            case.relation = point
+            k._cases = [case]
+            return order_properties(k)
+    raise CertificateError("no relation negates the units of any case")
+
+
+class TestWholeGroupCase:
+    """Without extreme traces the one case kept is the first without rays
+    of its own, which is the first whose LP relation exists."""
+
+    def test_ray_choice_matches_lp_trials(self):
+        rng = random.Random(7)
+        whole = zero = 0
+        for _ in range(3000):
+            g = random_graph(rng, 7, inf_prob=0.3, edge_prob=0.35)
+            k = compute_k0(g)
+            is_zero = k.group_invariants() == (0, ())
+            if k._rays or not (k.cone.families or is_zero):
+                continue
+            whole += bool(k.cone.families)
+            zero += is_zero
+            ref = compute_k0(g)
+            assert order_properties(k) == lp_trial_order_properties(ref), g.edges()
+            if is_zero:
+                assert not k._cases[0].units
+                continue
+            ((case,), (expected,)) = k._cases, ref._cases
+            assert [c.terms for c in case.columns] == [c.terms for c in expected.columns]
+            assert (case._used, case.relation) == (expected._used, expected.relation)
+            for v in g.vertices:
+                for x in (k.delta[v], k.coker.negate(k.delta[v])):
+                    verdicts = (cone_membership(k, x), cone_membership(ref, x))
+                    texts = [emit_json(membership_to_json(verdict)) for verdict in verdicts]
+                    assert texts[0] == texts[1], (g.edges(), v)
+        assert (whole, zero) == (1288, 49)
+
+    def test_lp_counts(self, monkeypatch):
+        # building the cases runs no LP; order_properties then runs the one
+        # relation of the case kept, and none on a zero group
+        calls = []
+        monkeypatch.setattr(
+            graphk0.ktheory,
+            "solve_lp",
+            lambda *args, **kwargs: calls.append(1) or solve_lp(*args, **kwargs),
+        )
+        rng = random.Random(7)
+        graphs = [infinite_loop(), loops(4), loops(2)]
+        graphs += [random_graph(rng, 7, inf_prob=0.3, edge_prob=0.35) for _ in range(300)]
+        zero = past_first = 0
+        for g in graphs:
+            k = compute_k0(g)
+            if k._rays:
+                continue
+            (case,) = k._cases
+            assert not calls, g.edges()
+            is_zero = k.group_invariants() == (0, ())
+            zero += is_zero
+            # a used split family: the first case in mask order had rays
+            past_first += bool(case._used)
+            order_properties(k)
+            assert len(calls) == (not is_zero), g.edges()
+            calls.clear()
+        assert zero >= 2 and past_first >= 10, (zero, past_first)
 
 
 class TestCompare:

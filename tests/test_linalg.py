@@ -80,6 +80,13 @@ def random_relation_matrix(rng, n):
     return relation_matrix(Graph(names, mult))[0]
 
 
+def diagonal(snf, rows, cols):
+    """The rows x cols diagonal matrix s that ``snf`` diagonalizes to,
+    rebuilt from its invariant factors."""
+    d = snf.invariant_factors
+    return [[d[i] if i == j and i < len(d) else 0 for j in range(cols)] for i in range(rows)]
+
+
 def assert_dense(m, rows, cols):
     assert type(m) is list and len(m) == rows
     for row in m:
@@ -171,10 +178,11 @@ class TestSmithNormalForm:
             snf = smith_normal_form([[0] * cols for _ in range(rows)])
             assert snf.rank == 0
             width = cols if rows else 0  # a matrix with no rows has no columns
-            for m, dims in ((snf.u, (rows, rows)), (snf.s, (rows, width)),
-                            (snf.v, (width, width)), (snf.u_inv, (rows, rows))):
+            for m, dims in ((snf.u, (rows, rows)), (snf.v, (width, width)),
+                            (snf.u_inv, (rows, rows))):
                 assert_dense(m, *dims)
-            assert mat_mul(mat_mul(snf.u, [[0] * cols for _ in range(rows)]), snf.v) == snf.s
+            zero = [[0] * cols for _ in range(rows)]
+            assert mat_mul(mat_mul(snf.u, zero), snf.v) == diagonal(snf, rows, width)
 
     def test_transforms_random(self):
         rng = random.Random(1201)
@@ -183,18 +191,14 @@ class TestSmithNormalForm:
             cols = rng.randint(1, 6)
             a = random_matrix(rng, rows, cols)
             snf = smith_normal_form(a)
-            assert mat_mul(mat_mul(snf.u, a), snf.v) == snf.s
+            # u @ a @ v is diagonal, with the invariant factors on it
+            assert mat_mul(mat_mul(snf.u, a), snf.v) == diagonal(snf, rows, cols)
             assert determinant(snf.u) in (1, -1)
             assert determinant(snf.v) in (1, -1)
             assert mat_mul(snf.u, snf.u_inv) == identity_matrix(rows)
             d = snf.invariant_factors
             assert all(x > 0 for x in d)
             assert all(d[i + 1] % d[i] == 0 for i in range(len(d) - 1))
-            # off-diagonal of s is zero
-            for i in range(rows):
-                for j in range(cols):
-                    if i != j:
-                        assert snf.s[i][j] == 0
 
     def test_minor_gcd_chain(self):
         rng = random.Random(77)
@@ -225,7 +229,8 @@ class TestSmithNormalForm:
             a = random_matrix(rng, rows, cols, -4, 4)
             a = [[rng.choice((1, 2, 6)) * x for x in row] for row in a]
             snf = smith_normal_form(a)
-            assert (snf.u, snf.s, snf.v, snf.u_inv, snf.rank, snf.invariant_factors) == (
+            s = diagonal(snf, rows, cols)
+            assert (snf.u, s, snf.v, snf.u_inv, snf.rank, snf.invariant_factors) == (
                 reference_snf(a)
             ), a
 
@@ -240,11 +245,11 @@ class TestSmithNormalForm:
             rows, cols = len(a), len(a[0])
             snf = smith_normal_form(a)
             u, s, v, u_inv, rank, factors = reference_snf(a)
-            for m, shape in ((snf.u, (rows, rows)), (snf.s, (rows, cols)),
-                             (snf.v, (cols, cols)), (snf.u_inv, (rows, rows))):
+            for m, shape in ((snf.u, (rows, rows)), (snf.v, (cols, cols)),
+                             (snf.u_inv, (rows, rows))):
                 assert_dense(m, *shape)
             assert snf.u == u
-            assert snf.s == s
+            assert diagonal(snf, rows, cols) == s
             assert snf.v == v
             assert snf.u_inv == u_inv
             assert snf.rank == rank
@@ -255,7 +260,7 @@ class TestSmithNormalForm:
         first = smith_normal_form(a)
         second = smith_normal_form(a)
         assert first.u == second.u
-        assert first.s == second.s
+        assert first.invariant_factors == second.invariant_factors
         assert first.v == second.v
 
 

@@ -58,13 +58,13 @@ def test_smith_form_unchanged_without_asserts():
     # Smith form, transforms included, on a relation matrix of 40 vertices
     a = random_relation_matrix(random.Random(40), 40)
     snf = smith_normal_form(a)
-    fields = (snf.u, snf.s, snf.v, snf.u_inv, snf.rank, snf.invariant_factors)
+    fields = (snf.u, snf.v, snf.u_inv, snf.rank, snf.invariant_factors)
     script = textwrap.dedent(
         f"""
         from graphk0.linalg import smith_normal_form
 
         snf = smith_normal_form({a!r})
-        print(__debug__, (snf.u, snf.s, snf.v, snf.u_inv, snf.rank, snf.invariant_factors))
+        print(__debug__, (snf.u, snf.v, snf.u_inv, snf.rank, snf.invariant_factors))
         """
     )
     proc = _python("-O", "-c", script)
@@ -263,6 +263,25 @@ def test_ktheory_solves_lps_only_for_relations():
 
     visit(ast.parse(path.read_text(), filename=str(path)), None)
     assert callers == {"_relation"}, callers
+
+
+def test_cases_are_chosen_without_relations():
+    # without extreme traces the case kept is picked by its rays, so
+    # building the cases reads no relation and solves no LP
+    path = Path(graphk0.__file__).parent / "ktheory.py"
+    (cls,) = [
+        node
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, ast.ClassDef) and node.name == "K0Presentation"
+    ]
+    (method,) = [node for node in cls.body if getattr(node, "name", None) == "_cases"]
+    found = [
+        node.lineno
+        for node in ast.walk(method)
+        if (isinstance(node, ast.Attribute) and node.attr in ("relation", "_relation"))
+        or (isinstance(node, ast.Name) and node.id == "_relation")
+    ]
+    assert not found, found
 
 
 def test_traces_solves_no_lp():
