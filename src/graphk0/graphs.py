@@ -3,11 +3,13 @@ in N ∪ {∞}.
 
 Vertices are named tokens whose declaration order is remembered and canonical.
 Parallel edges are stored as multiplicities; an infinite multiplicity marks an
-infinite emitter.  Graphs are immutable after construction and every operation
-here is a pure function.  The one cached value, a graph's ``structure`` (the
-vertex kinds, the strongly connected components and the edges inside them),
-is built on first use and stored on the graph; two threads that build it at
-once store equal values, so concurrent read-only use is safe without a lock.
+infinite emitter.  Edges are kept once, by vertex index, and every algorithm
+reads that table as ``structure(g).out``.  Graphs are immutable after
+construction and every operation here is a pure function.  The one cached
+value, a graph's ``structure`` (the vertex kinds, the strongly connected
+components and the edges inside them), is built on first use and stored on
+the graph; two threads that build it at once store equal values, so
+concurrent read-only use is safe without a lock.
 """
 
 from __future__ import annotations
@@ -41,23 +43,21 @@ Mult = "int | Infinity"
 
 
 class Graph:
-    """Finite vertex list plus a (source, target) -> multiplicity table."""
+    """Finite vertex list plus one edge table: per source index, its (target
+    index, multiplicity) pairs in target order.  The views name vertices."""
 
-    __slots__ = ("_vertices", "_index", "_mult", "_out", "_structure")
+    __slots__ = ("_vertices", "_index", "_out", "_structure")
 
     def __init__(self, vertices: Iterable[str], multiplicities: Mapping[tuple[str, str], object]):
         vs = tuple(vertices)
         index = {}
-        out: dict[str, list[tuple[str, object]]] = {}
         for v in vs:
             if not isinstance(v, str) or not NAME_RE.fullmatch(v):
                 raise ValueError(f"invalid vertex name {v!r}")
             if v in index:
                 raise ValueError(f"duplicate vertex {v!r}")
             index[v] = len(index)
-            out[v] = []
-        mult = {}
-        unsorted = []
+        out: list[list[tuple[int, object]]] = [[] for _ in vs]
         for (src, dst), m in multiplicities.items():
             if src not in index or dst not in index:
                 raise ValueError(f"edge endpoint not declared: {src!r} -> {dst!r}")
@@ -66,18 +66,11 @@ class Graph:
             if m is not INF and (type(m) is not int or m < 0):
                 raise ValueError(f"invalid multiplicity {m!r} for {src!r} -> {dst!r}")
             if m is INF or m:
-                mult[(src, dst)] = m
-                targets = out[src]
-                targets.append((dst, m))
-                if len(targets) == 2:
-                    unsorted.append(targets)
-        # targets in declaration order
-        for targets in unsorted:
-            targets.sort(key=lambda pair: index[pair[0]])
+                out[index[src]].append((index[dst], m))
         self._vertices = vs
         self._index = index
-        self._mult = mult
-        self._out = out
+        # a source's targets are distinct, so only their indices are compared
+        self._out = tuple(tuple(sorted(targets)) for targets in out)
         self._structure = None
 
     @property
@@ -91,32 +84,27 @@ class Graph:
             raise ValueError(f"unknown vertex {v!r}") from None
 
     def multiplicity(self, src: str, dst: str):
-        self.index(src)
-        self.index(dst)
-        return self._mult.get((src, dst), 0)
+        return dict(self._out[self.index(src)]).get(self.index(dst), 0)
 
     def out_edges(self, v: str) -> list[tuple[str, object]]:
-        self.index(v)
-        return list(self._out[v])
+        names = self._vertices
+        return [(names[w], m) for w, m in self._out[self.index(v)]]
 
     def edges(self) -> list[tuple[str, str, object]]:
         """All edges as (source, target, multiplicity) in canonical order."""
-        result = []
-        for src in self._vertices:
-            for dst, m in self._out[src]:
-                result.append((src, dst, m))
-        return result
+        names = self._vertices
+        return [(src, names[w], m) for src, out in zip(names, self._out) for w, m in out]
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._vertices == other._vertices and self._mult == other._mult
+        return self._vertices == other._vertices and self._out == other._out
 
     def __hash__(self):
-        return hash((self._vertices, tuple(sorted(self._mult.items()))))
+        return hash((self._vertices, self._out))
 
     def __repr__(self):
-        return f"Graph(vertices={len(self._vertices)}, edges={len(self._mult)})"
+        return f"Graph(vertices={len(self._vertices)}, edges={sum(map(len, self._out))})"
 
 
 class VertexClass(Enum):
@@ -129,8 +117,8 @@ class VertexClass(Enum):
 class GraphStructure:
     """A graph's edges read once, by vertex index in declaration order.
 
-    ``kinds`` holds each vertex's class and ``out`` its out-edges as
-    (target, multiplicity) pairs, targets in declaration order.  ``comp``
+    ``kinds`` holds each vertex's class and ``out`` is the graph's own edge
+    table, (target, multiplicity) pairs in target order.  ``comp``
     holds the strongly connected component of each vertex, a component
     numbered after every component it reaches (downstream first), and
     ``inner`` the out-edges inside the vertex's own component as (target,
@@ -148,8 +136,7 @@ def structure(g: Graph) -> GraphStructure:
     """The ``GraphStructure`` of ``g``, built on first use and kept on ``g``."""
     s = g._structure
     if s is None:
-        index = g._index
-        out = tuple(tuple((index[w], m) for w, m in g._out[v]) for v in g.vertices)
+        out = g._out
         comp = _components(out)
         kinds = []
         inner = []

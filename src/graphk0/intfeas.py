@@ -96,7 +96,9 @@ def integer_feasibility(
             return IntUnknown(nodes_explored=nodes)
         node = stack.pop()
         nodes += 1
-        res = solve_lp(num_vars, *relaxation(base_cons, node))
+        # with no variable the Diophantine pre-check has settled the
+        # equalities, and the empty point is re-checked below
+        res = solve_lp(num_vars, *relaxation(base_cons, node)) if num_vars else Feasible(())
         if not isinstance(res, Feasible):
             continue
         point = res.point

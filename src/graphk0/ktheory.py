@@ -4,12 +4,13 @@ The group is the cokernel of the vertex relation matrix (one column per
 regular vertex), presented with explicit torsion moduli and free rank.  The
 regular vertices on no cycle are eliminated first (``compute_k0``), and the
 cokernel of what is left is taken by unit-pivot elimination and a Smith
-normal form of the residual (``linalg.cokernel``).  The presentation keeps
-each vertex's class sparse, and ``K0Presentation.delta``, the classes as
-dense elements, is built on its first read.  The positive cone is
-the monoid generated by the vertex classes together with, for every
-infinite emitter, the family of differences "emitter class minus a finite
-batch of target classes" (kept intensional via per-target capacities).
+normal form of the residual (``linalg.cokernel``).  Every path here reads
+each vertex's class sparse, from ``coker.classes``; ``K0Presentation.delta``,
+the classes as dense elements, is built for callers on its first read.  The
+positive cone is the monoid generated by the vertex classes together with,
+for every infinite emitter, the family of differences "emitter class minus
+a finite batch of target classes" (kept intensional via per-target
+capacities).
 
 Membership in the cone is decided three-valued: Member carries a witness,
 NotMember a rational separating functional on ambient coordinates, and
@@ -129,9 +130,9 @@ class ConeSpec:
 class K0Presentation:
     """Cokernel presentation plus per-vertex classes, cone data and the unit.
 
-    The classes are kept sparse, as ``coker.classes`` over ``ambient_order``;
-    ``delta``, each vertex's class as a dense ``Element``, is built from
-    them on its first read."""
+    The classes are kept once, sparse, as ``coker.classes`` over
+    ``ambient_order``; ``delta``, each vertex's class as a dense
+    ``Element``, is built from them for callers on its first read."""
 
     def __init__(
         self,
@@ -224,7 +225,9 @@ def compute_k0(g: Graph) -> K0Presentation:
     sparse class is read off that cokernel, an eliminated v's class is
     sum_w A(v, w) [w], again downstream first, and the presentation over
     the ambient order holds every vertex's class and the reduced section,
-    moved to the kept vertices' ambient indices."""
+    moved to the kept vertices' ambient indices.  The order unit is sum
+    w(k) [k] over the kept k: each vertex weighs 1, and an eliminated v,
+    upstream first, adds its weight times A(v, w) to each target w."""
     names = g.vertices
     s = structure(g)
     out, inner = s.out, s.inner
@@ -257,8 +260,13 @@ def compute_k0(g: Graph) -> K0Presentation:
         for w, m in out[v]:
             _axpy(acc, classes[w], m)
         classes[v] = acc
+    weight = [1] * len(names)
+    for v in reversed(eliminated):
+        for w, m in out[v]:
+            weight[w] += weight[v] * m
+    unit = _combination(classes, ((v, weight[v]) for v in kept), reduced.torsion_moduli)
     pos = {v: i for i, v in enumerate(order)}
-    section = [{pos[kept[r]]: x for r, x in unit.items()} for unit in reduced.section]
+    section = [{pos[kept[r]]: x for r, x in lift.items()} for lift in reduced.section]
     coker = CokerPresentation(reduced.torsion_moduli, [classes[v] for v in order], section)
     families = tuple(
         Family(names[v], tuple((names[w], None if m is INF else m) for w, m in out[v]))
@@ -270,7 +278,7 @@ def compute_k0(g: Graph) -> K0Presentation:
         coker=coker,
         ambient_order=tuple(names[v] for v in order),
         cone=ConeSpec(families=families),
-        order_unit=coker.project([1] * len(order)),
+        order_unit=coker._element(unit),
     )
 
 
@@ -774,24 +782,26 @@ def _generators(k: K0Presentation):
     """The columns every case draws on: one per nonzero vertex class, and
     for each family its batch [e] - sum cap [w] over its nonzero-class
     capped targets, with a column -[u] for each nonzero-class uncapped
-    target u.  Zero-class targets add nothing to any family element."""
-    coker = k.coker
-    vertices = [
-        _Column(None, ((v, 1),), k.delta[v]) for v in k.graph.vertices if not k.delta[v].is_zero()
-    ]
+    target u.  Zero-class targets, empty sparse classes, add nothing to any
+    family element.  A column's element is the class of its own terms."""
+    classes, at = k.coker.classes, k.ambient_index
+
+    def column(emitter, terms):
+        return _Column(emitter, tuple(terms), k.coker._element(_class_of(k, terms)))
+
+    vertices = [column(None, ((v, 1),)) for v in k.graph.vertices if classes[at(v)]]
     families = []
     for fam in k.cone.families:
         e = fam.emitter
-        batch, terms, targets = k.delta[e], [(e, 1)], []
+        terms, targets = [(e, 1)], []
         for w, cap in fam.targets:
-            if k.delta[w].is_zero():
+            if not classes[at(w)]:
                 continue
             if cap is None:
-                targets.append(_Column(e, ((w, -1),), coker.negate(k.delta[w])))
+                targets.append(column(e, ((w, -1),)))
             else:
-                batch = coker.subtract(batch, coker.scale(cap, k.delta[w]))
                 terms.append((w, -cap))
-        families.append((_Column(e, tuple(terms), batch), targets))
+        families.append((column(e, terms), targets))
     return vertices, families
 
 
@@ -842,9 +852,8 @@ class _Case:
             elif not targets and not batch.element.is_zero():
                 self.columns.append(batch)
         self.offset = self._used if k._rays else []
-        self.shift = k.coker.zero()
-        for j in self.offset:
-            self.shift = k.coker.add(self.shift, self.columns[j].element)
+        shift = (t for j in self.offset for t in self.columns[j].terms)
+        self.shift = k.coker._element(_class_of(k, shift))
 
     @cached_property
     def rays(self) -> list[tuple[int, ...]]:
@@ -1337,7 +1346,7 @@ def _enumerate_candidates(moduli, nfree, limit):
 
 
 def _cone_generator_elements(k: K0Presentation, bound: int) -> list[Element]:
-    gens = [k.delta[v] for v in k.graph.vertices]
+    gens = [((v, 1),) for v in k.graph.vertices]
     for fam in k.cone.families:
         ranges = []
         for w, cap in fam.targets:
@@ -1347,11 +1356,8 @@ def _cone_generator_elements(k: K0Presentation, bound: int) -> list[Element]:
             total = sum(counts)
             if total == 0 or total > bound:
                 continue
-            e = k.delta[fam.emitter]
-            for (w, _), c in zip(fam.targets, counts):
-                e = k.coker.subtract(e, k.coker.scale(c, k.delta[w]))
-            gens.append(e)
-    return gens
+            gens.append(((fam.emitter, 1), *((w, -c) for (w, _), c in zip(fam.targets, counts))))
+    return [k.coker._element(_class_of(k, terms)) for terms in gens]
 
 
 def compare_k0(
@@ -1390,8 +1396,8 @@ def compare_k0(
     nfree, moduli = inv1
     gens1 = _cone_generator_elements(k1, VERIFIED_BOUND)
     gens2 = _cone_generator_elements(k2, VERIFIED_BOUND)
-    # the vertex classes generate the group
-    canon = list(k1.delta.values())
+    # the vertex classes, gens1's first entries, generate the group
+    canon = gens1[: len(k1.graph.vertices)]
 
     candidates, complete = _enumerate_candidates(moduli, nfree, budget)
     uncertain = False

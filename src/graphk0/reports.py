@@ -3,9 +3,9 @@
 The JSON schema is versioned through a top-level "schema_version" field and
 documented in docs/report-schema.md.  Integers outside the 53-bit safe range
 are emitted as decimal strings so generic JSON parsers round-trip them
-without loss; rationals are always "p/q" strings.  The k0 report writes
-each vertex's ``torsion`` and ``free`` lists straight from the sparse
-classes of the presentation, so it builds no dense element per vertex.
+without loss; rationals are always "p/q" strings.  The k0 reports read
+each vertex's class off the sparse classes of the presentation; the JSON
+one builds no dense element per vertex.
 
 Every JSON text, the output of each ``--json`` subcommand included, comes
 from ``emit_json``.  Its text is byte for byte ``json.dumps(payload,
@@ -274,8 +274,9 @@ def k0_human(k: K0Presentation) -> str:
         f"free rank: {k.coker.free_rank}",
         f"torsion moduli: {list(k.coker.torsion_moduli)}",
     ]
+    classes, at = k.coker.classes, k.ambient_index
     for v in k.graph.vertices:
-        lines.append(f"[{v}] = {_element_human(k.delta[v])}")
+        lines.append(f"[{v}] = {_element_human(k.coker._element(classes[at(v)]))}")
     lines.append(f"order unit: {_element_human(k.order_unit)}")
     if k.cone.families:
         for fam in k.cone.families:

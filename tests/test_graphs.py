@@ -293,17 +293,68 @@ class TestGraphStructure:
         assert calls == [5]
 
 
-def reference_out(vertices, multiplicities):
-    """The out-edge lists as the constructor built them before it took one
-    pass over the edges: every nonzero edge kept, then every list sorted."""
-    index = {v: i for i, v in enumerate(vertices)}
-    mult = {e: m for e, m in multiplicities.items() if m is INF or m}
-    out = {v: [] for v in vertices}
-    for (src, dst), m in mult.items():
-        out[src].append((dst, m))
-    for v in vertices:
-        out[v].sort(key=lambda pair: index[pair[0]])
-    return out
+class NameKeyedGraph:
+    """The graph model as it stored its edges before it kept one table by
+    vertex index: a (source, target) -> multiplicity dict beside per-vertex
+    out-edge lists by name, each list sorted in declaration order.  The
+    reference for the name-keyed views of ``Graph``, its equality, its
+    hashing and its constructor's checks."""
+
+    def __init__(self, vertices, multiplicities):
+        vs = tuple(vertices)
+        index, out = {}, {}
+        for v in vs:
+            if not isinstance(v, str) or not graphs.NAME_RE.fullmatch(v):
+                raise ValueError(f"invalid vertex name {v!r}")
+            if v in index:
+                raise ValueError(f"duplicate vertex {v!r}")
+            index[v] = len(index)
+            out[v] = []
+        mult = {}
+        for (src, dst), m in multiplicities.items():
+            if src not in index or dst not in index:
+                raise ValueError(f"edge endpoint not declared: {src!r} -> {dst!r}")
+            if m is not INF and (type(m) is not int or m < 0):
+                raise ValueError(f"invalid multiplicity {m!r} for {src!r} -> {dst!r}")
+            if m is INF or m:
+                mult[(src, dst)] = m
+                out[src].append((dst, m))
+        for targets in out.values():
+            targets.sort(key=lambda pair: index[pair[0]])
+        self.vertices, self._index, self._mult, self._out = vs, index, mult, out
+
+    def index(self, v):
+        try:
+            return self._index[v]
+        except KeyError:
+            raise ValueError(f"unknown vertex {v!r}") from None
+
+    def multiplicity(self, src, dst):
+        self.index(src)
+        self.index(dst)
+        return self._mult.get((src, dst), 0)
+
+    def out_edges(self, v):
+        self.index(v)
+        return list(self._out[v])
+
+    def edges(self):
+        return [(src, dst, m) for src in self.vertices for dst, m in self._out[src]]
+
+    def __eq__(self, other):
+        return self.vertices == other.vertices and self._mult == other._mult
+
+    def __hash__(self):
+        return hash((self.vertices, tuple(sorted(self._mult.items()))))
+
+
+def raised(build, *args):
+    """The message of the ValueError that ``build(*args)`` raises, or None."""
+    try:
+        build(*args)
+    except ValueError as err:
+        return str(err)
+    return None
 
 
 def reference_structure(g):
@@ -343,11 +394,101 @@ class TestAgainstReference:
                 m = INF if pick < 0.15 else 0 if pick < 0.25 else rng.randint(1, 3)
                 mult[(rng.choice(names), rng.choice(names))] = m
             for table in (mult, dict(reversed(list(mult.items())))):
-                g = Graph(names, table)
-                want = reference_out(names, table)
-                assert {v: g.out_edges(v) for v in names} == want
-                assert g.edges() == [(v, w, m) for v in names for w, m in want[v]]
+                g, ref = Graph(names, table), NameKeyedGraph(names, table)
+                assert [g.out_edges(v) for v in names] == [ref.out_edges(v) for v in names]
+                assert g.edges() == ref.edges()
                 assert structure(g) == reference_structure(g)
+
+    @staticmethod
+    def check_views(g, ref):
+        """Every name-keyed view of ``g`` against the reference, unknown
+        names included: ``multiplicity`` checks its source first."""
+        assert g.vertices == ref.vertices and g.edges() == ref.edges()
+        assert repr(g) == f"Graph(vertices={len(g.vertices)}, edges={len(ref.edges())})"
+        names = [*g.vertices, "missing"]
+        for v in names:
+            assert raised(g.out_edges, v) == raised(ref.out_edges, v)
+            if v in ref._out:
+                assert g.out_edges(v) == ref.out_edges(v)
+            for w in [*names, "absent"]:
+                assert raised(g.multiplicity, v, w) == raised(ref.multiplicity, v, w)
+                if v in ref._out and w in ref._out:
+                    assert g.multiplicity(v, w) == ref.multiplicity(v, w)
+
+    def test_views_against_name_keyed_graph(self, monkeypatch):
+        # seeded draws, infinite edges included, and their desingularized
+        # forms, whose tables are recorded as desingularize builds them
+        rng = random.Random(3406)
+        tables = []
+        true_graph = graphs.Graph
+
+        def recording(vertices, multiplicities):
+            tables.append((tuple(vertices), dict(multiplicities)))
+            return true_graph(vertices, multiplicities)
+
+        pairs = []
+        for i in range(150):
+            g = random_graph(rng, max_vertices=7, inf_prob=(0.0, 0.2, 0.4)[i % 3], max_mult=1 + i % 3)
+            with monkeypatch.context() as patch:
+                patch.setattr(graphs, "Graph", recording)
+                out = desingularize(g, rng.randint(1, 3), sinks=rng.random() < 0.5)
+            table = {(s, d): m for s, d, m in g.edges()}
+            pairs += [(g, NameKeyedGraph(g.vertices, table)), (out, NameKeyedGraph(*tables.pop()))]
+            assert not tables
+        for g, ref in pairs:
+            self.check_views(g, ref)
+        assert any(m is INF for g, _ in pairs for _, _, m in g.edges())
+
+    def test_equality_and_hash_against_name_keyed_graph(self):
+        # an equal table in another order, one multiplicity changed, one
+        # edge dropped, an INF edge finite and the vertices declared in
+        # another order: == agrees with the reference, and equal graphs hash
+        # equal
+        rng = random.Random(3407)
+        for i in range(150):
+            names = [f"v{j}" for j in range(rng.randint(1, 6))]
+            table = {}
+            for src in names:
+                for dst in names:
+                    if rng.random() < 0.4:
+                        table[(src, dst)] = INF if rng.random() < 0.2 else rng.randint(0, 3)
+            items = list(table.items())
+            variants = [table, dict(reversed(items))]
+            if items:
+                edge, m = rng.choice(items)
+                variants += [{**table, edge: 4 if m is INF else m + 1}, {**table, edge: 0}]
+                variants.append({**table, edge: 1 if m is INF else INF})
+            orders = [names, names[::-1]]
+            built = [(Graph(vs, t), NameKeyedGraph(vs, t)) for vs in orders for t in variants]
+            for a, ra in built:
+                for b, rb in built:
+                    assert (a == b) == (ra == rb)
+                    if a == b:
+                        assert hash(a) == hash(b)
+
+    def test_constructor_messages_against_name_keyed_graph(self):
+        # one fault put at a random place in a valid table, or in the vertex
+        # list: both models raise the same first message
+        rng = random.Random(3408)
+        faults = [True, False, 1.0, -1, "2", None, Fraction(1)]
+        for i in range(300):
+            names = [f"v{j}" for j in range(rng.randint(1, 5))]
+            items = [((rng.choice(names), rng.choice(names)), rng.randint(0, 3)) for _ in range(5)]
+            kind = i % 4
+            if kind == 0:
+                bad = ((rng.choice(names), "ghost"), 1)
+            elif kind == 1:
+                bad = (("ghost", rng.choice(names)), rng.choice(faults))
+            else:
+                bad = ((rng.choice(names), rng.choice(names)), rng.choice(faults))
+            items.insert(rng.randrange(len(items) + 1), bad)
+            table = dict(items)
+            vertices = list(names)
+            if kind == 3:
+                vertices.insert(rng.randrange(len(vertices) + 1), rng.choice([*names, "bad name", 7]))
+            message = raised(NameKeyedGraph, vertices, table)
+            assert raised(Graph, vertices, table) == message
+            assert message is not None or kind == 2
 
     @pytest.mark.parametrize(
         "vertices, table, message",

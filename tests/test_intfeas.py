@@ -110,6 +110,21 @@ class TestWitnessRecheck:
         with pytest.raises(CertificateError):
             integer_feasibility(1, [], bounds=bounds)
 
+    def test_no_variable_solves_no_lp(self, monkeypatch):
+        # the empty point is the only one: the Diophantine pre-check settles
+        # the equalities and no LP is solved, but the point is still
+        # re-checked, so a pre-check that let 0 == 2 through would raise
+        def refuse(*args, **kwargs):
+            raise RuntimeError("an LP was solved for a program with no variable")
+
+        monkeypatch.setattr(graphk0.intfeas, "solve_lp", refuse)
+        assert integer_feasibility(0, []) == IntWitness(point=())
+        assert integer_feasibility(0, [([], 0), ([], 0)]) == IntWitness(point=())
+        assert isinstance(integer_feasibility(0, [([], 0), ([], 2)]), IntInfeasible)
+        monkeypatch.setattr(graphk0.intfeas, "solve_diophantine", lambda a, b: [])
+        with pytest.raises(CertificateError):
+            integer_feasibility(0, [([], 2)])
+
     def test_bad_point_raises_without_asserts(self):
         script = textwrap.dedent(
             """

@@ -9,6 +9,7 @@ from itertools import islice, product
 
 import pytest
 
+import graphk0.intfeas
 import graphk0.ktheory
 import graphk0.linalg
 
@@ -40,7 +41,7 @@ from graphk0.ktheory import (
 from graphk0.intfeas import IntInfeasible, IntUnknown, IntWitness, integer_feasibility
 from graphk0.linalg import CokerPresentation, Element, determinant, mat_vec
 from graphk0.lp import EQ, GE, Feasible, constraint, solve_lp
-from graphk0.reports import SCHEMA_VERSION, emit_json, k0_to_json, membership_to_json
+from graphk0.reports import SCHEMA_VERSION, emit_json, k0_human, k0_to_json, membership_to_json
 from test_linalg import dense_cokernel, relation_matrix
 
 
@@ -227,12 +228,13 @@ class TestComputeK0:
 
     def test_no_projection_per_vertex(self, monkeypatch):
         # the classes are read off the reduced cokernel and the eliminated
-        # vertices' out-edges; one projection per vertex is O(n^3), so the
-        # order unit is the one projection, of the all-ones vector
+        # vertices' out-edges, and the order unit off the kept classes, each
+        # weighted by the eliminated vertices above it; a projection of all
+        # n classes is not needed, so compute_k0 makes none
         graphs = [toeplitz(), infinite_loop(), loops(4)]
         rng = random.Random(47)
         graphs += [random_graph(rng, 8, inf_prob=0.1) for _ in range(10)]
-        expected = [k0_to_json(compute_k0(g)) for g in graphs]
+        graphs += [random_graph(rng, 12, inf_prob=0.1, edge_prob=0.15) for _ in range(30)]
         true_project = CokerPresentation.project
         calls = []
 
@@ -241,8 +243,10 @@ class TestComputeK0:
             return true_project(self, x)
 
         monkeypatch.setattr(CokerPresentation, "project", counted)
-        assert [k0_to_json(compute_k0(g)) for g in graphs] == expected
-        assert calls == [[1] * len(g.vertices) for g in graphs]
+        presentations = [compute_k0(g) for g in graphs]
+        assert calls == []
+        for g, k in zip(graphs, presentations):
+            assert k.order_unit == true_project(k.coker, [1] * len(g.vertices))
 
     def test_regular_vertex_relation(self):
         # [v] = sum_w A(v, w)[w] for every regular vertex
@@ -621,6 +625,40 @@ class TestSparsePresentation:
         assert k.delta is delta
         assert len(built) == 1 + len(g.vertices)
         assert list(k.delta) == list(g.vertices)
+
+    def test_library_reads_no_delta(self, monkeypatch):
+        # the membership columns, the order properties, the comparison and
+        # the human report read the sparse classes: with delta refusing,
+        # each still runs on fresh presentations and gives the same answers
+        rng = random.Random(2603)
+        graphs = []
+        while len(graphs) < 12:
+            g = random_graph(rng, 6, inf_prob=0.3)
+            if compute_k0(g).cone.families:
+                graphs.append(g)
+        graphs += [toeplitz(), loops(4), line_graph(3)]
+
+        def answers():
+            found = []
+            for g, h in zip(graphs, graphs[1:] + graphs[:1]):
+                k = compute_k0(g)
+                queries = [k.coker._element(col) for col in k.coker.classes]
+                queries += [k.coker.negate(x) for x in queries] + [k.order_unit]
+                found.append([cone_membership(k, x, budget=400) for x in queries])
+                found.append(order_properties(k))
+                found.append(compare_k0(k, compute_k0(g), use_order_unit=True, budget=40))
+                found.append(compare_k0(k, compute_k0(h), budget=40))
+                found.append(k0_human(k))
+            return found
+
+        expected = answers()
+
+        def refuse(self):
+            raise RuntimeError("delta read by the library")
+
+        monkeypatch.setattr(K0Presentation, "delta", property(refuse))
+        assert answers() == expected
+        assert any(isinstance(v, Member) for v in expected[0])
 
     def test_sparse_storage(self):
         # no stored zero, torsion entries reduced, and about a fifth of the
@@ -1474,6 +1512,33 @@ class TestWholeGroupCase:
             calls.clear()
         assert zero >= 2 and past_first >= 10, (zero, past_first)
 
+    def test_searches_solve_no_lp(self, monkeypatch):
+        # the case kept searches no column, and its units, the vertex
+        # classes, span the whole group, so the program of +-[v] has no
+        # variable: integer_feasibility runs, and solves no LP
+        calls, searches = [], []
+        true_search = graphk0.ktheory.integer_feasibility
+        monkeypatch.setattr(
+            graphk0.intfeas,
+            "solve_lp",
+            lambda *args, **kwargs: calls.append(1) or solve_lp(*args, **kwargs),
+        )
+        monkeypatch.setattr(
+            graphk0.ktheory,
+            "integer_feasibility",
+            lambda *args, **kwargs: searches.append(args[0]) or true_search(*args, **kwargs),
+        )
+        rng = random.Random(7)
+        for _ in range(300):
+            k = compute_k0(random_graph(rng, 7, inf_prob=0.3, edge_prob=0.35))
+            if k._rays or not k.cone.families:
+                continue
+            for x in map(k.coker._element, k.coker.classes):
+                for y in (x, k.coker.negate(x)):
+                    assert isinstance(cone_membership(k, y), Member)
+        assert not calls
+        assert len(searches) >= 200 and not any(searches), len(searches)
+
 
 class TestCompare:
     def test_o2_vs_o3(self):
@@ -1889,33 +1954,17 @@ class TestSparseConsistency:
 
     def test_no_lift_projection_or_dense_classes(self, monkeypatch):
         # counts, not timings: each dense read costs O(n) or builds n dense
-        # elements.  compute_k0 projects the all-ones vector once for the
-        # order unit; apart from that the check must not lift, project or
-        # read delta
+        # elements.  Neither the check nor compute_k0, which reads the
+        # order unit off the kept classes, may lift, project or read delta
         graphs = consistency_draws(3204, 10)
         graphs.append(Graph(["v", "a", "b"], {("v", "a"): 1, ("v", "b"): INF}))
         runs = [(g, depth) for g in graphs for depth in (1, 2, 3)]
         expected = [verify_desingularization_consistency(*run) for run in runs]
-        true_compute, true_project = graphk0.ktheory.compute_k0, CokerPresentation.project
-        building = []
-
-        def compute_spy(g):
-            building.append(g)
-            try:
-                return true_compute(g)
-            finally:
-                building.pop()
-
-        def project_spy(self, x):
-            if not building:
-                raise RuntimeError("project called by the consistency check")
-            return true_project(self, x)
 
         def refuse(*args):
-            raise RuntimeError("lift or delta read by the consistency check")
+            raise RuntimeError("lift, project or delta read by the consistency check")
 
-        monkeypatch.setattr(graphk0.ktheory, "compute_k0", compute_spy)
-        monkeypatch.setattr(CokerPresentation, "project", project_spy)
+        monkeypatch.setattr(CokerPresentation, "project", refuse)
         monkeypatch.setattr(CokerPresentation, "lift", refuse)
         monkeypatch.setattr(K0Presentation, "delta", property(refuse))
         assert [verify_desingularization_consistency(*run) for run in runs] == expected

@@ -7,6 +7,7 @@ import textwrap
 from pathlib import Path
 
 import graphk0
+from graphk0.graphs import INF, Graph, structure
 from graphk0.linalg import smith_normal_form
 from test_linalg import random_relation_matrix
 
@@ -245,6 +246,32 @@ def test_components_come_from_one_structure():
             if "_components" in names:
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_library_reads_no_delta():
+    # each vertex's class is kept once, sparse, in coker.classes; delta is
+    # a dense view built on its first read, and a library path reading it
+    # would build every class a second time
+    found = []
+    for path in sorted(Path(graphk0.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "delta":
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
+def test_structure_reads_the_graphs_own_edge_table():
+    # a graph keeps its edges once, by vertex index, and structure hands
+    # that table on instead of building a copy
+    graphs = [Graph([], {}), Graph(["v"], {("v", "v"): INF})]
+    rng = random.Random(3409)
+    for _ in range(20):
+        names = [f"v{i}" for i in range(rng.randint(1, 8))]
+        table = {(rng.choice(names), rng.choice(names)): rng.randint(0, 3) for _ in range(12)}
+        graphs.append(Graph(names, table))
+    for g in graphs:
+        assert structure(g).out is g._out
+    assert "_mult" not in Graph.__slots__
 
 
 def test_ktheory_solves_lps_only_for_relations():
