@@ -3,9 +3,9 @@
 The search is a depth-first branch and bound with most-fractional branching.
 Every verdict is conservative: witnesses are re-verified exactly, Infeasible
 is only reported when the equalities have no integer solution at all (a
-Diophantine pre-check, before any node) or when the whole branch tree has
-been closed (each leaf with a rationally infeasible relaxation), and running
-out of budget yields an explicit Unknown instead of a guess.
+Diophantine pre-check, before the first branch) or when the whole branch
+tree has been closed (each leaf with a rationally infeasible relaxation),
+and running out of budget yields an explicit Unknown instead of a guess.
 """
 
 from __future__ import annotations
@@ -71,7 +71,13 @@ def integer_feasibility(
     budget: int = 100000,
 ) -> IntResult:
     """Find an integer point satisfying the equalities and per-variable
-    (lower, upper) bounds; None means unbounded on that side."""
+    (lower, upper) bounds; None means unbounded on that side.
+
+    The Diophantine pre-check (the equalities unsolvable over Z even
+    without bounds, so the whole search space is empty) runs before the
+    first branch, after a fractional root relaxation: an infeasible root
+    closes the tree, and an integral one is an integer solution.  With no
+    variable it runs first, since it alone settles the equalities."""
     if budget < 1:
         raise ValueError("budget must be positive")
     if bounds is None:
@@ -80,13 +86,13 @@ def integer_feasibility(
     if len(bounds) != num_vars:
         raise ValueError("bounds length does not match variable count")
 
-    # lattice preprocessing: if the equalities are unsolvable over Z even
-    # without bounds, the whole search space is empty
-    if equalities:
+    def lattice_empty() -> bool:
         eq_matrix = [list(coeffs) for coeffs, _ in equalities]
         eq_rhs = [rhs for _, rhs in equalities]
-        if solve_diophantine(eq_matrix, eq_rhs) is None:
-            return IntInfeasible()
+        return bool(equalities) and solve_diophantine(eq_matrix, eq_rhs) is None
+
+    if not num_vars and lattice_empty():
+        return IntInfeasible()
 
     base_cons = [constraint(coeffs, EQ, rhs) for coeffs, rhs in equalities]
     stack: list[list[Bound]] = [list(bounds)]
@@ -105,6 +111,8 @@ def integer_feasibility(
         frac_var = -1
         frac_score = Fraction(0)
         for j, val in enumerate(point):
+            if val.denominator == 1:
+                continue
             f = val - (val.numerator // val.denominator)
             score = min(f, 1 - f)
             if score > frac_score:
@@ -115,6 +123,9 @@ def integer_feasibility(
             if not check_point(num_vars, *relaxation(base_cons, bounds), ints):
                 raise CertificateError("integral relaxation point violates the program")
             return IntWitness(point=ints)
+        # the root is the only node popped before the first branch
+        if nodes == 1 and lattice_empty():
+            return IntInfeasible()
         floor = point[frac_var].numerator // point[frac_var].denominator
         lo, hi = node[frac_var]
         upper = list(node)

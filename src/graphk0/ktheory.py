@@ -917,14 +917,13 @@ class _Case:
         dim = len(coker.torsion_moduli) + coker.free_rank
         return smith_normal_form([[col[r] for col in lattice] for r in range(dim)])
 
-    def face(self, lift) -> list[int] | None:
+    def face(self, at) -> list[int] | None:
         """The pointed columns that a representation of y, x minus the
-        shift with ambient preimage ``lift``, can use, or None when a ray is
-        negative on y.  Every column is >= 0 under every ray, so a ray that
-        is zero on y is zero on each term of a representation; since the
-        rays span the dual of the columns' rational cone, the columns kept
-        are exactly those of y's face."""
-        at = [_dot(h, lift) for h in self.rays]
+        shift, can use, given each ray's value ``at`` y, or None when a ray
+        is negative on y.  Every column is >= 0 under every ray, so a ray
+        that is zero on y is zero on each term of a representation; since
+        the rays span the dual of the columns' rational cone, the columns
+        kept are exactly those of y's face."""
         if any(a < 0 for a in at):
             return None
         face = [row for row, a in zip(self.values, at) if a == 0]
@@ -1002,7 +1001,10 @@ def _modulo_lattice(snf: SmithForm, program):
     beyond the rank).  So the rows are combined by u; a row with d_i == 1
     holds at every integer point and is dropped, and a row with d_i > 1
     gets a free column d_i, so that no coefficient the other variables
-    determine is branched on."""
+    determine is branched on.  A lattice of rank 0 leaves ``program`` as it
+    is: no row operation ran, so u is the identity."""
+    if not snf.rank:
+        return program
     num_vars, equalities, bounds = program
     factors = snf.invariant_factors + (0,) * (len(snf.u) - snf.rank)
     free = [i for i, d in enumerate(factors) if d > 1]
@@ -1016,7 +1018,7 @@ def _modulo_lattice(snf: SmithForm, program):
 
 
 def _cone_search(
-    k: K0Presentation, x: Element, budget: int
+    k: K0Presentation, x: Element, at, budget: int
 ) -> Member | _ProvenEmpty | UnknownMembership:
     """Branch-and-bound search for a decomposition of x into cone generators,
     one case of ``K0Presentation._cases`` after another.
@@ -1034,11 +1036,20 @@ def _cone_search(
     region is bounded and the search ends with a definite answer given
     enough budget.  Without extreme traces no column is searched, and x is
     read off the Smith normal form alone.
+
+    ``at`` holds each of the graph's rays' values on x; a case with no
+    shift and the graph's own rays reads y's ray values there, and every
+    other case lifts its own y.
     """
     coker = k.coker
     for case in k._cases:
-        rest = coker.subtract(x, case.shift)
-        kept = case.face(coker.lift(rest))
+        if case.shift.is_zero() and case.rays is k._rays:
+            rest, values = x, at
+        else:
+            rest = coker.subtract(x, case.shift)
+            lift_rest = coker.lift(rest)
+            values = [_dot(h, lift_rest) for h in case.rays]
+        kept = case.face(values)
         if kept is None:
             continue
         classes = [case.columns[j].element for j in kept]
@@ -1100,13 +1111,14 @@ def _decide_membership(k: K0Presentation, x: Element, budget: int):
     if x.is_zero():
         return Member(witness=MembershipWitness(base_counts=(), family_uses=()))
     lift = k.coker.lift(x)
-    for ray in k._rays:
-        if _dot(ray, lift) < 0:
+    at = [_dot(ray, lift) for ray in k._rays]
+    for ray, a in zip(k._rays, at):
+        if a < 0:
             phi = tuple(map(Fraction, ray))
             if not functional_certifies(k, phi, x):
                 raise CertificateError(f"separating functional does not certify {x}")
             return NotMember(functional=phi)
-    verdict = _cone_search(k, x, budget)
+    verdict = _cone_search(k, x, at, budget)
     if isinstance(verdict, _ProvenEmpty):
         # a certified-empty search without a separating functional still
         # reports Unknown: NotMember promises a functional, and none exists

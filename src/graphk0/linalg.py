@@ -369,9 +369,6 @@ class CokerPresentation:
         that vector."""
         return [self._element(col) for col in self.classes]
 
-    def zero(self) -> Element:
-        return Element(torsion=(0,) * len(self.torsion_moduli), free=(0,) * self.free_rank)
-
     def add(self, a: Element, b: Element) -> Element:
         self._check(a)
         self._check(b)
@@ -387,11 +384,6 @@ class CokerPresentation:
 
     def subtract(self, a: Element, b: Element) -> Element:
         return self.add(a, self.negate(b))
-
-    def scale(self, k: int, a: Element) -> Element:
-        self._check(a)
-        torsion = tuple((k * x) % d for x, d in zip(a.torsion, self.torsion_moduli))
-        return Element(torsion=torsion, free=tuple(k * x for x in a.free))
 
     def element_order(self, a: Element) -> int | None:
         """Order of ``a`` in the group, or None if infinite."""

@@ -45,7 +45,7 @@ from graphk0.traces import (
     state_to_trace,
     trace_to_state,
 )
-from test_linalg import diagonal
+from test_linalg import diagonal, zero_of
 
 
 def loops(n):
@@ -168,8 +168,8 @@ def test_criterion_4_membership_vs_brute_force():
         k = compute_k0(g)
         # independent oracle: all sums of at most 12 vertex classes
         gens = [k.delta[v] for v in g.vertices if not k.delta[v].is_zero()]
-        reachable = {k.coker.zero()}
-        frontier = {k.coker.zero()}
+        reachable = {zero_of(k.coker)}
+        frontier = {zero_of(k.coker)}
         for _ in range(12):
             nxt = set()
             for e in frontier:

@@ -80,6 +80,84 @@ class TestBoundedNonnegFeasibility:
                 pytest.fail("bounded search with full caps should never be Unknown")
 
 
+def box_points(bounds):
+    return product(*(range(lo, hi + 1) for lo, hi in bounds))
+
+
+def satisfies(a, b, bounds, x):
+    """x satisfies a @ x == b and lo <= x <= hi, read off the definition."""
+    rows_hold = all(sum(c * v for c, v in zip(row, x)) == rhs for row, rhs in zip(a, b))
+    return rows_hold and all(lo <= v <= hi for v, (lo, hi) in zip(x, bounds))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_verdict_agrees_with_box_enumeration(seed):
+    # the definition: a bounded program is feasible exactly when some
+    # integer point of its box satisfies it; boxes may lie below zero and
+    # programs may have no equality
+    rng = random.Random(f"box/{seed}")
+    for _ in range(60):
+        cols = rng.randint(1, 4)
+        rows = rng.randint(0, 3)
+        a = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+        b = [rng.randint(-6, 6) for _ in range(rows)]
+        bounds = []
+        for _ in range(cols):
+            lo = rng.randint(-3, 2)
+            bounds.append((lo, lo + rng.randint(0, 4)))
+        res = integer_feasibility(cols, list(zip(a, b)), bounds=bounds, budget=5000)
+        feasible = any(satisfies(a, b, bounds, x) for x in box_points(bounds))
+        if isinstance(res, IntWitness):
+            assert satisfies(a, b, bounds, res.point), (a, b, bounds, res)
+        else:
+            assert isinstance(res, IntInfeasible), (a, b, bounds, res)
+            assert not feasible, (a, b, bounds)
+
+
+class TestLatticeCheckOrder:
+    """The Diophantine pre-check runs once, after a fractional root
+    relaxation and before the first branch; a root that is integral or
+    infeasible settles the program without it."""
+
+    @pytest.fixture
+    def log(self, monkeypatch):
+        log = []
+        lp, diophantine = graphk0.intfeas.solve_lp, graphk0.intfeas.solve_diophantine
+        monkeypatch.setattr(
+            graphk0.intfeas, "solve_lp", lambda *args: log.append("lp") or lp(*args)
+        )
+        monkeypatch.setattr(
+            graphk0.intfeas,
+            "solve_diophantine",
+            lambda *args: log.append("diophantine") or diophantine(*args),
+        )
+        return log
+
+    def test_integral_root(self, log):
+        res = integer_feasibility(2, [([1, 1], 2)], bounds=[(0, 1), (0, 1)])
+        assert res == IntWitness(point=(1, 1))
+        assert log == ["lp"]
+
+    def test_fractional_root(self, log):
+        # the root is (5/2, 0); the branches find (1, 1)
+        res = integer_feasibility(2, [([2, 3], 5)], bounds=[(0, None), (0, None)])
+        assert res == IntWitness(point=(1, 1))
+        assert log[:3] == ["lp", "diophantine", "lp"]
+        assert log.count("diophantine") == 1
+
+    def test_infeasible_root(self, log):
+        res = integer_feasibility(2, [([1, 1], -1)], bounds=[(0, None), (0, None)])
+        assert isinstance(res, IntInfeasible)
+        assert log == ["lp"]
+
+    def test_lattice_infeasible_after_fractional_root(self, log):
+        # 2x - 2y == 1: the strip's root point is fractional, the branch tree
+        # is infinite, and the lattice check closes it before any branch
+        res = integer_feasibility(2, [([2, -2], 1)], bounds=[(0, None), (0, None)], budget=2)
+        assert isinstance(res, IntInfeasible)
+        assert log == ["lp", "diophantine"]
+
+
 class TestFreeVariables:
     def test_free_var_congruence(self):
         # 3x - 5k == 1 with x >= 0, k free: x = 2, k = 1

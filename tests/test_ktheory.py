@@ -39,10 +39,10 @@ from graphk0.ktheory import (
     witness_is_valid,
 )
 from graphk0.intfeas import IntInfeasible, IntUnknown, IntWitness, integer_feasibility
-from graphk0.linalg import CokerPresentation, Element, determinant, mat_vec
+from graphk0.linalg import CokerPresentation, Element, determinant, mat_mul, mat_vec
 from graphk0.lp import EQ, GE, Feasible, constraint, solve_lp
 from graphk0.reports import SCHEMA_VERSION, emit_json, k0_human, k0_to_json, membership_to_json
-from test_linalg import dense_cokernel, relation_matrix
+from test_linalg import dense_cokernel, multiple, relation_matrix, zero_of
 
 
 def loops(n):
@@ -79,8 +79,8 @@ def random_graph(rng, max_vertices, max_mult=3, inf_prob=0.0, edge_prob=0.4):
 def brute_force_cone(k, max_summands=12):
     """Independent oracle: every sum of at most `max_summands` base classes."""
     gens = [k.delta[v] for v in k.graph.vertices if not k.delta[v].is_zero()]
-    reachable = {k.coker.zero()}
-    frontier = {k.coker.zero()}
+    reachable = {zero_of(k.coker)}
+    frontier = {zero_of(k.coker)}
     for _ in range(max_summands):
         nxt = set()
         for e in frontier:
@@ -258,9 +258,9 @@ class TestComputeK0:
                 out = g.out_edges(v)
                 if not out or any(m is INF for _, m in out):
                     continue
-                total = k.coker.zero()
+                total = zero_of(k.coker)
                 for w, m in out:
-                    total = k.coker.add(total, k.coker.scale(m, k.delta[w]))
+                    total = k.coker.add(total, multiple(k.coker, m, k.delta[w]))
                 assert total == k.delta[v]
 
     def test_lemma_theorem_agreement(self):
@@ -335,9 +335,9 @@ class TestReducedCokernel:
             assert full.project(lift) == full.project(x)
         eliminated, _ = eliminated_and_kept(g)
         for v in eliminated:
-            total = k.coker.zero()
+            total = zero_of(k.coker)
             for w, m in g.out_edges(v):
-                total = k.coker.add(total, k.coker.scale(m, k.delta[w]))
+                total = k.coker.add(total, multiple(k.coker, m, k.delta[w]))
             assert total == k.delta[v]
         return k
 
@@ -679,7 +679,7 @@ class TestSparsePresentation:
 class TestConeMembership:
     def test_zero_is_member(self):
         k = compute_k0(toeplitz())
-        verdict = cone_membership(k, k.coker.zero())
+        verdict = cone_membership(k, zero_of(k.coker))
         assert isinstance(verdict, Member)
         assert verdict.witness == MembershipWitness(base_counts=(), family_uses=())
 
@@ -903,12 +903,13 @@ class TestConeMembership:
             (case,) = k._cases
             for _ in range(4):
                 # x in the cone, so in the relative interior of some face
-                x = k.coker.zero()
+                x = zero_of(k.coker)
                 for _, e in gens:
                     if rng.random() < 0.4:
-                        x = k.coker.add(x, k.coker.scale(rng.randint(1, 3), e))
+                        x = k.coker.add(x, multiple(k.coker, rng.randint(1, 3), e))
                 calls.clear()
-                kept = case.face(k.coker.lift(x))
+                lift = k.coker.lift(x)
+                kept = case.face([_dot(h, lift) for h in case.rays])
                 assert not calls
                 face = [
                     (col.terms[0][0], col.element)
@@ -976,11 +977,11 @@ class TestConeMembership:
                 assert evaluate_witness(k, minus) == k.coker.negate(e)
             for cold in range(2):
                 # a sum of generators, asked with nothing cached that settles it
-                x = k.coker.zero()
+                x = zero_of(k.coker)
                 while x.is_zero():
                     for _, e in gens:
                         if rng.random() < 0.4:
-                            x = k.coker.add(x, k.coker.scale(rng.randint(1, 3), e))
+                            x = k.coker.add(x, multiple(k.coker, rng.randint(1, 3), e))
                 k._membership_cache.clear()
                 lp_calls.clear()
                 searches.clear()
@@ -1000,9 +1001,9 @@ class TestConeMembership:
         true_program = graphk0.ktheory._cone_program
         faces, searched = [], []
 
-        def face(case, lift):
-            kept = true_face(case, lift)
-            faces.append((case, lift, kept))
+        def face(case, at):
+            kept = true_face(case, at)
+            faces.append((case, at, kept))
             return kept
 
         def program(coker, x, classes):
@@ -1035,10 +1036,11 @@ class TestConeMembership:
                 k._membership_cache.clear()
                 searched.clear()
                 verdict = cone_membership(k, x, budget=2000)
-                for case, lift, kept, y, classes in searched:
-                    assert k.coker.project(lift) == y == k.coker.subtract(x, case.shift)
+                for case, at, kept, y, classes in searched:
+                    assert y == k.coker.subtract(x, case.shift)
+                    assert at == [_dot(h, k.coker.lift(y)) for h in case.rays]
                     assert classes == [case.columns[j].element for j in kept]
-                    zero = [h for h in case.rays if _dot(h, lift) == 0]
+                    zero = [h for h, a in zip(case.rays, at) if a == 0]
                     for j in kept:
                         terms = case.columns[j].terms
                         assert not any(
@@ -1114,10 +1116,10 @@ class TestConeMembership:
             gens = [(v, k.delta[v]) for v in k.graph.vertices if not k.delta[v].is_zero()]
             if not k.cone.families or not k._rays:
                 continue
-            x = k.coker.zero()
+            x = zero_of(k.coker)
             for v, e in gens:
                 if rng.random() < 0.5:
-                    x = k.coker.add(x, k.coker.scale(rng.randint(1, 3), e))
+                    x = k.coker.add(x, multiple(k.coker, rng.randint(1, 3), e))
             if x.is_zero():
                 continue
             searches.clear()
@@ -1177,7 +1179,7 @@ class TestConeMembership:
     def test_budget_validation(self):
         k = compute_k0(toeplitz())
         with pytest.raises(ValueError):
-            cone_membership(k, k.coker.zero(), budget=0)
+            cone_membership(k, zero_of(k.coker), budget=0)
 
     def test_element_shape_validation(self):
         k = compute_k0(toeplitz())
@@ -1221,8 +1223,8 @@ class TestConeMembership:
                         for _ in range(n):
                             e = k.coker.subtract(e, k.delta[w])
                         moves.append(e)
-            reachable = {k.coker.zero()}
-            frontier = {k.coker.zero()}
+            reachable = {zero_of(k.coker)}
+            frontier = {zero_of(k.coker)}
             for _ in range(4):
                 nxt = set()
                 for e in frontier:
@@ -1311,6 +1313,50 @@ class TestConeMembership:
                     unknowns += 1
         assert disagreements == 0
         assert unknowns <= total * 0.05
+
+
+class TestSearchReuse:
+    """A case with no shift and the graph's own rays reads the ray values
+    that the separation step computed on x; every other case lifts its own
+    x minus shift.  A lattice of rank 0 leaves the program as it is."""
+
+    @pytest.fixture
+    def lifted(self, monkeypatch):
+        lifted = []
+        lift = CokerPresentation.lift
+        monkeypatch.setattr(
+            CokerPresentation, "lift", lambda p, e: lifted.append(e) or lift(p, e)
+        )
+        return lifted
+
+    def test_row_finite_member_lifts_once(self, lifted):
+        k = compute_k0(toeplitz())
+        x = k.coker.project([2, 1])
+        assert k._cases and not lifted
+        assert isinstance(cone_membership(k, x), Member)
+        assert lifted == [x]
+
+    def test_rank_zero_lattice_multiplies_no_matrix(self, monkeypatch):
+        k = compute_k0(line_graph(3))
+        (case,) = k._cases
+        assert not case.units and case.snf.rank == 0
+        calls = []
+        monkeypatch.setattr(
+            graphk0.ktheory, "mat_mul", lambda *args: calls.append(1) or mat_mul(*args)
+        )
+        assert isinstance(cone_membership(k, k.coker.project([1, 2, 0])), Member)
+        assert not calls
+
+    def test_used_family_lifts_its_rest(self, lifted):
+        # [e] - [w] needs the family of e: the case without it has other
+        # rays and excludes x, and the case that uses it lifts x - [e]
+        k = compute_k0(Graph(["e", "w"], {("e", "w"): INF}))
+        unused, used = k._cases
+        assert unused.rays is not k._rays and not used.shift.is_zero()
+        x = k.coker.project([1, -1])
+        verdict = cone_membership(k, x)
+        assert isinstance(verdict, Member) and verdict.witness.family_uses
+        assert lifted == [x, x, k.coker.subtract(x, used.shift)]
 
 
 class TestOrderProperties:
@@ -1405,9 +1451,9 @@ class TestOrderProperties:
                     if sum(counts) <= 2:
                         e = k.delta[fam.emitter]
                         for (w, _), c in zip(fam.targets, counts):
-                            e = k.coker.subtract(e, k.coker.scale(c, k.delta[w]))
+                            e = k.coker.subtract(e, multiple(k.coker, c, k.delta[w]))
                         moves.add(e)
-            reachable = frontier = {k.coker.zero()}
+            reachable = frontier = {zero_of(k.coker)}
             for _ in range(4):
                 frontier = {k.coker.add(e, m) for e in frontier for m in moves} - reachable
                 reachable = reachable | frontier
@@ -1721,13 +1767,13 @@ class TestConsistency:
 def dense_evaluate_witness(k, witness):
     """``evaluate_witness`` as it chained dense element sums through
     ``k.delta``, the reference for the sparse sum."""
-    total = k.coker.zero()
+    total = zero_of(k.coker)
     for v, c in witness.base_counts:
-        total = k.coker.add(total, k.coker.scale(c, k.delta[v]))
+        total = k.coker.add(total, multiple(k.coker, c, k.delta[v]))
     for use in witness.family_uses:
-        total = k.coker.add(total, k.coker.scale(use.count, k.delta[use.emitter]))
+        total = k.coker.add(total, multiple(k.coker, use.count, k.delta[use.emitter]))
         for w, c in use.target_counts:
-            total = k.coker.subtract(total, k.coker.scale(c, k.delta[w]))
+            total = k.coker.subtract(total, multiple(k.coker, c, k.delta[w]))
     return total
 
 
@@ -1807,7 +1853,7 @@ def dense_consistency(g, depth):
             )
             target = k1.delta[base]
             for w, c in counts.items():
-                target = k1.coker.subtract(target, k1.coker.scale(c, k1.delta[w]))
+                target = k1.coker.subtract(target, multiple(k1.coker, c, k1.delta[w]))
         else:
             witness = MembershipWitness(base_counts=((base, 1),), family_uses=())
             target = k1.delta[base]
@@ -1979,9 +2025,9 @@ class TestSparseConsistency:
             k = compute_k0(g)
             names = g.vertices
             for _ in range(4):
-                x = k.coker.zero()
+                x = zero_of(k.coker)
                 for v in rng.sample(names, min(2, len(names))):
-                    x = k.coker.add(x, k.coker.scale(rng.randint(-2, 2), k.delta[v]))
+                    x = k.coker.add(x, multiple(k.coker, rng.randint(-2, 2), k.delta[v]))
                 verdict = cone_membership(k, x, budget=400)
                 witnesses = [verdict.witness] if isinstance(verdict, Member) else []
                 checked += len(witnesses)
